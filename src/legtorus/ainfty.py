@@ -476,8 +476,8 @@ class HomCohomology:
         self.orders = {d: hom_basis_order(self.m, d) for d in (0, 1, 2)}
         self.mats = {0: mu1_matrix(r0, r1, 0), 1: mu1_matrix(r0, r1, 1)}
         dims = {d: len(self.orders[d]) * n2 for d in (0, 1, 2)}
-        _, k0 = xa.rank_kernel(self.mats[0], self.p)
-        _, k1 = xa.rank_kernel(self.mats[1], self.p)
+        rank0, k0 = xa.rank_kernel(self.mats[0], self.p)
+        rank1, k1 = xa.rank_kernel(self.mats[1], self.p)
         self.kernels = {0: k0, 1: k1, 2: xa.eye(dims[2])}
         self.images = {1: self.mats[0], 2: self.mats[1]}
         # image row-space data for coset reduction in each degree
@@ -485,12 +485,7 @@ class HomCohomology:
         for d in (1, 2):
             basis, piv = xa.row_space(self.images[d].T, self.p)
             self.red[d] = (basis, piv)
-        r0_, _ = xa.rank_kernel(self.mats[0], self.p)
-        self.dims = {
-            0: k0.shape[1],
-            1: k1.shape[1] - xa.rank(self.mats[0], self.p),
-            2: dims[2] - xa.rank(self.mats[1], self.p),
-        }
+        self.dims = {0: k0.shape[1], 1: k1.shape[1] - rank0, 2: dims[2] - rank1}
 
     def is_cocycle(self, x: HomElement) -> bool:
         if x.degree == 2:

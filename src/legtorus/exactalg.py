@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact F_p linear algebra on numpy int64 matrices.
 
 Matrices are numpy int64 arrays whose entries are residues in [0, p).  All
 arithmetic is integer arithmetic reduced mod p; no floating point is used
-anywhere.  Gaussian elimination picks the first nonzero pivot, so every
-returned basis is deterministic and kernels come out in reduced column
-echelon order.
+anywhere.  Every elimination goes through `rref`, a sparse-row kernel that
+works on Python ints, so no accumulation can overflow.  A matrix has exactly
+one reduced row echelon form, so every basis derived from it is canonical
+whatever order the kernel eliminates in: row spaces come out as RREF rows
+and kernels in reduced column echelon order.
 
 Supported moduli: p = 2 and odd primes below 2**15.
 """
@@ -66,31 +68,57 @@ def rand_matrix(rng, r: int, c: int, p: int) -> np.ndarray:
                     dtype=np.int64)
 
 
+def _sub_multiple(dst: dict, src: dict, f: int, p: int) -> None:
+    """dst -= f * src on sparse rows, dropping entries that become zero."""
+    for c, v in src.items():
+        x = (dst.get(c, 0) - f * v) % p
+        if x:
+            dst[c] = x
+        else:
+            # f, v are nonzero residues mod a prime, so x == 0 only if c was in dst
+            del dst[c]
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form. Returns (R, pivot column list)."""
-    a = np.mod(np.array(m, dtype=np.int64), p)
+    """Reduced row echelon form. Returns (R, pivot column list).
+
+    Each row is read as {col: residue}, reduced against the pivot rows found
+    so far and normalised; its pivot column is then cleared out of the
+    earlier pivot rows, so every pivot row stays fully reduced.
+    """
+    a = np.mod(np.asarray(m, dtype=np.int64), p)
     rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        # first nonzero entry in column c at or below row r
-        sub = a[r:, c]
-        nz = np.nonzero(sub)[0]
-        if len(nz) == 0:
+    sparse = [{} for _ in range(rows)]
+    nz_rows, nz_cols = np.nonzero(a)
+    for i, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
+        sparse[i][c] = v
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in sparse:
+        if len(pivot_rows) == cols:
+            break  # every column has a pivot: the remaining rows reduce to zero
+        # pivot rows vanish at every other pivot column, so the hits are fixed
+        for c in [c for c in row if c in pivot_rows]:
+            _sub_multiple(row, pivot_rows[c], row[c], p)
+        if not row:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        if inv != 1:
+            row = {c: v * inv % p for c, v in row.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(lead)
+            if f:
+                _sub_multiple(prow, row, f, p)
+        pivot_rows[lead] = row
+    pivots = sorted(pivot_rows)
+    flat, vals = [], []
+    for i, c in enumerate(pivots):
+        prow = pivot_rows[c]
+        flat += [i * cols + k for k in prow]
+        vals += prow.values()
+    r = np.zeros((rows, cols), dtype=np.int64)
+    r.ravel()[flat] = vals
+    return r, pivots
 
 
 def rank(m: np.ndarray, p: int) -> int:
@@ -157,11 +185,8 @@ def inverse(m: np.ndarray, p: int):
     """Inverse matrix, or None when singular."""
     if m.shape[0] != m.shape[1]:
         raise ValueError("inverse requires a square matrix")
-    n = m.shape[0]
-    x = solve(m, eye(n), p)
-    if x is None or rank(m, p) < n:
-        return None
-    return x
+    # A X = I is consistent exactly when the square A is invertible
+    return solve(m, eye(m.shape[0]), p)
 
 
 def is_invertible(m: np.ndarray, p: int) -> bool:
@@ -184,14 +209,6 @@ def coset_reduce(v: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) ->
         if c:
             w = (w - c * basis[row]) % p
     return w
-
-
-def coords_in_basis(basis_cols: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of v in a full-column-rank basis (columns). v must lie in the span."""
-    x = solve(basis_cols, v.reshape(-1, 1), p)
-    if x is None or np.any((basis_cols @ x - v.reshape(-1, 1)) % p):
-        raise ValueError("vector not in span of basis")
-    return x[:, 0]
 
 
 def left_inverse(basis_cols: np.ndarray, p: int) -> np.ndarray:

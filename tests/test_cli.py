@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,23 @@ def test_byte_identical_output():
     a = run_cli(args).stdout
     b = run_cli(args).stdout
     assert a == b
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("hom", ["hom", "--m", "3", "--n", "2", "--p", "3", "--samples", "6", "--seed", "5"]),
+    ("ext", ["ext", "--m", "3", "--n", "2", "--p", "3", "--samples", "6", "--seed", "5"]),
+    ("cech", ["cech", "--m", "2", "--n", "2", "--p", "3", "--samples", "2", "--seed", "5"]),
+    ("equiv", ["equiv", "--m", "2", "--n", "2", "--p", "3", "--samples", "3", "--seed", "5"]),
+])
+def test_stdout_matches_golden(name, args):
+    # golden files hold the stdout of the dense elimination kernel this
+    # sparse-row kernel replaced; the RREF is unique, so not a byte may move
+    proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_csv_format():

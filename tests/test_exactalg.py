@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legtorus import exactalg as xa
@@ -19,6 +19,69 @@ def brute_rank(m, p):
         rank += 1
         span = {tuple((a + k * b) % p for a, b in zip(s, r)) for s in span for k in range(p)}
     return rank
+
+
+def dense_rref(m, p):
+    """Reference: the dense elimination `xa.rref` used before the sparse-row kernel."""
+    a = np.mod(np.array(m, dtype=np.int64), p)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        # first nonzero entry in column c at or below row r
+        sub = a[r:, c]
+        nz = np.nonzero(sub)[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def sparse_random(seed, rows, cols, p, density):
+    """Nonzero mod p with probability `density`; entries lie in [-p, 2p), so they also need reducing."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((rows, cols)) < density
+    vals = rng.integers(1, p, size=(rows, cols)) + p * rng.integers(-1, 2, size=(rows, cols))
+    return np.where(mask, vals, 0)
+
+
+def assert_matches_dense(m, p):
+    r, pivots = xa.rref(m, p)
+    ref, ref_pivots = dense_rref(m, p)
+    assert r.dtype == np.int64
+    assert r.shape == ref.shape
+    assert pivots == ref_pivots
+    assert np.array_equal(r, ref)
+    assert r.size == 0 or (r.min() >= 0 and r.max() < p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from([2, 3, 5, 7, 32749]), st.floats(0.0, 1.0))
+@example(1, 0, 5, 3, 0.5)
+@example(2, 5, 0, 3, 0.5)
+@example(3, 1, 7, 5, 0.5)
+@example(4, 7, 1, 7, 0.5)
+@example(5, 6, 6, 2, 1.0)
+@example(6, 6, 6, 32749, 0.0)
+def test_rref_matches_dense_reference(seed, rows, cols, p, density):
+    assert_matches_dense(sparse_random(seed, rows, cols, p, density), p)
+
+
+def test_rref_matches_dense_reference_on_d1_shape():
+    # the shape and sparsity of a Cech d1 matrix (m=4, n=2)
+    assert_matches_dense(sparse_random(2024, 400, 700, 3, 0.005), 3)
 
 
 def test_rank_kernel_identity_f2():
