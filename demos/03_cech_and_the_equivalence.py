@@ -11,8 +11,7 @@ from collections import Counter
 
 from legtorus.ainfty import enumerate_reps, hom_cohomology, random_rep
 from legtorus.cech import (CechComplex, EyeSheaf, build_red_blue,
-                           build_tiling, cech_ext_dims, eye_tiling,
-                           graph_game)
+                           build_tiling, eye_tiling, graph_game)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
 
 print("=" * 72)
@@ -36,7 +35,7 @@ print("pair".ljust(16), "H^*(rep side)", "Ext (sheaf side)", "Cech", sep="  ")
 for i, F in enumerate(objs):
     for j, G in enumerate(objs):
         H = hom_cohomology(reps[i], reps[j])
-        dims = cech_ext_dims(F, G, T)
+        dims = CechComplex(T, F, G).cohomology_dims()
         label = f"({i},{j})"
         print(label.ljust(16),
               f"({H.dims[0]},{H.dims[1]},{H.dims[2]})".ljust(13),
@@ -47,10 +46,10 @@ print()
 print("=" * 72)
 print("The leaf / Y-removal game certifies that d^1 is surjective")
 print("=" * 72)
-res = graph_game(build_red_blue(T, objs[0], objs[0]))
+cx = CechComplex(T, objs[0], objs[0])
+res = graph_game(build_red_blue(cx))
 rules = Counter(s["rule"] for s in res["steps"])
 print(f"success: {res['success']}; rule usage: {dict(rules)}")
-cx = CechComplex(T, objs[0], objs[0])
 ok, cert = cx.h2_certificate()
 print(f"rank certificate: rank d^1 = {cert['rank_d1']} = dim C^2 = {cert['dim_c2']}")
 
@@ -61,7 +60,7 @@ print("=" * 72)
 rng = random.Random(3)
 F = functor_obj(random_rep(2, 2, 3, rng))
 for rho in (1, 2):
-    print(f"resolution {rho}: dims {cech_ext_dims(F, F, build_tiling(2, rho))}")
+    print(f"resolution {rho}: dims {CechComplex(build_tiling(2, rho), F, F).cohomology_dims()}")
 for r, s in [(1, 1), (2, 1), (2, 2)]:
-    dims = cech_ext_dims(EyeSheaf(r, 3), EyeSheaf(s, 3), eye_tiling(1))
+    dims = CechComplex(eye_tiling(1), EyeSheaf(r, 3), EyeSheaf(s, 3)).cohomology_dims()
     print(f"eye front, ranks ({r},{s}): Hom cohomology {dims}  (= k^{{{r * s}}} in degree 0)")

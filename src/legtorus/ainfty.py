@@ -84,21 +84,11 @@ class Representation:
 
     def eval_poly(self, f: FreePoly) -> np.ndarray:
         """Evaluate a word polynomial, an algebra map on Lambda_m's generators."""
-        out = xa.zeros(self.n, self.n)
-        for w, c in f.terms.items():
-            acc = xa.eye(self.n)
-            for name, exp in w:
-                acc = (acc @ self.value(name, exp)) % self.p
-            out = (out + c * acc) % self.p
-        return out
+        return _eval_matrix_poly(f, self.value, self.n, self.p)
 
     def conjugate(self, minv, mmat) -> "Representation":
         return Representation(self.m, self.n, self.p,
                               [(minv @ a @ mmat) % self.p for a in self.A])
-
-
-def eval_poly(rho: Representation, f: FreePoly) -> np.ndarray:
-    return rho.eval_poly(f)
 
 
 def check_representation(rho: Representation) -> bool:

@@ -165,10 +165,6 @@ class TilingComplex:
         cmax, rmin, rmax = self.box
         return 0 <= tile[0] <= cmax and rmin <= tile[1] <= rmax
 
-    def tile_dirs_in_box(self, tile):
-        return [d for d in ("N", "NE", "SE", "S", "SW", "NW")
-                if self.in_box(neighbor(tile, d))]
-
 
 def _walk(arc: Arc, cuts, path):
     """Register a strand path (list of (tile, entry, exit)) for an arc."""
@@ -819,6 +815,7 @@ class CechComplex:
         return d1
 
     def cohomology_dims(self):
+        """(dim H^0, dim H^1, dim H^2) of the Cech complex of Hom(F, G)."""
         p = self.p
         rank_d0 = xa.rank(self.d0, p)
         rank_d1 = self.rank_d1()
@@ -833,6 +830,7 @@ class CechComplex:
         return self._rank_d1
 
     def h2_certificate(self):
+        """True iff d^1 is surjective; returns (flag, certificate)."""
         rank_d1 = self.rank_d1()
         return rank_d1 == self.c2_dim, {"rank_d1": int(rank_d1),
                                         "dim_c1": int(self.c1_dim),
@@ -848,24 +846,6 @@ def _offsets(keys, spaces):
     return out
 
 
-def assemble_cech(F, G, T: TilingComplex) -> CechComplex:
-    return CechComplex(T, F, G)
-
-
-def cech_ext_dims(F, G, T: TilingComplex | None = None):
-    """(dim H^0, dim H^1, dim H^2) of the Cech complex of Hom(F, G)."""
-    if T is None:
-        T = build_tiling(F.m)
-    return CechComplex(T, F, G).cohomology_dims()
-
-
-def check_h2(F, G, T: TilingComplex | None = None):
-    """True iff d^1 is surjective; returns (flag, certificate)."""
-    if T is None:
-        T = build_tiling(F.m)
-    return CechComplex(T, F, G).h2_certificate()
-
-
 # ---------------------------------------------------------------------------
 # The leaf / Y-removal game
 
@@ -876,8 +856,10 @@ class RedBlueGraph:
     meta: dict = field(default_factory=dict)
 
 
-def build_red_blue(T: TilingComplex, F, G) -> RedBlueGraph:
-    cx = CechComplex(T, F, G)
+def build_red_blue(cx: CechComplex) -> RedBlueGraph:
+    """The edge/vertex incidence graph of an assembled complex, with the
+    edge-to-vertex restriction maps the game certifies."""
+    T = cx.T
     reds = {v: cx.vertex_space[v].dim for v in T.vertices}
     edge_adj: dict = {ek: [] for ek in cx.edges}
     for v in T.vertices:

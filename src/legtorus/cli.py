@@ -14,14 +14,12 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import exactalg as xa
 from .ainfty import (BudgetExceeded, enumerate_reps, hom_cohomology,
                      random_rep)
 from .cech import CechComplex, build_red_blue, build_tiling, graph_game
 from .freedga import build_lambda_dga, kcopy_dga
-from .sheafcat import SheafObject, ext0_dim, ext1_dim, functor_obj
+from .sheafcat import ext0_dim, ext1_dim, functor_obj
 from .verify import rng_for, run_suites
 
 SCHEMA = 1
@@ -47,11 +45,16 @@ def _mats_to_list(mats):
 
 
 def _sample_pairs(reps, samples, rng):
-    pairs = [(a, b) for a in range(len(reps)) for b in range(len(reps))]
-    if samples and samples < len(pairs):
-        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
-        pairs = sorted(set(pairs))
-    return pairs
+    """Ordered index pairs: all of them, or `samples` draws without duplicates."""
+    n = len(reps)
+    if samples and samples < n * n:
+        return sorted({divmod(rng.randrange(n * n), n) for _ in range(samples)})
+    return [divmod(k, n) for k in range(n * n)]
+
+
+def _sheaf_objects(reps, pairs):
+    """Functor images of the objects the sampled pairs use, by index."""
+    return {i: functor_obj(reps[i]) for pair in pairs for i in pair}
 
 
 def _objects(args, rng):
@@ -116,9 +119,10 @@ def cmd_hom(args):
 def cmd_ext(args):
     rng = rng_for(args.seed, "ext")
     reps, complete = _objects(args, rng)
-    objs = [functor_obj(r) for r in reps]
+    pairs = _sample_pairs(reps, args.samples, rng)
+    objs = _sheaf_objects(reps, pairs)
     rows = []
-    for i, j in _sample_pairs(reps, args.samples, rng):
+    for i, j in pairs:
         H = hom_cohomology(reps[i], reps[j])
         e0, e1 = ext0_dim(objs[i], objs[j]), ext1_dim(objs[i], objs[j])
         rows.append({"source": i, "target": j, "ext0": e0, "ext1": e1,
@@ -133,11 +137,12 @@ def cmd_ext(args):
 def cmd_cech(args):
     rng = rng_for(args.seed, "cech")
     reps, complete = _objects(args, rng)
-    objs = [functor_obj(r) for r in reps]
+    pairs = _sample_pairs(reps, args.samples or 4, rng)
+    objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
     rows = []
     trace = None
-    for i, j in _sample_pairs(reps, args.samples or 4, rng):
+    for i, j in pairs:
         cx = CechComplex(T, objs[i], objs[j])
         dims = cx.cohomology_dims()
         ok_h2, cert = cx.h2_certificate()
@@ -148,7 +153,7 @@ def cmd_cech(args):
                      "agrees": dims == (e0, e1, 0) and ok_h2,
                      "rank_d1": cert["rank_d1"], "dim_c2": cert["dim_c2"]})
         if trace is None:
-            trace = graph_game(build_red_blue(T, objs[i], objs[j]))
+            trace = graph_game(build_red_blue(cx))
     ok = all(r["agrees"] for r in rows)
     _emit({"command": "cech", "m": args.m, "n": args.n, "p": args.p,
            "resolution": args.resolution, "complete_enumeration": complete,
@@ -159,10 +164,11 @@ def cmd_cech(args):
 def cmd_equiv(args):
     rng = rng_for(args.seed, "equiv")
     reps, complete = _objects(args, rng)
-    objs = [functor_obj(r) for r in reps]
+    pairs = _sample_pairs(reps, args.samples, rng)
+    objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
     rows = []
-    for i, j in _sample_pairs(reps, args.samples, rng):
+    for i, j in pairs:
         H = hom_cohomology(reps[i], reps[j])
         cx = CechComplex(T, objs[i], objs[j])
         dims = cx.cohomology_dims()

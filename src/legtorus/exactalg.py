@@ -55,10 +55,6 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.kron(a, b) % p
 
@@ -187,10 +183,6 @@ def inverse(m: np.ndarray, p: int):
         raise ValueError("inverse requires a square matrix")
     # A X = I is consistent exactly when the square A is invertible
     return solve(m, eye(m.shape[0]), p)
-
-
-def is_invertible(m: np.ndarray, p: int) -> bool:
-    return m.shape[0] == m.shape[1] and det(m, p) != 0
 
 
 def row_space(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

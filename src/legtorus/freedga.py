@@ -121,12 +121,6 @@ class FreePoly:
         return f"FreePoly(p={self.p}, {poly_str(self)})"
 
 
-def poly_mul(f: FreePoly, g: FreePoly) -> FreePoly:
-    if f.p != g.p:
-        raise ValueError("mixed moduli")
-    return f * g
-
-
 def _word_sort_key(w: Word):
     # t-words first, then the constant, then chord words by (length, letters)
     has_t = any(n.startswith("t") for n, _ in w)
@@ -434,7 +428,3 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
 @lru_cache(maxsize=None)
 def lambda_copy_dga(m: int, p: int, k: int) -> DGA:
     return kcopy_dga(lambda_dga(m, p), k)
-
-
-def check_d_squared(dga: DGA) -> bool:
-    return dga.check_d_squared()

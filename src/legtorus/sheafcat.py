@@ -4,21 +4,21 @@ from the representation side.
 A sheaf object is coordinatized by a tuple (A_1..A_m) with P_m(A) invertible;
 the leg maps phi_1..phi_{m+1} : V -> V^2 and psi : V^2 -> V are recovered by
 composing the 2x2 block chain [[0,1],[1,A_j]], so that the final k arrows
-give phi_k (+) phi_{k+1}.  Ext^0 is the space of chain morphisms, Ext^1 the
-space of extensions in the normalized Omega-block form, and the compositions
-follow the pullback/pushforward formulas.  The equivalence functor transposes
-tuples, sends an H^0 class (u1,u2) to -(u2^T, u1^T) and an H^1 class to the
-entrywise transpose.
+give phi_k (+) phi_{k+1}.  Ext^0 (chain morphisms) and Ext^1 (extensions in
+the normalized Omega-block form) are the kernel and cokernel of one map,
+`_ext_map`, and the compositions follow the pullback/pushforward formulas.
+The equivalence functor transposes tuples, sends an H^0 class (u1,u2) to
+-(u2^T, u1^T) and an H^1 class to the entrywise transpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
 from . import exactalg as xa
-from .ainfty import Representation
+from .ainfty import BudgetExceeded, Representation
 from .freedga import pq_matrix
 from .torusrep import H0Class, H1Class
 
@@ -92,10 +92,12 @@ def build_sheaf_object(mats, p: int) -> SheafObject:
 
 
 def enumerate_sheaf_objects(m: int, n: int, p: int, budget: int = 2_000_000):
-    import itertools
+    """All sheaf objects with P_m(A) invertible, built directly on the sheaf
+    side so that tests can compare the functor's image against it."""
     total = p ** (n * n * m)
     if total > budget:
-        raise RuntimeError(f"enumeration needs {total} tuples")
+        raise BudgetExceeded(f"enumeration needs {total} tuples (budget {budget})",
+                             required=total)
     out = []
     for flat in itertools.product(range(p), repeat=n * n * m):
         mats = [np.array(flat[i * n * n:(i + 1) * n * n], dtype=np.int64).reshape(n, n)
@@ -106,31 +108,34 @@ def enumerate_sheaf_objects(m: int, n: int, p: int, budget: int = 2_000_000):
 
 
 # ---------------------------------------------------------------------------
-# Ext^0
+# The Ext map, and Ext^0
 
-def _ext0_system(F: SheafObject, G: SheafObject) -> np.ndarray:
-    """Rows of A'_k u_1 - u_2 A_k (k even) and A'_k u_2 - u_1 A_k (k odd)."""
+def _ext_map(F: SheafObject, G: SheafObject) -> np.ndarray:
+    """The map (u1, u2) -> (u_hit A_k - A'_k u_other)_k on row-major vecs,
+    with A from F, A' from G, and u_hit = u1 for k odd, u2 for k even.
+
+    Ext^0(F, G) is its kernel and Ext^1(F, G) its cokernel.
+    """
+    if (F.m, F.n, F.p) != (G.m, G.n, G.p):
+        raise ValueError("mismatched objects")
     n, p, m = F.n, F.p, F.m
     n2 = n * n
     ident = xa.eye(n)
     mat = xa.zeros(m * n2, 2 * n2)
     for k in range(1, m + 1):
         row = (k - 1) * n2
-        hit, other = (0, 1) if k % 2 == 0 else (1, 0)
-        # A'_k u_hit - u_other A_k = 0   (hit slot multiplied on the left by A'_k)
-        mat[row:row + n2, hit * n2:(hit + 1) * n2] = xa.kron(G.A[k - 1], ident, p)
+        hit, other = (0, 1) if k % 2 == 1 else (1, 0)
+        mat[row:row + n2, hit * n2:(hit + 1) * n2] = xa.kron(ident, F.A[k - 1].T, p)
         blk = mat[row:row + n2, other * n2:(other + 1) * n2]
-        mat[row:row + n2, other * n2:(other + 1) * n2] = (blk - xa.kron(ident, F.A[k - 1].T, p)) % p
+        mat[row:row + n2, other * n2:(other + 1) * n2] = (blk - xa.kron(G.A[k - 1], ident, p)) % p
     return mat
 
 
 def ext0(F: SheafObject, G: SheafObject) -> list[tuple[np.ndarray, np.ndarray]]:
     """Basis of Ext^0(F, G) as pairs (u1, u2)."""
-    if (F.m, F.p) != (G.m, G.p):
-        raise ValueError("objects on different fronts")
     n = F.n
     n2 = n * n
-    _, ker = xa.rank_kernel(_ext0_system(F, G), F.p)
+    _, ker = xa.rank_kernel(_ext_map(F, G), F.p)
     return [(col[:n2].reshape(n, n) % F.p, col[n2:].reshape(n, n) % F.p)
             for col in ker.T]
 
@@ -181,28 +186,13 @@ def compose00(u2_, u1_, p: int):
 # Ext^1
 
 class Ext1Space:
-    """(End V)^m modulo the image subspace, with canonical coset reps."""
+    """(End V)^m modulo the image of `_ext_map`, with canonical coset reps."""
 
     def __init__(self, F: SheafObject, G: SheafObject):
-        if (F.m, F.n, F.p) != (G.m, G.n, G.p):
-            raise ValueError("mismatched objects")
+        self.image_rows, self.image_pivots = xa.row_space(_ext_map(F, G).T, F.p)
         self.F, self.G = F, G
         self.n, self.p, self.m = F.n, F.p, F.m
-        n, p, m = self.n, self.p, self.m
-        n2 = n * n
-        ident = xa.eye(n)
-        # image: (u1 A_1 - A'_1 u2, u2 A_2 - A'_2 u1, ...) with parity alternation
-        mat = xa.zeros(m * n2, 2 * n2)
-        for k in range(1, m + 1):
-            row = (k - 1) * n2
-            hit, other = (0, 1) if k % 2 == 1 else (1, 0)
-            # u_hit A_k - A'_k u_other
-            mat[row:row + n2, hit * n2:(hit + 1) * n2] = xa.kron(ident, F.A[k - 1].T, p)
-            blk = mat[row:row + n2, other * n2:(other + 1) * n2]
-            mat[row:row + n2, other * n2:(other + 1) * n2] = (blk - xa.kron(G.A[k - 1], ident, p)) % p
-        self.image_matrix = mat
-        self.image_rows, self.image_pivots = xa.row_space(mat.T, p)
-        self.dim = m * n2 - len(self.image_pivots)
+        self.dim = self.m * self.n * self.n - len(self.image_pivots)
 
     def reduce(self, w) -> np.ndarray:
         v = np.concatenate([np.mod(np.array(wj, dtype=np.int64), self.p).reshape(-1)
@@ -364,10 +354,6 @@ def pullback_check(wprime, u, F: SheafObject, G: SheafObject, H: SheafObject) ->
 
 # ---------------------------------------------------------------------------
 # The equivalence functor
-
-def transpose_tuple(mats, p: int):
-    return tuple(a.T % p for a in mats)
-
 
 def functor_obj(rho: Representation) -> SheafObject:
     """Objects: entrywise transpose of the defining tuple."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactalg as xa
-from .ainfty import HomElement, Representation, hom_basis_order
+from .ainfty import HomElement, Representation
 from .freedga import pq_matrix
 
 
@@ -176,21 +176,6 @@ class TorusHomClosed:
         n, n2 = self.n, self.n * self.n
         return H1Class(tuple(v[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m)))
 
-    def h1_basis(self) -> list[H1Class]:
-        n2 = self.n * self.n
-        reduced = np.vstack([
-            self.h1_reduce([xa.zeros(self.n, self.n) if t != j else _unit_mat(self.n, a, b)
-                            for t in range(self.m)])
-            for j in range(self.m) for a in range(self.n) for b in range(self.n)
-        ])
-        rows, _ = xa.row_space(reduced, self.p)
-        n = self.n
-        return [H1Class(tuple(row[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m)))
-                for row in rows]
-
-    def same_h1(self, w, w2) -> bool:
-        return np.array_equal(self.h1_reduce(w), self.h1_reduce(w2))
-
     def cocycle_from_w(self, w) -> HomElement:
         """The unique mu_1-cocycle with the given a-part (x-parts forced)."""
         n, p, m = self.n, self.p, self.m
@@ -210,12 +195,6 @@ class TorusHomClosed:
 
     def h0_to_element(self, cls: H0Class) -> HomElement:
         return HomElement(self.n, self.p, 0, {"y1": cls.u1, "y2": cls.u2})
-
-
-def _unit_mat(n, a, b):
-    m_ = xa.zeros(n, n)
-    m_[a, b] = 1
-    return m_
 
 
 def cohomology_closed(rho: Representation, rho2: Representation) -> TorusHomClosed:

@@ -14,16 +14,15 @@ import random
 import numpy as np
 
 from . import exactalg as xa
-from .ainfty import (HomElement, Representation, hom_basis_order,
-                     hom_cohomology, is_isomorphic, mu1, mu2, mu_k,
-                     random_rep, unit)
+from .ainfty import (HomElement, hom_basis_order, hom_cohomology,
+                     is_isomorphic, mu1, mu2, mu_k, random_rep, unit)
 from .cech import (CechComplex, EyeSheaf, build_red_blue, build_tiling,
-                   cech_ext_dims, eye_tiling, graph_game)
-from .freedga import build_lambda_dga, kcopy_dga, lambda_copy_dga, pq_matrix
-from .sheafcat import (Ext1Space, compose00, compose01, compose10, ext0,
-                       ext0_dim, ext1_dim, functor_h0, functor_h1, functor_obj)
-from .torusrep import (H0Class, H1Class, cohomology_closed, mu1_closed,
-                       mu2_closed, sylvester_check)
+                   eye_tiling, graph_game)
+from .freedga import build_lambda_dga, lambda_copy_dga
+from .sheafcat import (Ext1Space, compose00, compose01, compose10, ext0_dim,
+                       ext1_dim, functor_h0, functor_h1, functor_obj)
+from .torusrep import (H1Class, cohomology_closed, mu1_closed, mu2_closed,
+                       sylvester_check)
 
 
 def rng_for(seed: int, label: str) -> random.Random:
@@ -37,14 +36,10 @@ def rand_homog(m, n, p, deg, rng) -> HomElement:
                       {b: xa.rand_matrix(rng, n, n, p) for b in hom_basis_order(m, deg)})
 
 
-def scaled(cfg, key, default):
-    return cfg.get(key, default)
-
-
 # ---------------------------------------------------------------------------
 
 def check_d_squared(cfg, rng):
-    ms = range(1, scaled(cfg, "max_m", 3) + 1)
+    ms = range(1, cfg.get("max_m", 3) + 1)
     ps = cfg.get("primes", (2, 3))
     for m in ms:
         for p in ps:
@@ -57,7 +52,7 @@ def check_d_squared(cfg, rng):
 
 
 def check_sylvester(cfg, rng):
-    samples = scaled(cfg, "samples", 50)
+    samples = cfg.get("samples", 50)
     count = 0
     for _ in range(samples):
         m = rng.randrange(1, 7)
@@ -70,9 +65,9 @@ def check_sylvester(cfg, rng):
 
 
 def check_mu1_oracle(cfg, rng):
-    samples = scaled(cfg, "samples", 30)
+    samples = cfg.get("samples", 30)
     for _ in range(samples):
-        m = rng.randrange(1, scaled(cfg, "max_m", 3) + 1)
+        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
         n = rng.choice([1, 2])
         p = rng.choice(cfg.get("primes", (2, 3)))
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
@@ -84,9 +79,9 @@ def check_mu1_oracle(cfg, rng):
 
 
 def check_mu2_oracle(cfg, rng, corrupt_sign=False):
-    samples = scaled(cfg, "samples", 20)
+    samples = cfg.get("samples", 20)
     for _ in range(samples):
-        m = rng.randrange(1, scaled(cfg, "max_m", 3) + 1)
+        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
         n = rng.choice([1, 2])
         p = rng.choice(cfg.get("primes", (2, 3)))
         r0, r1, r2 = (random_rep(m, n, p, rng) for _ in range(3))
@@ -121,7 +116,7 @@ def check_mu2_oracle(cfg, rng, corrupt_sign=False):
 
 def check_a_infinity(cfg, rng, corrupt_sign=False):
     """Arity 1-3 relations implied by d^2 = 0 under the sign rule."""
-    samples = scaled(cfg, "samples", 12)
+    samples = cfg.get("samples", 12)
 
     def mu2_(ra, rb, rc, xx, yy):
         out = mu2(ra, rb, rc, xx, yy)
@@ -130,7 +125,7 @@ def check_a_infinity(cfg, rng, corrupt_sign=False):
         return out
 
     for _ in range(samples):
-        m = rng.randrange(1, scaled(cfg, "max_m", 3) + 1)
+        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
         n = rng.choice([1, 2])
         p = rng.choice(tuple(q for q in cfg.get("primes", (3,)) if q != 2) or (3,))
         rs = tuple(random_rep(m, n, p, rng) for _ in range(4))
@@ -156,9 +151,9 @@ def check_a_infinity(cfg, rng, corrupt_sign=False):
 
 
 def check_units(cfg, rng):
-    samples = scaled(cfg, "samples", 10)
+    samples = cfg.get("samples", 10)
     for _ in range(samples):
-        m = rng.randrange(1, scaled(cfg, "max_m", 3) + 1)
+        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
         n = rng.choice([1, 2])
         p = rng.choice(cfg.get("primes", (2, 3)))
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
@@ -175,9 +170,9 @@ def check_units(cfg, rng):
 
 
 def check_conjugation_iso(cfg, rng):
-    samples = scaled(cfg, "samples", 15)
+    samples = cfg.get("samples", 15)
     for _ in range(samples):
-        m = rng.randrange(1, scaled(cfg, "max_m", 3) + 1)
+        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
         n = rng.choice([1, 2])
         p = rng.choice(cfg.get("primes", (2, 3)))
         r0 = random_rep(m, n, p, rng)
@@ -194,12 +189,12 @@ def check_conjugation_iso(cfg, rng):
 def check_equivalence(cfg, rng):
     """dim H^i = dim Ext^i, Cech-certified Ext^2 = 0, functorial compositions."""
     pairs = []
-    for m in range(1, scaled(cfg, "max_m", 3) + 1):
+    for m in range(1, cfg.get("max_m", 3) + 1):
         for p in cfg.get("primes", (2, 3)):
             T = build_tiling(m)
-            for _ in range(scaled(cfg, "pairs_per_config", 1)):
-                r0 = random_rep(m, scaled(cfg, "max_n", 2), p, rng)
-                r1 = random_rep(m, scaled(cfg, "max_n", 2), p, rng)
+            for _ in range(cfg.get("pairs_per_config", 1)):
+                r0 = random_rep(m, cfg.get("max_n", 2), p, rng)
+                r1 = random_rep(m, cfg.get("max_n", 2), p, rng)
                 pairs.append((m, p, T, r0, r1))
     for m, p, T, r0, r1 in pairs:
         H = hom_cohomology(r0, r1)
@@ -217,9 +212,9 @@ def check_equivalence(cfg, rng):
 
 
 def check_functoriality(cfg, rng):
-    samples = scaled(cfg, "samples", 10)
+    samples = cfg.get("samples", 10)
     for _ in range(samples):
-        m = rng.randrange(1, scaled(cfg, "max_m", 3) + 1)
+        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
         n = rng.choice([1, 2])
         p = rng.choice(cfg.get("primes", (2, 3)))
         reps = [random_rep(m, n, p, rng) for _ in range(3)]
@@ -250,15 +245,15 @@ def check_functoriality(cfg, rng):
 
 
 def check_graph_game(cfg, rng):
-    for m in range(1, scaled(cfg, "max_m", 3) + 1):
+    for m in range(1, cfg.get("max_m", 3) + 1):
         p = cfg.get("primes", (2,))[0]
         T = build_tiling(m)
         F = functor_obj(random_rep(m, 1, p, rng))
         G = functor_obj(random_rep(m, 1, p, rng))
-        res = graph_game(build_red_blue(T, F, G))
+        cx = CechComplex(T, F, G)
+        res = graph_game(build_red_blue(cx))
         if not res["success"]:
             return False, f"game stuck at m={m}: {res.get('stuck')}"
-        cx = CechComplex(T, F, G)
         ok, cert = cx.h2_certificate()
         if not ok:
             return False, f"game succeeded but d1 not surjective at m={m}: {cert}"
@@ -270,7 +265,7 @@ def check_eye_unknot(cfg, rng):
     T = eye_tiling(1)
     for r in (1, 2):
         for s in (1, 2):
-            dims = cech_ext_dims(EyeSheaf(r, p), EyeSheaf(s, p), T)
+            dims = CechComplex(T, EyeSheaf(r, p), EyeSheaf(s, p)).cohomology_dims()
             if dims != (r * s, 0, 0):
                 return False, f"eye dims {dims} != ({r * s}, 0, 0)"
     return True, "Hom cohomology is k^{rs} in degree 0"

@@ -15,8 +15,7 @@ from legtorus.ainfty import (HomElement, enumerate_reps, hom_basis_order,
                              hom_cohomology, is_isomorphic, mu1, mu2, mu_k,
                              random_rep, unit)
 from legtorus.cech import (CechComplex, EyeSheaf, build_red_blue,
-                           build_tiling, cech_ext_dims, check_h2, eye_tiling,
-                           graph_game)
+                           build_tiling, eye_tiling, graph_game)
 from legtorus.freedga import build_lambda_dga, kcopy_dga
 from legtorus.sheafcat import (Ext1Space, compose00, compose01, compose10,
                                ext0_dim, ext1_dim, functor_h0, functor_h1,
@@ -237,9 +236,10 @@ def test_criterion_8_graph_game():
         T = build_tiling(m)
         F = functor_obj(random_rep(m, 1, 2, rng))
         G = functor_obj(random_rep(m, 1, 2, rng))
-        res = graph_game(build_red_blue(T, F, G))
+        cx = CechComplex(T, F, G)
+        res = graph_game(build_red_blue(cx))
         assert res["success"], (m, res)
-        ok, _ = check_h2(F, G, T)
+        ok, _ = cx.h2_certificate()
         assert ok, m
     report(8, True, "leaf/Y reduction empties every red node for m in 1..4 "
                     "and rank-level surjectivity holds on the same instances")
@@ -249,7 +249,7 @@ def test_criterion_9_eye_unknot():
     T = eye_tiling(1)
     for r in (1, 2):
         for s in (1, 2):
-            dims = cech_ext_dims(EyeSheaf(r, 2), EyeSheaf(s, 2), T)
+            dims = CechComplex(T, EyeSheaf(r, 2), EyeSheaf(s, 2)).cohomology_dims()
             assert dims == (r * s, 0, 0), (r, s, dims)
     report(9, True, "eye-front Hom cohomology is k^(r s) in degree 0 for r, s <= 2")
 

@@ -1,14 +1,9 @@
 import random
 
-import numpy as np
-import pytest
-
-from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
 from legtorus.cech import (CechComplex, EyeSheaf, RedBlueGraph, SLANTED,
-                           build_red_blue, build_tiling, cech_ext_dims,
-                           check_h2, edge_key, eye_tiling, graph_game,
-                           neighbor, vertex_edges, vertex_tiles)
+                           build_red_blue, build_tiling, eye_tiling,
+                           graph_game, neighbor, vertex_edges, vertex_tiles)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
 
 
@@ -87,14 +82,14 @@ def test_full_enumeration_m2_n1_f2():
     assert len(objs) == 3
     for F in objs:
         for G in objs:
-            dims = cech_ext_dims(F, G, T)
+            dims = CechComplex(T, F, G).cohomology_dims()
             assert dims == (ext0_dim(F, G), ext1_dim(F, G), 0)
 
 
 def test_self_pair_dims_match_spec_example():
     T = build_tiling(2)
     F = functor_obj(enumerate_reps(2, 1, 2)[0])  # the (0,0) tuple
-    assert cech_ext_dims(F, F, T) == (2, 2, 0)
+    assert CechComplex(T, F, F).cohomology_dims() == (2, 2, 0)
 
 
 def test_sampled_pairs_agree():
@@ -103,7 +98,7 @@ def test_sampled_pairs_agree():
         T = build_tiling(m)
         for _ in range(2):
             F, G = rand_pair(m, n, p, rng)
-            dims = cech_ext_dims(F, G, T)
+            dims = CechComplex(T, F, G).cohomology_dims()
             assert dims == (ext0_dim(F, G), ext1_dim(F, G), 0), (m, n, p)
 
 
@@ -120,14 +115,14 @@ def test_check_h2_certificate():
     for m in (1, 2, 3):
         T = build_tiling(m)
         F, G = rand_pair(m, 1, 2, rng)
-        ok, cert = check_h2(F, G, T)
+        ok, cert = CechComplex(T, F, G).h2_certificate()
         assert ok and cert["rank_d1"] == cert["dim_c2"]
 
 
 def test_refinement_invariance():
     rng = random.Random(23)
     F = functor_obj(random_rep(2, 2, 3, rng))
-    dims = [cech_ext_dims(F, F, build_tiling(2, resolution=r)) for r in (1, 2)]
+    dims = [CechComplex(build_tiling(2, resolution=r), F, F).cohomology_dims() for r in (1, 2)]
     assert dims[0] == dims[1]
     assert dims[0][0] >= 1  # the identity is a global section
 
@@ -136,9 +131,9 @@ def test_eye_unknot_fixture():
     for r in (1, 2):
         for s in (1, 2):
             for p in (2, 5):
-                dims = cech_ext_dims(EyeSheaf(r, p), EyeSheaf(s, p), eye_tiling(1))
+                dims = CechComplex(eye_tiling(1), EyeSheaf(r, p), EyeSheaf(s, p)).cohomology_dims()
                 assert dims == (r * s, 0, 0)
-    assert cech_ext_dims(EyeSheaf(2, 3), EyeSheaf(1, 3), eye_tiling(2)) == (2, 0, 0)
+    assert CechComplex(eye_tiling(2), EyeSheaf(2, 3), EyeSheaf(1, 3)).cohomology_dims() == (2, 0, 0)
 
 
 # -- the reduction game ----------------------------------------------------------------
@@ -148,13 +143,14 @@ def test_graph_game_succeeds_and_implies_h2():
     for m in (1, 2, 3, 4):
         T = build_tiling(m)
         F, G = rand_pair(m, 1, 2, rng)
-        res = graph_game(build_red_blue(T, F, G))
+        cx = CechComplex(T, F, G)
+        res = graph_game(build_red_blue(cx))
         assert res["success"], res
         rules = {s["rule"] for s in res["steps"]}
         assert "cusp-lemma" in rules
         if m >= 1:
             assert "crossing-surjective" in rules
-        ok, _ = check_h2(F, G, T)
+        ok, _ = cx.h2_certificate()
         assert ok
 
 
@@ -162,7 +158,7 @@ def test_graph_game_rank_certified_steps():
     rng = random.Random(25)
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
-    res = graph_game(build_red_blue(T, F, G))
+    res = graph_game(build_red_blue(CechComplex(T, F, G)))
     assert res["success"]
     assert all(s.get("rank_checked") for s in res["steps"] if "removed_red" in s)
 
@@ -175,5 +171,5 @@ def test_graph_game_stuck_on_isolated_red():
 
 
 def test_graph_game_eye():
-    res = graph_game(build_red_blue(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3)))
+    res = graph_game(build_red_blue(CechComplex(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3))))
     assert res["success"]

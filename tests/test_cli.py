@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from legtorus.cech import CechComplex
 from legtorus.cli import main
 
 
@@ -86,13 +87,31 @@ GOLDEN = Path(__file__).parent / "golden"
     ("ext", ["ext", "--m", "3", "--n", "2", "--p", "3", "--samples", "6", "--seed", "5"]),
     ("cech", ["cech", "--m", "2", "--n", "2", "--p", "3", "--samples", "2", "--seed", "5"]),
     ("equiv", ["equiv", "--m", "2", "--n", "2", "--p", "3", "--samples", "3", "--seed", "5"]),
+    ("verify", ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]),
 ])
 def test_stdout_matches_golden(name, args):
-    # golden files hold the stdout of the dense elimination kernel this
-    # sparse-row kernel replaced; the RREF is unique, so not a byte may move
+    # golden files hold the stdout of earlier versions of the program (the
+    # dense elimination kernel, two Ext maps per pair); RREF bases are
+    # canonical and the pair sampling draws the same numbers, so not a byte
+    # may move
     proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_cech_builds_one_complex_per_sampled_pair(monkeypatch, capsys):
+    built = []
+    init = CechComplex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CechComplex, "__init__", counting_init)
+    assert main(["cech", "--m", "2", "--n", "1", "--p", "3", "--samples", "2", "--seed", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reduction_trace"]["success"]
+    assert len(built) == len(doc["rows"]) == 2
 
 
 def test_csv_format():

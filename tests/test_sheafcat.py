@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from legtorus import exactalg as xa
-from legtorus.ainfty import enumerate_reps, random_rep
+from legtorus.ainfty import BudgetExceeded, enumerate_reps, random_rep
 from legtorus.freedga import pq_matrix
 from legtorus.sheafcat import (Ext1Space, SheafObject, build_sheaf_object,
                                check_extension_exact, check_morphism,
@@ -69,6 +69,13 @@ def test_enumeration_matches_representation_side():
     assert transposed == direct and len(objs) == 3
 
 
+def test_enumeration_budget_refusal():
+    # refusing is a BudgetExceeded, as on the representation side
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_sheaf_objects(3, 2, 5, budget=10)
+    assert exc.value.required == 5 ** 12
+
+
 # -- Ext^0 ------------------------------------------------------------------------
 
 def test_ext0_contains_identity():
@@ -109,6 +116,25 @@ def test_ext_dims_match_hom_dims():
         F, G = functor_obj(r0), functor_obj(r1)
         assert ext0_dim(F, G) == C.dims[0]
         assert ext1_dim(F, G) == C.dims[1]
+
+
+def test_mismatched_objects_rejected():
+    rng = random.Random(5)
+    F = rand_object(2, 1, 3, rng)
+    for G in (rand_object(2, 2, 3, rng), rand_object(3, 1, 3, rng), rand_object(2, 1, 5, rng)):
+        for fn in (ext0, ext0_dim, ext1, ext1_dim):
+            with pytest.raises(ValueError, match="mismatched objects"):
+                fn(F, G)
+
+
+def test_ext0_and_ext1_share_one_map():
+    # Ext^0 is the kernel and Ext^1 the cokernel of one map
+    # (End V)^2 -> (End V)^m, so dim Ext^0 - dim Ext^1 = (2 - m) n^2
+    rng = random.Random(6)
+    for _ in range(30):
+        m, n, p = rng.choice([1, 2, 3, 4]), rng.choice([1, 2]), rng.choice([2, 3, 5])
+        F, G = rand_object(m, n, p, rng), rand_object(m, n, p, rng)
+        assert ext0_dim(F, G) - ext1_dim(F, G) == (2 - m) * n * n, (m, n, p)
 
 
 # -- Ext^1 and extensions ----------------------------------------------------------
