@@ -512,13 +512,8 @@ class HomCohomology:
         return [_unvec(row, self.orders[d], self.n, self.p, d) for row in rows]
 
 
-def hom_cohomology(r0: Representation, r1: Representation, via: str = "machinery"):
-    if via == "machinery":
-        return HomCohomology(r0, r1)
-    if via == "closed":
-        from .torusrep import cohomology_closed
-        return cohomology_closed(r0, r1)
-    raise ValueError(via)
+def hom_cohomology(r0: Representation, r1: Representation):
+    return HomCohomology(r0, r1)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,6 @@ class TilingComplex:
     resolution: int
     box: tuple                    # (cmax, rmin, rmax); columns 0..cmax
     tiles: list = field(default_factory=list)
-    tile_index: dict = field(default_factory=dict)
     content: dict = field(default_factory=dict)    # tile -> content record
     cuts: dict = field(default_factory=dict)       # edge_key -> arc name
     arcs: dict = field(default_factory=dict)       # name -> Arc
@@ -305,7 +304,6 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
     """Fill tiles, faces, regions, per-open strata, edge info, vertices."""
     cmax, rmin, rmax = T.box
     T.tiles = [(c, r) for c in range(cmax + 1) for r in range(rmin, rmax + 1)]
-    T.tile_index = {t: i for i, t in enumerate(T.tiles)}
 
     # strand contents for plain transit tiles, plus tile constraint audit
     transit_count: dict[tuple, list] = {}
@@ -584,7 +582,9 @@ def _check_functor(dims, maps, p):
 # Unknowns live on *components* of (open set) intersect (stratum): a tile
 # neighborhood can meet the same global region in several faces (e.g. the
 # east and west wedges of the only crossing when m = 1), and those carry
-# independent section values.
+# independent section values.  A section basis is a kernel in reduced column
+# echelon form: column i is the unit vector at row free[i] plus entries at the
+# pivot rows above it, so a section's coordinates are its entries at `free`.
 
 @dataclass
 class OpenSpace:
@@ -593,7 +593,7 @@ class OpenSpace:
     offsets: dict
     total: int
     basis: np.ndarray      # total x dim
-    coords: np.ndarray     # dim x total (left inverse)
+    free: np.ndarray       # dim row indices: the last nonzero row of each basis column
 
     @property
     def dim(self):
@@ -632,8 +632,8 @@ def _solve_sections(items, constraints, p) -> OpenSpace:
         rows.append(row)
     sys = np.vstack(rows) if rows else xa.zeros(0, total)
     _, ker = xa.rank_kernel(sys, p)
-    coords = xa.left_inverse(ker, p) if ker.shape[1] else xa.zeros(0, total)
-    return OpenSpace([k for k, _, _ in items], dims, offsets, total, ker, coords)
+    free = np.array([np.flatnonzero(col)[-1] for col in ker.T], dtype=np.int64)
+    return OpenSpace([k for k, _, _ in items], dims, offsets, total, ker, free)
 
 
 class CechComplex:
@@ -740,13 +740,15 @@ class CechComplex:
     # -- restriction maps ----------------------------------------------------
 
     def _project(self, big: OpenSpace, small: OpenSpace, keymap) -> np.ndarray:
-        proj = xa.zeros(small.total, big.total)
+        """The restriction map: block kb of a section on `big` is block ks on
+        `small`, so its coordinates there are rows of big.basis."""
+        assert len(keymap) == len(small.keys)
+        shift = np.zeros(small.total, dtype=np.int64)
         for ks, kb in keymap.items():
             ln = small.dims[ks]
             assert ln == big.dims[kb], (ks, kb)
-            proj[small.offsets[ks]:small.offsets[ks] + ln,
-                 big.offsets[kb]:big.offsets[kb] + ln] = xa.eye(ln)
-        return (small.coords @ proj @ big.basis) % self.p
+            shift[small.offsets[ks]:small.offsets[ks] + ln] = big.offsets[kb] - small.offsets[ks]
+        return big.basis[small.free + shift[small.free]]
 
     def _tile_to_edge(self, tile, ek) -> np.ndarray:
         T = self.T
@@ -767,14 +769,12 @@ class CechComplex:
 
     def _edge_to_vertex(self, ek, v) -> np.ndarray:
         info = self.T.edge_info[ek]
-        if info["arc"] is None:
-            src = ("S", "only")
-        else:
-            src = ("S", "above") if info["upper_vertex"] == v else ("S", "below")
+        side = "only"
+        if info["arc"] is not None:
             side = "above" if info["upper_vertex"] == v else "below"
             assert info[side] == self.T.vertex_region[v], (ek, v)
-        keymap = {("S", "only"): src}
-        return self._project(self.edge_space[ek], self.vertex_space[v], keymap)
+        return self._project(self.edge_space[ek], self.vertex_space[v],
+                             {("S", "only"): ("S", side)})
 
     # -- differentials ---------------------------------------------------------
 
@@ -786,13 +786,10 @@ class CechComplex:
             es = self.edge_space[ek]
             if es.dim == 0:
                 continue
-            ra = self._tile_to_edge(ta, ek)
-            rb = self._tile_to_edge(tb, ek)
-            r0 = self._edge_off[ek]
+            rows = slice(self._edge_off[ek], self._edge_off[ek] + es.dim)
             ca, cb = self._tile_off[ta], self._tile_off[tb]
-            d0[r0:r0 + es.dim, cb:cb + self.tile_space[tb].dim] = rb
-            blk = d0[r0:r0 + es.dim, ca:ca + self.tile_space[ta].dim]
-            d0[r0:r0 + es.dim, ca:ca + self.tile_space[ta].dim] = (blk - ra) % p
+            d0[rows, cb:cb + self.tile_space[tb].dim] = self._tile_to_edge(tb, ek)
+            d0[rows, ca:ca + self.tile_space[ta].dim] = (-self._tile_to_edge(ta, ek)) % p
         return d0
 
     def _build_d1(self):
@@ -806,12 +803,10 @@ class CechComplex:
             pairs = [((tiles[1], tiles[2]), 1), ((tiles[0], tiles[2]), -1),
                      ((tiles[0], tiles[1]), 1)]
             r0 = self._vert_off[v]
-            for ek, sgn in pairs:
-                ek = tuple(sorted(ek))
-                mat = self._edge_to_vertex(ek, v)
+            for ek, sgn in pairs:  # three distinct edges, each sorted like `tiles`
                 c0 = self._edge_off[ek]
-                blk = d1[r0:r0 + vs.dim, c0:c0 + self.edge_space[ek].dim]
-                d1[r0:r0 + vs.dim, c0:c0 + self.edge_space[ek].dim] = (blk + sgn * mat) % p
+                d1[r0:r0 + vs.dim, c0:c0 + self.edge_space[ek].dim] = \
+                    (sgn * self._edge_to_vertex(ek, v)) % p
         return d1
 
     def cohomology_dims(self):
@@ -858,7 +853,8 @@ class RedBlueGraph:
 
 def build_red_blue(cx: CechComplex) -> RedBlueGraph:
     """The edge/vertex incidence graph of an assembled complex, with the
-    edge-to-vertex restriction maps the game certifies."""
+    edge-to-vertex blocks of d^1: each is +- the restriction map, and the
+    game only tests ranks, which a sign does not change."""
     T = cx.T
     reds = {v: cx.vertex_space[v].dim for v in T.vertices}
     edge_adj: dict = {ek: [] for ek in cx.edges}
@@ -869,17 +865,14 @@ def build_red_blue(cx: CechComplex) -> RedBlueGraph:
     blues = {}
     for ek in cx.edges:
         info = T.edge_info[ek]
+        cols = slice(cx._edge_off[ek], cx._edge_off[ek] + cx.edge_space[ek].dim)
         blues[ek] = {"dim": cx.edge_space[ek].dim,
                      "reds": edge_adj[ek],
-                     "mats": {v: cx._edge_to_vertex(ek, v) for v in edge_adj[ek]},
+                     "mats": {v: cx.d1[cx._vert_off[v]:cx._vert_off[v] + reds[v], cols]
+                              for v in edge_adj[ek]},
                      "horizontal": bool(info.get("horizontal")),
                      "crossed": info["arc"] is not None}
     return RedBlueGraph(blues, reds, {"tiling": T, "p": cx.p})
-
-
-def _horizontal_sort_key(T: TilingComplex, ek):
-    (c1, r1), (c2, r2) = ek
-    return (c1, min(r1, r2))
 
 
 def graph_game(g: RedBlueGraph):
@@ -891,7 +884,7 @@ def graph_game(g: RedBlueGraph):
     """
     T = g.meta.get("tiling")
     p = g.meta.get("p", 2)
-    alive_red = {v for v, d in g.reds.items()}
+    alive_red = set(g.reds)
     alive_blue = set(g.blues)
     steps = []
 
@@ -910,15 +903,11 @@ def graph_game(g: RedBlueGraph):
         return {"success": True, "steps": steps}
 
     horizontals = sorted((ek for ek in alive_blue if g.blues[ek]["horizontal"]),
-                         key=lambda ek: _horizontal_sort_key(T, ek))
+                         key=lambda ek: (ek[0][0], min(ek[0][1], ek[1][1])))
     for h in horizontals:
-        reds_h = [v for v in g.blues[h]["reds"]]
-        if not reds_h:
-            alive_blue.discard(h)
-            continue
         # the left endpoint of the horizontal edge is the E-corner vertex
-        vL = next((v for v in reds_h if v[0] == "E"), None)
-        vR = next((v for v in reds_h if v[0] == "W"), None)
+        vL = next((v for v in g.blues[h]["reds"] if v[0] == "E"), None)
+        vR = next((v for v in g.blues[h]["reds"] if v[0] == "W"), None)
         if vL is not None and vL in alive_red:
             d0 = (vL[1], vL[2])
             ne, se = edge_key(d0, "NE"), edge_key(d0, "SE")

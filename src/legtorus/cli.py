@@ -20,6 +20,7 @@ from .ainfty import (BudgetExceeded, enumerate_reps, hom_cohomology,
 from .cech import CechComplex, build_red_blue, build_tiling, graph_game
 from .freedga import build_lambda_dga, kcopy_dga
 from .sheafcat import ext0_dim, ext1_dim, functor_obj
+from .torusrep import cohomology_closed
 from .verify import rng_for, run_suites
 
 SCHEMA = 1
@@ -45,10 +46,15 @@ def _mats_to_list(mats):
 
 
 def _sample_pairs(reps, samples, rng):
-    """Ordered index pairs: all of them, or `samples` draws without duplicates."""
+    """Ordered index pairs: all of them, or `samples` draws without duplicates
+    (stderr says when repeated draws leave fewer pairs than requested)."""
     n = len(reps)
     if samples and samples < n * n:
-        return sorted({divmod(rng.randrange(n * n), n) for _ in range(samples)})
+        pairs = sorted({divmod(rng.randrange(n * n), n) for _ in range(samples)})
+        if len(pairs) < samples:
+            print(f"sampled {len(pairs)} distinct pairs of {samples} requested",
+                  file=sys.stderr)
+        return pairs
     return [divmod(k, n) for k in range(n * n)]
 
 
@@ -104,7 +110,7 @@ def cmd_hom(args):
     rows = []
     for i, j in _sample_pairs(reps, args.samples, rng):
         H = hom_cohomology(reps[i], reps[j])
-        C = hom_cohomology(reps[i], reps[j], via="closed")
+        C = cohomology_closed(reps[i], reps[j])
         rows.append({"source": i, "target": j,
                      "h0": H.dims[0], "h1": H.dims[1], "h2": H.dims[2],
                      "closed_agrees": (H.dims[0], H.dims[1], H.dims[2])

@@ -2,11 +2,11 @@
 
 Matrices are numpy int64 arrays whose entries are residues in [0, p).  All
 arithmetic is integer arithmetic reduced mod p; no floating point is used
-anywhere.  Every elimination goes through `rref`, a sparse-row kernel that
-works on Python ints, so no accumulation can overflow.  A matrix has exactly
-one reduced row echelon form, so every basis derived from it is canonical
-whatever order the kernel eliminates in: row spaces come out as RREF rows
-and kernels in reduced column echelon order.
+anywhere.  Every elimination, `rref` and `det` alike, goes through one
+sparse-row loop on Python ints, so no accumulation can overflow.  A matrix
+has exactly one reduced row echelon form, so every basis derived from it is
+canonical whatever order the kernel eliminates in: row spaces come out as
+RREF rows and kernels in reduced column echelon order.
 
 Supported moduli: p = 2 and odd primes below 2**15.
 """
@@ -56,7 +56,9 @@ def eye(n: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.kron(a, b) % p
+    """Kronecker product mod p: np.kron's int64 products, without its overhead."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :] % p).reshape(ra * rb, ca * cb)
 
 
 def rand_matrix(rng, r: int, c: int, p: int) -> np.ndarray:
@@ -75,12 +77,14 @@ def _sub_multiple(dst: dict, src: dict, f: int, p: int) -> None:
             del dst[c]
 
 
-def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form. Returns (R, pivot column list).
+def _eliminate(m: np.ndarray, p: int):
+    """The Gauss-Jordan loop behind `rref` and `det`: (pivot_rows, leads).
 
     Each row is read as {col: residue}, reduced against the pivot rows found
     so far and normalised; its pivot column is then cleared out of the
-    earlier pivot rows, so every pivot row stays fully reduced.
+    earlier pivot rows, so every pivot row stays fully reduced.  pivot_rows
+    maps pivot column -> row; leads lists (lead column, lead value before
+    normalising) for each row, in order, that did not reduce to zero.
     """
     a = np.mod(np.asarray(m, dtype=np.int64), p)
     rows, cols = a.shape
@@ -89,6 +93,7 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for i, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
         sparse[i][c] = v
     pivot_rows: dict[int, dict[int, int]] = {}
+    leads = []
     for row in sparse:
         if len(pivot_rows) == cols:
             break  # every column has a pivot: the remaining rows reduce to zero
@@ -98,6 +103,7 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if not row:
             continue
         lead = min(row)
+        leads.append((lead, row[lead]))
         inv = pow(row[lead], -1, p)
         if inv != 1:
             row = {c: v * inv % p for c, v in row.items()}
@@ -106,6 +112,13 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             if f:
                 _sub_multiple(prow, row, f, p)
         pivot_rows[lead] = row
+    return pivot_rows, leads
+
+
+def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form. Returns (R, pivot column list)."""
+    rows, cols = np.shape(m)
+    pivot_rows, _ = _eliminate(m, p)
     pivots = sorted(pivot_rows)
     flat, vals = [], []
     for i, c in enumerate(pivots):
@@ -138,28 +151,20 @@ def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
 
 
 def det(m: np.ndarray, p: int) -> int:
-    """Determinant mod p (fraction-free row elimination)."""
+    """Determinant mod p.  Each reduced row is its original row minus earlier
+    rows, so det is the product of the lead values times the sign of the
+    permutation sending each row to its lead column (0 if a row vanishes)."""
     if m.shape[0] != m.shape[1]:
         raise ValueError("determinant requires a square matrix")
-    a = np.mod(np.array(m, dtype=np.int64), p)
-    n = a.shape[0]
+    _, leads = _eliminate(m, p)
+    if len(leads) < m.shape[0]:
+        return 0
     d = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if len(nz) == 0:
-            return 0
-        i = c + int(nz[0])
-        if i != c:
-            a[[c, i]] = a[[i, c]]
-            d = (-d) % p
-        piv = int(a[c, c])
-        d = (d * piv) % p
-        inv = pow(piv, -1, p)
-        for rr in range(c + 1, n):
-            f = (int(a[rr, c]) * inv) % p
-            if f:
-                a[rr] = (a[rr] - f * a[c]) % p
-    return d
+    for _, v in leads:
+        d = d * v % p
+    lead_cols = [c for c, _ in leads]
+    inversions = sum(a > b for i, a in enumerate(lead_cols) for b in lead_cols[i + 1:])
+    return (-d) % p if inversions % 2 else d
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):

@@ -1,5 +1,9 @@
 import random
 
+import numpy as np
+import pytest
+
+from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
 from legtorus.cech import (CechComplex, EyeSheaf, RedBlueGraph, SLANTED,
                            build_red_blue, build_tiling, eye_tiling,
@@ -173,3 +177,78 @@ def test_graph_game_stuck_on_isolated_red():
 def test_graph_game_eye():
     res = graph_game(build_red_blue(CechComplex(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3))))
     assert res["success"]
+
+
+# -- sections in echelon coordinates ---------------------------------------------------
+
+def reference_project(big, small, keymap, p):
+    """The restriction map as computed before sections were read in echelon
+    coordinates: embed the kept blocks, then apply a left inverse of the
+    small basis."""
+    proj = xa.zeros(small.total, big.total)
+    for ks, kb in keymap.items():
+        ln = small.dims[ks]
+        proj[small.offsets[ks]:small.offsets[ks] + ln,
+             big.offsets[kb]:big.offsets[kb] + ln] = xa.eye(ln)
+    if small.dim == 0:
+        return xa.zeros(0, big.dim)
+    return (xa.left_inverse(small.basis, p) @ proj @ big.basis) % p
+
+
+@pytest.fixture(scope="module")
+def complexes():
+    rng = random.Random(26)
+    out = []
+    for m, n, p in [(1, 1, 2), (1, 2, 5), (2, 1, 3), (2, 2, 2), (3, 1, 5), (3, 2, 3)]:
+        F, G = rand_pair(m, n, p, rng)
+        out.append(CechComplex(build_tiling(m), F, G))
+    out.append(CechComplex(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3)))
+    out.append(CechComplex(eye_tiling(2), EyeSheaf(2, 5), EyeSheaf(2, 5)))
+    return out
+
+
+def test_restriction_maps_match_left_inverse_reference(complexes):
+    for cx in complexes:
+        calls = []
+        project = cx._project
+
+        def recording(big, small, keymap):
+            out = project(big, small, keymap)
+            calls.append((big, small, keymap, out))
+            return out
+
+        cx._project = recording
+        try:
+            for ek in cx.edges:
+                for tile in ek:
+                    cx._tile_to_edge(tile, ek)
+            for v in cx.T.vertices:
+                for ek, _ in vertex_edges(v):
+                    cx._edge_to_vertex(ek, v)
+        finally:
+            del cx._project
+        assert len(calls) == 2 * len(cx.edges) + 3 * len(cx.T.vertices)
+        for big, small, keymap, out in calls:
+            assert out.dtype == np.int64
+            assert np.array_equal(out, reference_project(big, small, keymap, cx.p))
+
+
+def test_section_basis_is_identity_at_free_rows(complexes):
+    for cx in complexes:
+        spaces = [*cx.tile_space.values(), *cx.edge_space.values(), *cx.vertex_space.values()]
+        assert any(0 < s.dim < s.total for s in spaces)
+        for s in spaces:
+            assert len(s.free) == s.dim
+            assert np.array_equal(s.basis[s.free], xa.eye(s.dim))
+
+
+def test_red_blue_maps_are_restriction_maps_up_to_sign(complexes):
+    for cx in complexes:
+        g = build_red_blue(cx)
+        checked = 0
+        for ek, blue in g.blues.items():
+            for v, mat in blue["mats"].items():
+                ref = cx._edge_to_vertex(ek, v)
+                assert np.array_equal(mat, ref) or np.array_equal(mat, (-ref) % cx.p)
+                checked += mat.size
+        assert checked > 0

@@ -114,6 +114,21 @@ def test_cech_builds_one_complex_per_sampled_pair(monkeypatch, capsys):
     assert len(built) == len(doc["rows"]) == 2
 
 
+def test_sampling_says_when_duplicates_shrink_the_sample(capsys):
+    # 2 objects, 4 ordered pairs; both draws of seed 5 land on (1, 1)
+    assert main(["cech", "--m", "1", "--n", "1", "--p", "3", "--samples", "2", "--seed", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert [(r["source"], r["target"]) for r in json.loads(out)["rows"]] == [(1, 1)]
+    assert "sampled 1 distinct pairs of 2 requested" in err
+
+
+def test_sampling_without_duplicates_prints_nothing(capsys):
+    assert main(["cech", "--m", "2", "--n", "1", "--p", "3", "--samples", "2", "--seed", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert len(json.loads(out)["rows"]) == 2
+    assert "sampled" not in err
+
+
 def test_csv_format():
     proc = run_cli(["reps", "--m", "1", "--n", "1", "--p", "3", "--format", "csv"])
     lines = proc.stdout.strip().splitlines()

@@ -48,6 +48,31 @@ def dense_rref(m, p):
     return a, pivots
 
 
+def dense_det(m, p):
+    """Reference: the dense elimination `xa.det` used before it went through the shared loop."""
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("determinant requires a square matrix")
+    a = np.mod(np.array(m, dtype=np.int64), p)
+    n = a.shape[0]
+    d = 1
+    for c in range(n):
+        nz = np.nonzero(a[c:, c])[0]
+        if len(nz) == 0:
+            return 0
+        i = c + int(nz[0])
+        if i != c:
+            a[[c, i]] = a[[i, c]]
+            d = (-d) % p
+        piv = int(a[c, c])
+        d = (d * piv) % p
+        inv = pow(piv, -1, p)
+        for rr in range(c + 1, n):
+            f = (int(a[rr, c]) * inv) % p
+            if f:
+                a[rr] = (a[rr] - f * a[c]) % p
+    return d
+
+
 def sparse_random(seed, rows, cols, p, density):
     """Nonzero mod p with probability `density`; entries lie in [-p, 2p), so they also need reducing."""
     rng = np.random.default_rng(seed)
@@ -82,6 +107,45 @@ def test_rref_matches_dense_reference(seed, rows, cols, p, density):
 def test_rref_matches_dense_reference_on_d1_shape():
     # the shape and sparsity of a Cech d1 matrix (m=4, n=2)
     assert_matches_dense(sparse_random(2024, 400, 700, 3, 0.005), 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 7),
+       st.sampled_from([2, 3, 5, 7, 32749]), st.floats(0.0, 1.0))
+@example(1, 0, 3, 0.5)
+@example(2, 1, 5, 1.0)
+@example(3, 6, 2, 1.0)
+@example(4, 7, 32749, 1.0)
+@example(5, 5, 7, 0.0)
+def test_det_matches_dense_reference(seed, n, p, density):
+    m = sparse_random(seed, n, n, p, density)
+    d = xa.det(m, p)
+    assert type(d) is int
+    assert d == dense_det(m, p)
+
+
+def test_det_permutation_sign():
+    # a permutation matrix has det = its sign; the elimination sees leads at
+    # columns (2, 0, 1), a 3-cycle with two inversions, and (1, 0), one
+    assert xa.det(xa.mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 5), 5) == 1
+    assert xa.det(xa.mat([[0, 3], [2, 0]], 7), 7) == (-6) % 7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 4), st.sampled_from([2, 3, 5, 7, 32749]))
+@example(1, 0, 3, 2, 2, 3)
+@example(2, 2, 0, 2, 2, 3)
+@example(3, 2, 2, 0, 3, 5)
+@example(4, 2, 2, 3, 0, 5)
+@example(5, 4, 4, 4, 4, 32749)
+def test_kron_matches_numpy(seed, ra, ca, rb, cb, p):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(ra, ca))
+    b = rng.integers(0, p, size=(rb, cb))
+    k = xa.kron(a, b, p)
+    assert k.dtype == np.int64 and k.shape == (ra * rb, ca * cb)
+    assert np.array_equal(k, np.kron(a, b) % p)
 
 
 def test_rank_kernel_identity_f2():
