@@ -10,8 +10,8 @@ import random
 from collections import Counter
 
 from legtorus.ainfty import enumerate_reps, hom_cohomology, random_rep
-from legtorus.cech import (CechComplex, EyeSheaf, build_red_blue,
-                           build_tiling, eye_tiling, graph_game)
+from legtorus.cech import (CechComplex, EyeSheaf, build_tiling, eye_tiling,
+                           graph_game)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
 
 print("=" * 72)
@@ -47,7 +47,7 @@ print("=" * 72)
 print("The leaf / Y-removal game certifies that d^1 is surjective")
 print("=" * 72)
 cx = CechComplex(T, objs[0], objs[0])
-res = graph_game(build_red_blue(cx))
+res = graph_game(cx)
 rules = Counter(s["rule"] for s in res["steps"])
 print(f"success: {res['success']}; rule usage: {dict(rules)}")
 ok, cert = cx.h2_certificate()

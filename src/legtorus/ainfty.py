@@ -15,6 +15,7 @@ Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -426,7 +427,6 @@ def mu2(r0, r1, r2, x1: HomElement, x2: HomElement) -> HomElement:
 # Cohomology of Hom(rho, rho') with respect to mu_1
 
 def _vec(x: HomElement, order: list[str]) -> np.ndarray:
-    n = x.n
     return np.concatenate([x.coeff(b).reshape(-1) for b in order]) if order else np.zeros(0, dtype=np.int64)
 
 
@@ -469,11 +469,10 @@ class HomCohomology:
         rank0, k0 = xa.rank_kernel(self.mats[0], self.p)
         rank1, k1 = xa.rank_kernel(self.mats[1], self.p)
         self.kernels = {0: k0, 1: k1, 2: xa.eye(dims[2])}
-        self.images = {1: self.mats[0], 2: self.mats[1]}
         # image row-space data for coset reduction in each degree
         self.red = {}
         for d in (1, 2):
-            basis, piv = xa.row_space(self.images[d].T, self.p)
+            basis, piv = xa.row_space(self.mats[d - 1].T, self.p)
             self.red[d] = (basis, piv)
         self.dims = {0: k0.shape[1], 1: k1.shape[1] - rank0, 2: dims[2] - rank1}
 
@@ -561,8 +560,7 @@ def is_isomorphic(r1: Representation, r2: Representation, budget: int = 200_000,
             if xa.det(u1, p) and xa.det(u2, p):
                 return u1, u2
         return None
-    import random as _random
-    rng = rng or _random.Random(0)
+    rng = rng or random.Random(0)
     for _ in range(budget):
         combo = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
         vec = (ker @ combo) % p

@@ -661,8 +661,11 @@ class CechComplex:
         self._vert_off = _offsets(T.vertices, self.vertex_space)
         self.d0 = self._build_d0()
         self.d1 = self._build_d1()
-        if ((self.d1 @ self.d0) % p).any():
-            raise AssertionError("d1 . d0 != 0")
+        # d1 . d0 = 0, checked row by row over the few nonzeros of each row of d1
+        for row in self.d1:
+            k = np.flatnonzero(row)
+            if (row[k] @ self.d0[k] % p).any():
+                raise AssertionError("d1 . d0 != 0")
 
     # -- local section spaces ------------------------------------------------
 
@@ -844,85 +847,52 @@ def _offsets(keys, spaces):
 # ---------------------------------------------------------------------------
 # The leaf / Y-removal game
 
-@dataclass
-class RedBlueGraph:
-    blues: dict          # id -> {"dim", "reds": [red ids], "mats": {red: matrix}, "horizontal": bool}
-    reds: dict           # id -> dim
-    meta: dict = field(default_factory=dict)
+def graph_game(cx: CechComplex):
+    """Play the leaf/Y-removal game on an assembled complex; returns a trace dict.
 
-
-def build_red_blue(cx: CechComplex) -> RedBlueGraph:
-    """The edge/vertex incidence graph of an assembled complex, with the
-    edge-to-vertex blocks of d^1: each is +- the restriction map, and the
-    game only tests ranks, which a sign does not change."""
-    T = cx.T
-    reds = {v: cx.vertex_space[v].dim for v in T.vertices}
-    edge_adj: dict = {ek: [] for ek in cx.edges}
+    Blue nodes are the edges of the tiling and red nodes its vertices.  Each
+    edge-to-vertex map is read from its block of d^1, which is +- the
+    restriction map; every step tests a rank, which a sign does not change.
+    The torus/eye graphs succeed by removing the Y of each horizontal edge
+    from left to right.  If no rule applies the report lists what is stuck.
+    """
+    T, p = cx.T, cx.p
+    red_dim = {v: cx.vertex_space[v].dim for v in T.vertices}
+    reds_of = {ek: [] for ek in cx.edges}
     for v in T.vertices:
         for ek, _ in vertex_edges(v):
-            if ek in edge_adj:
-                edge_adj[ek].append(v)
-    blues = {}
-    for ek in cx.edges:
-        info = T.edge_info[ek]
-        cols = slice(cx._edge_off[ek], cx._edge_off[ek] + cx.edge_space[ek].dim)
-        blues[ek] = {"dim": cx.edge_space[ek].dim,
-                     "reds": edge_adj[ek],
-                     "mats": {v: cx.d1[cx._vert_off[v]:cx._vert_off[v] + reds[v], cols]
-                              for v in edge_adj[ek]},
-                     "horizontal": bool(info.get("horizontal")),
-                     "crossed": info["arc"] is not None}
-    return RedBlueGraph(blues, reds, {"tiling": T, "p": cx.p})
-
-
-def graph_game(g: RedBlueGraph):
-    """Play the leaf/Y-removal game; returns a trace dict.
-
-    The torus/eye graphs succeed by removing the Y of each horizontal edge
-    from left to right; every step's surjectivity claim is certified by a
-    rank computation.  If no rule applies the report lists what is stuck.
-    """
-    T = g.meta.get("tiling")
-    p = g.meta.get("p", 2)
-    alive_red = set(g.reds)
-    alive_blue = set(g.blues)
+            reds_of[ek].append(v)
+    alive_red = set(T.vertices)
+    alive_blue = set(cx.edges)
     steps = []
 
     def leaf(b):
-        return [v for v in g.blues[b]["reds"] if v in alive_red]
+        return [v for v in reds_of[b] if v in alive_red]
 
-    if T is None:
-        # generic graph: only the trivial rules apply
-        for v in sorted(alive_red):
-            if g.reds[v] == 0:
-                alive_red.discard(v)
-                steps.append({"rule": "zero-stalk", "red": v})
-        if alive_red:
-            return {"success": False, "stuck": sorted(str(v) for v in alive_red),
-                    "steps": steps}
-        return {"success": True, "steps": steps}
+    def block(ek, v):
+        r, c = cx._vert_off[v], cx._edge_off[ek]
+        return cx.d1[r:r + red_dim[v], c:c + cx.edge_space[ek].dim]
 
-    horizontals = sorted((ek for ek in alive_blue if g.blues[ek]["horizontal"]),
+    horizontals = sorted((ek for ek in cx.edges if T.edge_info[ek]["horizontal"]),
                          key=lambda ek: (ek[0][0], min(ek[0][1], ek[1][1])))
     for h in horizontals:
         # the left endpoint of the horizontal edge is the E-corner vertex
-        vL = next((v for v in g.blues[h]["reds"] if v[0] == "E"), None)
-        vR = next((v for v in g.blues[h]["reds"] if v[0] == "W"), None)
+        vL = next((v for v in reds_of[h] if v[0] == "E"), None)
+        vR = next((v for v in reds_of[h] if v[0] == "W"), None)
         if vL is not None and vL in alive_red:
             d0 = (vL[1], vL[2])
             ne, se = edge_key(d0, "NE"), edge_key(d0, "SE")
             for b in (ne, se):
                 assert b in alive_blue and len(leaf(b)) <= 1, ("not a leaf", b)
-            if g.reds[vL] == 0:
+            if red_dim[vL] == 0:
                 rule = "zero-stalk"
-            elif not g.blues[ne]["crossed"] or not g.blues[se]["crossed"]:
+            elif T.edge_info[ne]["arc"] is None or T.edge_info[se]["arc"] is None:
                 rule = "isomorphism-edge"
             else:
                 cont = T.content.get(d0, ("empty",))
                 rule = {"crossing": "crossing-surjective", "cusp": "cusp-lemma"}[cont[0]]
-            combined = np.hstack([g.blues[ne]["mats"].get(vL, xa.zeros(g.reds[vL], g.blues[ne]["dim"])),
-                                  g.blues[se]["mats"].get(vL, xa.zeros(g.reds[vL], g.blues[se]["dim"]))])
-            ok = xa.rank(combined, p) == g.reds[vL]
+            combined = np.hstack([block(ne, vL), block(se, vL)])
+            ok = xa.rank(combined, p) == red_dim[vL]
             if not ok:
                 return {"success": False, "stuck": [str(vL)], "steps": steps,
                         "failed_rule": rule}
@@ -931,12 +901,11 @@ def graph_game(g: RedBlueGraph):
             alive_blue -= {ne, se}
             alive_red.discard(vL)
         if vR is not None and vR in alive_red:
-            mat = g.blues[h]["mats"][vR]
-            ok = g.reds[vR] == 0 or xa.rank(mat, p) == g.reds[vR]
+            ok = red_dim[vR] == 0 or xa.rank(block(h, vR), p) == red_dim[vR]
             if not ok:
                 return {"success": False, "stuck": [str(vR)], "steps": steps,
                         "failed_rule": "horizontal-iso"}
-            steps.append({"rule": "horizontal-iso" if g.reds[vR] else "zero-stalk",
+            steps.append({"rule": "horizontal-iso" if red_dim[vR] else "zero-stalk",
                           "removed_blues": [str(h)], "removed_red": str(vR),
                           "rank_checked": True})
         alive_blue.discard(h)

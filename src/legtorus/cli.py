@@ -17,11 +17,11 @@ import sys
 from . import exactalg as xa
 from .ainfty import (BudgetExceeded, enumerate_reps, hom_cohomology,
                      random_rep)
-from .cech import CechComplex, build_red_blue, build_tiling, graph_game
+from .cech import CechComplex, build_tiling, graph_game
 from .freedga import build_lambda_dga, kcopy_dga
 from .sheafcat import ext0_dim, ext1_dim, functor_obj
 from .torusrep import cohomology_closed
-from .verify import rng_for, run_suites
+from .verify import check_functoriality, rng_for, run_suites
 
 SCHEMA = 1
 
@@ -159,7 +159,7 @@ def cmd_cech(args):
                      "agrees": dims == (e0, e1, 0) and ok_h2,
                      "rank_d1": cert["rank_d1"], "dim_c2": cert["dim_c2"]})
         if trace is None:
-            trace = graph_game(build_red_blue(cx))
+            trace = graph_game(cx)
     ok = all(r["agrees"] for r in rows)
     _emit({"command": "cech", "m": args.m, "n": args.n, "p": args.p,
            "resolution": args.resolution, "complete_enumeration": complete,
@@ -187,7 +187,6 @@ def cmd_equiv(args):
             "agree": (H.dims[0], H.dims[1], H.dims[2]) == (e0, e1, 0)
             and dims == (e0, e1, 0) and ok_h2,
         })
-    from .verify import check_functoriality
     cfg = {"max_m": args.m, "primes": (args.p,), "samples": max(args.samples, 4)}
     fok, fdetail = check_functoriality(cfg, rng_for(args.seed, "equiv.functor"))
     ok = all(r["agree"] for r in rows) and fok

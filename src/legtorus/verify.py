@@ -16,8 +16,7 @@ import numpy as np
 from . import exactalg as xa
 from .ainfty import (HomElement, hom_basis_order, hom_cohomology,
                      is_isomorphic, mu1, mu2, mu_k, random_rep, unit)
-from .cech import (CechComplex, EyeSheaf, build_red_blue, build_tiling,
-                   eye_tiling, graph_game)
+from .cech import CechComplex, EyeSheaf, build_tiling, eye_tiling, graph_game
 from .freedga import build_lambda_dga, lambda_copy_dga
 from .sheafcat import (Ext1Space, compose00, compose01, compose10, ext0_dim,
                        ext1_dim, functor_h0, functor_h1, functor_obj)
@@ -39,8 +38,8 @@ def rand_homog(m, n, p, deg, rng) -> HomElement:
 # ---------------------------------------------------------------------------
 
 def check_d_squared(cfg, rng):
-    ms = range(1, cfg.get("max_m", 3) + 1)
-    ps = cfg.get("primes", (2, 3))
+    ms = range(1, cfg["max_m"] + 1)
+    ps = cfg["primes"]
     for m in ms:
         for p in ps:
             if not build_lambda_dga(m, p).check_d_squared():
@@ -52,7 +51,7 @@ def check_d_squared(cfg, rng):
 
 
 def check_sylvester(cfg, rng):
-    samples = cfg.get("samples", 50)
+    samples = cfg["samples"]
     count = 0
     for _ in range(samples):
         m = rng.randrange(1, 7)
@@ -65,11 +64,11 @@ def check_sylvester(cfg, rng):
 
 
 def check_mu1_oracle(cfg, rng):
-    samples = cfg.get("samples", 30)
+    samples = cfg["samples"]
     for _ in range(samples):
-        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
+        m = rng.randrange(1, cfg["max_m"] + 1)
         n = rng.choice([1, 2])
-        p = rng.choice(cfg.get("primes", (2, 3)))
+        p = rng.choice(cfg["primes"])
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
         deg = rng.choice([0, 1, 2])
         x = rand_homog(m, n, p, deg, rng)
@@ -79,11 +78,11 @@ def check_mu1_oracle(cfg, rng):
 
 
 def check_mu2_oracle(cfg, rng, corrupt_sign=False):
-    samples = cfg.get("samples", 20)
+    samples = cfg["samples"]
     for _ in range(samples):
-        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
+        m = rng.randrange(1, cfg["max_m"] + 1)
         n = rng.choice([1, 2])
-        p = rng.choice(cfg.get("primes", (2, 3)))
+        p = rng.choice(cfg["primes"])
         r0, r1, r2 = (random_rep(m, n, p, rng) for _ in range(3))
         C01 = cohomology_closed(r0, r1)
         C12 = cohomology_closed(r1, r2)
@@ -116,7 +115,7 @@ def check_mu2_oracle(cfg, rng, corrupt_sign=False):
 
 def check_a_infinity(cfg, rng, corrupt_sign=False):
     """Arity 1-3 relations implied by d^2 = 0 under the sign rule."""
-    samples = cfg.get("samples", 12)
+    samples = cfg["samples"]
 
     def mu2_(ra, rb, rc, xx, yy):
         out = mu2(ra, rb, rc, xx, yy)
@@ -125,9 +124,9 @@ def check_a_infinity(cfg, rng, corrupt_sign=False):
         return out
 
     for _ in range(samples):
-        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
+        m = rng.randrange(1, cfg["max_m"] + 1)
         n = rng.choice([1, 2])
-        p = rng.choice(tuple(q for q in cfg.get("primes", (3,)) if q != 2) or (3,))
+        p = rng.choice(tuple(q for q in cfg["primes"] if q != 2) or (3,))
         rs = tuple(random_rep(m, n, p, rng) for _ in range(4))
         r0, r1, r2, r3 = rs
         d1, d2, d3 = (rng.choice([0, 1, 2]) for _ in range(3))
@@ -151,11 +150,11 @@ def check_a_infinity(cfg, rng, corrupt_sign=False):
 
 
 def check_units(cfg, rng):
-    samples = cfg.get("samples", 10)
+    samples = cfg["samples"]
     for _ in range(samples):
-        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
+        m = rng.randrange(1, cfg["max_m"] + 1)
         n = rng.choice([1, 2])
-        p = rng.choice(cfg.get("primes", (2, 3)))
+        p = rng.choice(cfg["primes"])
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
         if not mu1(r0, r0, unit(r0)).is_zero():
             return False, "mu1 of the unit is nonzero"
@@ -170,11 +169,11 @@ def check_units(cfg, rng):
 
 
 def check_conjugation_iso(cfg, rng):
-    samples = cfg.get("samples", 15)
+    samples = cfg["samples"]
     for _ in range(samples):
-        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
+        m = rng.randrange(1, cfg["max_m"] + 1)
         n = rng.choice([1, 2])
-        p = rng.choice(cfg.get("primes", (2, 3)))
+        p = rng.choice(cfg["primes"])
         r0 = random_rep(m, n, p, rng)
         while True:
             mat = xa.rand_matrix(rng, n, n, p)
@@ -189,12 +188,12 @@ def check_conjugation_iso(cfg, rng):
 def check_equivalence(cfg, rng):
     """dim H^i = dim Ext^i, Cech-certified Ext^2 = 0, functorial compositions."""
     pairs = []
-    for m in range(1, cfg.get("max_m", 3) + 1):
-        for p in cfg.get("primes", (2, 3)):
+    for m in range(1, cfg["max_m"] + 1):
+        for p in cfg["primes"]:
             T = build_tiling(m)
-            for _ in range(cfg.get("pairs_per_config", 1)):
-                r0 = random_rep(m, cfg.get("max_n", 2), p, rng)
-                r1 = random_rep(m, cfg.get("max_n", 2), p, rng)
+            for _ in range(cfg["pairs_per_config"]):
+                r0 = random_rep(m, cfg["max_n"], p, rng)
+                r1 = random_rep(m, cfg["max_n"], p, rng)
                 pairs.append((m, p, T, r0, r1))
     for m, p, T, r0, r1 in pairs:
         H = hom_cohomology(r0, r1)
@@ -212,11 +211,11 @@ def check_equivalence(cfg, rng):
 
 
 def check_functoriality(cfg, rng):
-    samples = cfg.get("samples", 10)
+    samples = cfg["samples"]
     for _ in range(samples):
-        m = rng.randrange(1, cfg.get("max_m", 3) + 1)
+        m = rng.randrange(1, cfg["max_m"] + 1)
         n = rng.choice([1, 2])
-        p = rng.choice(cfg.get("primes", (2, 3)))
+        p = rng.choice(cfg["primes"])
         reps = [random_rep(m, n, p, rng) for _ in range(3)]
         r0, r1, r2 = reps
         C01, C12 = cohomology_closed(r0, r1), cohomology_closed(r1, r2)
@@ -245,13 +244,13 @@ def check_functoriality(cfg, rng):
 
 
 def check_graph_game(cfg, rng):
-    for m in range(1, cfg.get("max_m", 3) + 1):
-        p = cfg.get("primes", (2,))[0]
+    for m in range(1, cfg["max_m"] + 1):
+        p = cfg["primes"][0]
         T = build_tiling(m)
         F = functor_obj(random_rep(m, 1, p, rng))
         G = functor_obj(random_rep(m, 1, p, rng))
         cx = CechComplex(T, F, G)
-        res = graph_game(build_red_blue(cx))
+        res = graph_game(cx)
         if not res["success"]:
             return False, f"game stuck at m={m}: {res.get('stuck')}"
         ok, cert = cx.h2_certificate()
@@ -261,7 +260,7 @@ def check_graph_game(cfg, rng):
 
 
 def check_eye_unknot(cfg, rng):
-    p = cfg.get("primes", (2, 3))[-1]
+    p = cfg["primes"][-1]
     T = eye_tiling(1)
     for r in (1, 2):
         for s in (1, 2):
@@ -290,7 +289,7 @@ def run_suites(cfg: dict, seed: int, corrupt_sign: bool = False):
     """Run every named suite; returns (all_ok, list of result dicts)."""
     results = []
     all_ok = True
-    if cfg.get("samples") == 0:
+    if cfg["samples"] == 0:
         return True, [{"name": name, "ok": True, "detail": "vacuous (0 samples)"}
                       for name, _ in ALL_CHECKS]
     for name, fn in ALL_CHECKS:

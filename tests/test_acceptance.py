@@ -14,8 +14,8 @@ from legtorus import exactalg as xa
 from legtorus.ainfty import (HomElement, enumerate_reps, hom_basis_order,
                              hom_cohomology, is_isomorphic, mu1, mu2, mu_k,
                              random_rep, unit)
-from legtorus.cech import (CechComplex, EyeSheaf, build_red_blue,
-                           build_tiling, eye_tiling, graph_game)
+from legtorus.cech import (CechComplex, EyeSheaf, build_tiling, eye_tiling,
+                           graph_game)
 from legtorus.freedga import build_lambda_dga, kcopy_dga
 from legtorus.sheafcat import (Ext1Space, compose00, compose01, compose10,
                                ext0_dim, ext1_dim, functor_h0, functor_h1,
@@ -237,7 +237,7 @@ def test_criterion_8_graph_game():
         F = functor_obj(random_rep(m, 1, 2, rng))
         G = functor_obj(random_rep(m, 1, 2, rng))
         cx = CechComplex(T, F, G)
-        res = graph_game(build_red_blue(cx))
+        res = graph_game(cx)
         assert res["success"], (m, res)
         ok, _ = cx.h2_certificate()
         assert ok, m

@@ -5,9 +5,9 @@ import pytest
 
 from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
-from legtorus.cech import (CechComplex, EyeSheaf, RedBlueGraph, SLANTED,
-                           build_red_blue, build_tiling, eye_tiling,
-                           graph_game, neighbor, vertex_edges, vertex_tiles)
+from legtorus.cech import (CechComplex, EyeSheaf, SLANTED, build_tiling,
+                           eye_tiling, graph_game, neighbor, vertex_edges,
+                           vertex_tiles)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
 
 
@@ -106,12 +106,35 @@ def test_sampled_pairs_agree():
             assert dims == (ext0_dim(F, G), ext1_dim(F, G), 0), (m, n, p)
 
 
-def test_d1_after_d0_is_zero():
+def test_d1_after_d0_is_zero(complexes):
     rng = random.Random(21)
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
     cx = CechComplex(T, F, G)  # d1 . d0 = 0 asserted in the constructor
     assert cx.c2_dim > 0
+    for cx in [cx, *complexes]:
+        assert not ((cx.d1 @ cx.d0) % cx.p).any()
+
+
+def test_corrupted_d0_is_rejected(monkeypatch):
+    rng = random.Random(28)
+    T = build_tiling(2)
+    F, G = rand_pair(2, 2, 3, rng)
+    cx = CechComplex(T, F, G)
+    # a nonzero entry of d0 in a row whose column of d1 is nonzero: changing
+    # it changes d1 . d0
+    i = next(i for i in range(cx.c1_dim) if cx.d1[:, i].any() and cx.d0[i].any())
+    j = np.flatnonzero(cx.d0[i])[0]
+    build_d0 = CechComplex._build_d0
+
+    def corrupted(self):
+        d0 = build_d0(self)
+        d0[i, j] = (d0[i, j] + 1) % self.p
+        return d0
+
+    monkeypatch.setattr(CechComplex, "_build_d0", corrupted)
+    with pytest.raises(AssertionError, match="d1 . d0 != 0"):
+        CechComplex(T, F, G)
 
 
 def test_check_h2_certificate():
@@ -148,7 +171,7 @@ def test_graph_game_succeeds_and_implies_h2():
         T = build_tiling(m)
         F, G = rand_pair(m, 1, 2, rng)
         cx = CechComplex(T, F, G)
-        res = graph_game(build_red_blue(cx))
+        res = graph_game(cx)
         assert res["success"], res
         rules = {s["rule"] for s in res["steps"]}
         assert "cusp-lemma" in rules
@@ -162,20 +185,30 @@ def test_graph_game_rank_certified_steps():
     rng = random.Random(25)
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
-    res = graph_game(build_red_blue(CechComplex(T, F, G)))
+    res = graph_game(CechComplex(T, F, G))
     assert res["success"]
     assert all(s.get("rank_checked") for s in res["steps"] if "removed_red" in s)
 
 
-def test_graph_game_stuck_on_isolated_red():
-    g = RedBlueGraph(blues={}, reds={"isolated": 2}, meta={})
-    res = graph_game(g)
-    assert not res["success"]
-    assert res["stuck"] == ["isolated"]
+def test_graph_game_stuck_on_a_vertex_with_zero_rows():
+    rng = random.Random(27)
+    F, G = rand_pair(2, 2, 3, rng)
+    T = build_tiling(2)
+    steps = graph_game(CechComplex(T, F, G))["steps"]
+    for rule in ("crossing-surjective", "cusp-lemma", "horizontal-iso"):
+        step = next(s for s in steps if s["rule"] == rule)
+        cx = CechComplex(T, F, G)
+        v = next(v for v in T.vertices if str(v) == step["removed_red"])
+        assert cx.vertex_space[v].dim > 0
+        cx.d1[cx._vert_off[v]:cx._vert_off[v] + cx.vertex_space[v].dim] = 0
+        res = graph_game(cx)
+        assert not res["success"]
+        assert res["stuck"] == [str(v)] and res["failed_rule"] == rule
+        assert not cx.h2_certificate()[0]
 
 
 def test_graph_game_eye():
-    res = graph_game(build_red_blue(CechComplex(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3))))
+    res = graph_game(CechComplex(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3)))
     assert res["success"]
 
 
@@ -244,10 +277,12 @@ def test_section_basis_is_identity_at_free_rows(complexes):
 
 def test_red_blue_maps_are_restriction_maps_up_to_sign(complexes):
     for cx in complexes:
-        g = build_red_blue(cx)
         checked = 0
-        for ek, blue in g.blues.items():
-            for v, mat in blue["mats"].items():
+        for v in cx.T.vertices:
+            r = cx._vert_off[v]
+            for ek, _ in vertex_edges(v):
+                c = cx._edge_off[ek]
+                mat = cx.d1[r:r + cx.vertex_space[v].dim, c:c + cx.edge_space[ek].dim]
                 ref = cx._edge_to_vertex(ek, v)
                 assert np.array_equal(mat, ref) or np.array_equal(mat, (-ref) % cx.p)
                 checked += mat.size
