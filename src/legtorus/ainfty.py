@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg as xa
-from .freedga import (DGA, FreePoly, lambda_copy_dga, lambda_dga, link_grading,
-                      pq_matrix)
+from .freedga import (DGA, FreePoly, lambda_copy_dga, lambda_dga,
+                      lambda_staircase_diff, link_grading, pq_matrix)
 
 
 class BudgetExceeded(RuntimeError):
@@ -287,15 +287,21 @@ class TwistedCopy:
         self.K = len(rhos)
         self.dga = lambda_copy_dga(self.m, self.p, self.K)
         self.eps = PureAugmentation(self.dga, rhos)
-        self._cache: dict[str, list] = {}
 
     def top_diff(self, base: str):
-        """Twisted differential of base^{1,K} (or the 2-copy chord for K=2)."""
-        name = f"{base}^1{self.K}"
-        if name not in self._cache:
-            self._cache[name] = _expand_twist(self.dga, self.dga.diff[name],
-                                              self.eps, self.n, self.p)
-        return self._cache[name]
+        """Twisted differential of base^{1,K}, on the words that can become
+        staircase terms.
+
+        A staircase term has the letters z^{12}, ..., z^{K-1,K} and nothing
+        else.  Off-diagonal chords c^{ij} (i != j) and the Morse generators
+        x/y have eps = 0, so twisting keeps them as letters; a diagonal chord
+        c^{ii} that stays a letter makes the term non-staircase.  So only the
+        words whose off-diagonal letters are that chain, with every diagonal
+        letter on the level reached so far, can contribute, and only those
+        (`lambda_staircase_diff`, cached per (m, p, K, base)) are expanded.
+        """
+        f = lambda_staircase_diff(self.m, self.p, self.K, base)
+        return _expand_twist(self.dga, f, self.eps, self.n, self.p)
 
     def staircase(self, base: str):
         """Terms of d_eps(base^{1,K}) whose letters descend one copy at a time."""

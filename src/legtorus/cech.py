@@ -901,6 +901,7 @@ def graph_game(cx: CechComplex):
             alive_blue -= {ne, se}
             alive_red.discard(vL)
         if vR is not None and vR in alive_red:
+            assert h in alive_blue and len(leaf(h)) <= 1, ("not a leaf", h)
             ok = red_dim[vR] == 0 or xa.rank(block(h, vR), p) == red_dim[vR]
             if not ok:
                 return {"success": False, "stuck": [str(vR)], "steps": steps,

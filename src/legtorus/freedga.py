@@ -49,6 +49,14 @@ def reduce_letters(letters) -> Word:
     return tuple(out)
 
 
+def _join(w1: Word, w2: Word) -> Word:
+    """The reduced product of reduced words: only their junction can cancel."""
+    r, top = 0, min(len(w1), len(w2))
+    while r < top and w1[-1 - r][0] == w2[r][0] and w1[-1 - r][1] == -w2[r][1]:
+        r += 1
+    return w1[:len(w1) - r] + w2[r:]
+
+
 class FreePoly:
     """Finite map from reduced words to nonzero coefficients mod p."""
 
@@ -73,6 +81,8 @@ class FreePoly:
 
     @classmethod
     def gen(cls, p, name, exp=1, coeff=1):
+        if exp not in (1, -1):
+            raise ValueError("letters carry exponent +1 or -1")
         return cls(p, {((name, exp),): coeff})
 
     def is_zero(self) -> bool:
@@ -106,15 +116,20 @@ class FreePoly:
         return out
 
     def __mul__(self, other: "FreePoly") -> "FreePoly":
-        out = FreePoly(self.p)
+        p = self.p
+        acc: dict[Word, int] = {}
         for w1, c1 in self.terms.items():
+            # reduced words can only cancel where w2 starts with w1's last generator
+            last = w1[-1][0] if w1 else None
             for w2, c2 in other.terms.items():
-                w = reduce_letters(w1 + w2)
-                v = (out.terms.get(w, 0) + c1 * c2) % self.p
+                w = _join(w1, w2) if w2 and w2[0][0] == last else w1 + w2
+                v = (acc.get(w, 0) + c1 * c2) % p
                 if v:
-                    out.terms[w] = v
+                    acc[w] = v
                 else:
-                    out.terms.pop(w, None)
+                    acc.pop(w, None)
+        out = FreePoly(p)
+        out.terms = acc
         return out
 
     def __repr__(self):
@@ -156,16 +171,18 @@ class DGA:
             self.gens[g.name] = g
         self.diff = dict(diff)
         self.copy_info = copy_info or {}
+        self._degree = deg = {name: g.degree for name, g in self.gens.items()}
         for name, f in self.diff.items():
-            tgt = self.gens[name].degree - 1
-            if not all(self.word_degree(w) == tgt for w in f.terms):
-                raise ValueError(f"differential of {name} is not homogeneous of degree {tgt}")
+            tgt = deg[name] - 1
+            for w in f.terms:
+                if sum([deg[n] * e for n, e in w]) != tgt:
+                    raise ValueError(f"differential of {name} is not homogeneous of degree {tgt}")
 
     def generator_names(self):
         return list(self.gens)
 
     def word_degree(self, w: Word) -> int:
-        return sum(self.gens[n].degree * e for n, e in w)
+        return sum(self._degree[n] * e for n, e in w)
 
     def poly_degree(self, f: FreePoly):
         """Common degree of a homogeneous polynomial (None for 0)."""
@@ -243,17 +260,22 @@ def _pq(letters, kind, p) -> FreePoly:
 
 
 def pq_matrix(kind: str, mats, p: int, n: int | None = None) -> np.ndarray:
-    """Same recurrences evaluated on square matrices (n sizes the empty case)."""
+    """Same recurrences evaluated on square matrices (n sizes the empty case).
+
+    One pass, one product per matrix: P_j = P_{j-1} A_j + P_{j-2} from the
+    left, and Q over ever longer suffixes, Q(A_j..) = -Q(A_{j+1}..) A_j
+    + Q(A_{j+2}..), from the right.
+    """
+    if kind not in ("P", "Q"):
+        raise ValueError("kind is 'P' or 'Q'")
     mats = list(mats)
     if n is None:
         n = mats[0].shape[0] if mats else 1
-    if len(mats) == 0:
-        return np.eye(n, dtype=np.int64)
-    if len(mats) == 1:
-        return mats[0] % p if kind == "P" else (-mats[0]) % p
-    if kind == "P":
-        return (pq_matrix("P", mats[:-1], p, n) @ mats[-1] + pq_matrix("P", mats[:-2], p, n)) % p
-    return (-pq_matrix("Q", mats[1:], p, n) @ mats[0] + pq_matrix("Q", mats[2:], p, n)) % p
+    sign = 1 if kind == "P" else -1
+    prev, cur = np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+    for a in (mats if kind == "P" else reversed(mats)):
+        prev, cur = cur, (sign * cur @ a + prev) % p
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +323,16 @@ def _pm_mul(a, b, p):
 
 
 def _sum_polys(polys, p):
-    out = FreePoly.zero(p)
+    acc: dict[Word, int] = {}
     for f in polys:
-        out = out + f
+        for w, c in f.terms.items():
+            v = (acc.get(w, 0) + c) % p
+            if v:
+                acc[w] = v
+            else:
+                acc.pop(w, None)
+    out = FreePoly(p)
+    out.terms = acc
     return out
 
 
@@ -428,3 +457,35 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
 @lru_cache(maxsize=None)
 def lambda_copy_dga(m: int, p: int, k: int) -> DGA:
     return kcopy_dga(lambda_dga(m, p), k)
+
+
+def staircase_part(copy: DGA, f: FreePoly, k: int) -> FreePoly:
+    """The words of f, in a k-copy DGA, that run up the staircase 1 -> k.
+
+    A word qualifies when its off-diagonal letters (chords c^{ij} with
+    i != j and the Morse generators x^{ij}, y^{ij}) are z^{12}, z^{23}, ...,
+    z^{k-1,k} in this order, and each diagonal letter (c^{ii}, t^i) sits on
+    copy i, the level the chain has reached.
+    """
+    kept = {}
+    for w, c in f.terms.items():
+        level = 1
+        for name, _ in w:
+            kind = copy.copy_info[name]
+            i, j = (kind[3], kind[3]) if kind[0] == "t" else kind[2:]
+            if i == j == level:
+                continue
+            if (i, j) != (level, level + 1):
+                break
+            level += 1
+        else:
+            if level == k:
+                kept[w] = c
+    return FreePoly(copy.p, kept)
+
+
+@lru_cache(maxsize=None)
+def lambda_staircase_diff(m: int, p: int, k: int, base: str) -> FreePoly:
+    """staircase_part of d(base^{1k}) in the k-copy of the (2,m) link DGA."""
+    copy = lambda_copy_dga(m, p, k)
+    return staircase_part(copy, copy.diff[f"{base}^1{k}"], k)

@@ -6,10 +6,14 @@ import pytest
 
 from legtorus import exactalg as xa
 from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
+                             TwistedCopy, _expand_twist, base_generators,
                              check_representation, enumerate_reps,
                              hom_basis_order, hom_cohomology, is_isomorphic,
-                             mu1, mu2, mu_k, random_rep, twist_diff, unit)
-from legtorus.freedga import build_lambda_dga, link_grading, pq_matrix
+                             mu1, mu1_matrix, mu2, mu_k, random_rep, twist_diff,
+                             unit)
+from legtorus.freedga import (FreePoly, build_lambda_dga, lambda_copy_dga,
+                              lambda_staircase_diff, link_grading, pq_matrix,
+                              staircase_part)
 from legtorus.torusrep import mu1_closed
 
 
@@ -127,6 +131,111 @@ def test_twisted_d_squared_symbolic():
     # and on a 3-copy with three different objects
     rhos = tuple(random_rep(2, 1, 3, rng) for _ in range(3))
     assert check_twisted_d_squared(rhos)
+
+
+# -- the twist restricted to staircase words ----------------------------------
+
+def reference_staircase(self, base):
+    """TwistedCopy.staircase as it was before the twist was restricted: it
+    filters the full twist of d(base^{1,K}).  Only the first loop line
+    differs, which expanded through the (then unrestricted) top_diff."""
+    out = []
+    k = self.K - 1
+    full = _expand_twist(self.dga, self.dga.diff[f"{base}^1{self.K}"], self.eps, self.n, self.p)
+    for coeffs, letters in full:
+        if len(letters) != k:
+            continue
+        levels = [self.dga.copy_info[l] for l in letters]
+        ok = True
+        for t, lv in enumerate(levels):
+            if (lv[2], lv[3]) != (t + 1, t + 2):
+                ok = False
+                break
+        if ok:
+            bases = [lv[1] if lv[0] == "chord" else f"{lv[0]}{lv[1]}" for lv in levels]
+            out.append((coeffs, bases))
+    return out
+
+
+def same_terms(got, want):
+    return len(got) == len(want) and all(
+        bg == bw and len(cg) == len(cw) and all(np.array_equal(x, y) for x, y in zip(cg, cw))
+        for (cg, bg), (cw, bw) in zip(got, want))
+
+
+@pytest.mark.parametrize("K, m, n, p", [
+    (2, 1, 1, 2), (2, 2, 2, 3), (2, 5, 2, 5), (2, 4, 1, 7),
+    (3, 5, 1, 2), (3, 4, 2, 3), (3, 2, 1, 5), (3, 3, 2, 7),
+    (4, 3, 2, 2), (4, 5, 1, 3), (4, 4, 1, 5), (4, 1, 2, 7),
+])
+def test_restricted_twist_matches_full_staircase(K, m, n, p):
+    rng = random.Random(1000 * K + 10 * m + p)
+    rhos = tuple(random_rep(m, n, p, rng) for _ in range(K))
+    tw = TwistedCopy(rhos)
+    for base in base_generators(m):
+        assert same_terms(tw.staircase(base), reference_staircase(tw, base)), base
+    # degree-1 arguments put mu_2 and mu_3 in degree 2 (b1, b2), where the
+    # P_m/Q_m words are twisted; mu_1 gets a degree-0 or degree-1 argument
+    degs = [rng.choice([0, 1])] if K == 2 else [1] * (K - 1)
+    args = [rand_homog(m, n, p, d, rng) for d in degs]
+    fast = mu_k(rhos, args)
+    fast_mats = [mu1_matrix(*rhos, d) for d in (0, 1)] if K == 2 else []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TwistedCopy, "staircase", reference_staircase)
+        assert mu_k(rhos, args) == fast
+        for d, mat in enumerate(fast_mats):
+            assert np.array_equal(mu1_matrix(*rhos, d), mat)
+
+
+def chain_words(copy, f, k):
+    """Reference filter: the words whose letters, with the diagonal ones
+    (c^{ii} and t^i) deleted, are z^{12}, ..., z^{k-1,k}."""
+    chain = [(t, t + 1) for t in range(1, k)]
+    kept = {}
+    for w, c in f.terms.items():
+        kinds = [copy.copy_info[name] for name, _ in w]
+        off = [kd[2:] for kd in kinds if kd[0] != "t" and kd[2] != kd[3]]
+        if off == chain:
+            kept[w] = c
+    return kept
+
+
+def test_staircase_words_are_the_chain_words():
+    for k in (2, 3, 4):
+        for m in (1, 2, 3, 4):
+            copy = lambda_copy_dga(m, 3, k)
+            for base in base_generators(m):
+                f = copy.diff[f"{base}^1{k}"]
+                kept = lambda_staircase_diff(m, 3, k, base).terms
+                assert kept == chain_words(copy, f, k), (k, m, base)
+                assert all(f.terms[w] == c for w, c in kept.items())
+
+
+def test_staircase_part_reads_levels():
+    # words need not come from the 3-copy differential: diagonal letters off
+    # their level and skipped or reversed steps must all be rejected
+    copy = lambda_copy_dga(2, 3, 3)
+    kept = [
+        ("a1^12", "a2^23"),
+        ("a1^11", "a1^12", "a2^22", "a2^23", "a1^33"),
+        ("t1^1", "y1^12", "t2^2", "x2^23", "t1^3"),
+    ]
+    rejected = [
+        ("a1^22", "a1^12", "a2^23"),
+        ("a1^12", "a1^33", "a2^23"),
+        ("t1^2", "a1^12", "a2^23"),
+        ("a1^12", "a2^23", "t1^2"),
+        ("a1^13",),
+        ("a1^13", "a2^23"),
+        ("a1^12", "a2^21"),
+        ("a1^12",),
+        ("a1^12", "a2^23", "a1^23"),
+        ("a1^21", "a1^12", "a2^23"),
+        ("a2^23", "a1^12"),
+    ]
+    f = FreePoly(3, {tuple((name, 1) for name in w): 1 for w in kept + rejected})
+    got = staircase_part(copy, f, 3).terms
+    assert set(got) == {tuple((name, 1) for name in w) for w in kept}
 
 
 # -- mu_k --------------------------------------------------------------------

@@ -88,12 +88,14 @@ GOLDEN = Path(__file__).parent / "golden"
     ("cech", ["cech", "--m", "2", "--n", "2", "--p", "3", "--samples", "2", "--seed", "5"]),
     ("equiv", ["equiv", "--m", "2", "--n", "2", "--p", "3", "--samples", "3", "--seed", "5"]),
     ("verify", ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]),
+    ("dga", ["dga", "--m", "3", "--p", "3", "--copies", "3"]),
 ])
 def test_stdout_matches_golden(name, args):
     # golden files hold the stdout of earlier versions of the program (the
-    # dense elimination kernel, two Ext maps per pair); RREF bases are
-    # canonical and the pair sampling draws the same numbers, so not a byte
-    # may move
+    # dense elimination kernel, two Ext maps per pair, copy DGAs built with a
+    # full word reduction per product); RREF bases are canonical, the pair
+    # sampling draws the same numbers and polynomial terms print sorted, so
+    # not a byte may move
     proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()

@@ -1,8 +1,12 @@
 import itertools
 import random
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from legtorus import exactalg as xa
 from legtorus.freedga import (DGA, FreePoly, Generator, build_lambda_dga,
@@ -77,20 +81,83 @@ def test_q_alternative_recurrence():
 
 def test_pq_matrix_matches_polynomial_eval():
     rng = random.Random(2)
-    p = 3
-    for m in range(1, 5):
-        for n in (1, 2):
-            mats = {f"a{j}": xa.rand_matrix(rng, n, n, p) for j in range(1, m + 1)}
-            for kind in ("P", "Q"):
-                poly = pq_polynomial(m, kind, p)
-                val = xa.zeros(n, n)
-                for w, c in poly.terms.items():
-                    acc = xa.eye(n)
-                    for name, _ in w:
-                        acc = acc @ mats[name] % p
-                    val = (val + c * acc) % p
-                direct = pq_matrix(kind, [mats[f"a{j}"] for j in range(1, m + 1)], p, n)
-                assert np.array_equal(val, direct)
+    for p in (2, 3, 5):
+        for m in range(0, 9):
+            for n in (1, 2, 3):
+                mats = {f"a{j}": xa.rand_matrix(rng, n, n, p) for j in range(1, m + 1)}
+                for kind in ("P", "Q"):
+                    poly = pq_polynomial(m, kind, p)
+                    val = xa.zeros(n, n)
+                    for w, c in poly.terms.items():
+                        acc = xa.eye(n)
+                        for name, _ in w:
+                            acc = acc @ mats[name] % p
+                        val = (val + c * acc) % p
+                    direct = pq_matrix(kind, [mats[f"a{j}"] for j in range(1, m + 1)], p, n)
+                    assert np.array_equal(val, direct), (p, m, n, kind)
+
+
+def continuant_block(mats, p):
+    # [[A_1, 1], [1, 0]] ... [[A_m, 1], [1, 0]] has P_m(A_1..A_m) top left
+    n = mats[0].shape[0]
+    acc = xa.eye(2 * n)
+    for a in mats:
+        acc = acc @ np.block([[a, xa.eye(n)], [xa.eye(n), xa.zeros(n, n)]]) % p
+    return acc[:n, :n]
+
+
+def test_pq_matrix_at_m30_is_fast_and_matches_block_products():
+    rng = random.Random(30)
+    p, n = 5, 3
+    mats = [xa.rand_matrix(rng, n, n, p) for _ in range(30)]
+    t0 = time.perf_counter()
+    pm, qm = pq_matrix("P", mats, p), pq_matrix("Q", mats, p)
+    assert time.perf_counter() - t0 < 0.25
+    assert np.array_equal(pm, continuant_block(mats, p))
+    # Q_m(A_1..A_m) = (-1)^m P_m(A_m..A_1): Q's words are P's, read backwards
+    assert np.array_equal(qm, (-1) ** 30 * continuant_block(mats[::-1], p) % p)
+
+
+def test_letters_carry_unit_exponents():
+    with pytest.raises(ValueError):
+        FreePoly.gen(3, "t1", exp=2)
+
+
+LETTERS = [("a1", 1), ("a2", 1), ("b1", 1), ("t1", 1), ("t1", -1), ("t2", 1), ("t2", -1)]
+reduced_words = st.lists(st.sampled_from(LETTERS), max_size=6).map(reduce_letters)
+
+
+def inverse(word):
+    return tuple((name, -exp) for name, exp in reversed(word))
+
+
+@st.composite
+def word_pairs(draw):
+    """(w1, w2) where w2 may start by undoing a run of w1's trailing t letters."""
+    w1 = draw(reduced_words)
+    tail = 0
+    while tail < len(w1) and w1[-1 - tail][0].startswith("t"):
+        tail += 1
+    r = draw(st.integers(0, tail))
+    w2 = reduce_letters(inverse(w1[len(w1) - r:]) + draw(reduced_words))
+    return w1, w2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(word_pairs(), st.integers(1, 6), st.integers(1, 6)),
+                min_size=1, max_size=5),
+       st.sampled_from([2, 3, 7]))
+@example([(((("a1", 1), ("t1", 1), ("t2", -1)), (("t2", 1), ("t1", -1), ("a2", 1))), 1, 1)], 3)
+@example([(((("t1", 1),), (("t1", -1),)), 2, 3)], 7)
+def test_poly_mul_matches_full_reduction(pairs, p):
+    f = FreePoly(p, {w1: c1 for (w1, _), c1, _ in pairs})
+    g = FreePoly(p, {w2: c2 for (_, w2), _, c2 in pairs})
+    want = {}
+    for w1, c1 in f.terms.items():
+        for w2, c2 in g.terms.items():
+            w = reduce_letters(w1 + w2)
+            want[w] = (want.get(w, 0) + c1 * c2) % p
+    assert (f * g).terms == {w: c for w, c in want.items() if c}
 
 
 def test_lambda_dga_shape():
