@@ -185,25 +185,6 @@ def unit(rho: Representation) -> HomElement:
 # ---------------------------------------------------------------------------
 # Twisting by (noncommutative) augmentations
 
-def twist_diff(dga: DGA, eps) -> dict[str, list]:
-    """Twisted differential of a DGA by a matrix augmentation.
-
-    eps(name, exp) must return the augmentation matrix for every generator
-    (invertible generators included).  Result: for each non-invertible
-    generator, a list of terms (coeffs, letters) with len(coeffs) ==
-    len(letters) + 1 and matrix coefficients interleaved left to right.
-    Raises if eps fails eps(d(g)) = 0 for some generator.
-    """
-    n = eps(next(iter(dga.gens)), 1).shape[0]
-    p = dga.p
-    for name, f in dga.diff.items():
-        val = _eval_matrix_poly(f, eps, n, p)
-        if val.any():
-            raise ValueError(f"not an augmentation: eps(d({name})) != 0")
-    return {name: _expand_twist(dga, dga.diff[name], eps, n, p)
-            for name, g in dga.gens.items() if not g.invertible}
-
-
 def _eval_matrix_poly(f: FreePoly, eps, n: int, p: int) -> np.ndarray:
     out = xa.zeros(n, n)
     for w, c in f.terms.items():
@@ -215,40 +196,31 @@ def _eval_matrix_poly(f: FreePoly, eps, n: int, p: int) -> np.ndarray:
 
 
 def _expand_twist(dga: DGA, f: FreePoly, eps, n: int, p: int):
-    """phi_eps applied to f: letters become (letter + eps) for chords and
-    eps values for invertible generators; returns interleaved matrix terms.
+    """The staircase term of phi_eps(w) for each staircase word w of f.
 
-    Scalar terms must cancel (the twisted differential is augmented), so they
-    are summed and checked rather than returned.
+    phi_eps sends a diagonal chord c^{ii} to c^{ii} + eps(c^{ii}), an
+    invertible t^i to eps(t^i), and an off-diagonal letter (c^{ij}, i != j,
+    or a Morse x/y) to itself, as its eps is 0.  A term that keeps some
+    c^{ii} as a letter is not a staircase term, so each word has exactly one:
+    its diagonal letters become their eps values and its off-diagonal letters
+    stay.  Returns (coeffs, bases) per word, with the matrix coefficients
+    interleaved left to right around the base names of the kept letters;
+    a term with a zero coefficient is dropped.
     """
+    info = dga.copy_info
     ident = xa.eye(n)
     terms = []
-    constant = xa.zeros(n, n)
     for w, c in f.terms.items():
-        partial = [([(c % p) * ident % p], [])]
+        coeffs, bases = [c * ident], []
         for name, exp in w:
-            g = dga.gens[name]
-            if g.invertible:
-                val = eps(name, exp)
-                for cs, _ in partial:
-                    cs[-1] = (cs[-1] @ val) % p
+            kind = info[name]
+            if kind[0] == "t" or kind[2] == kind[3]:
+                coeffs[-1] = (coeffs[-1] @ eps(name, exp)) % p
             else:
-                const = eps(name, exp)
-                new = []
-                for cs, ls in partial:
-                    new.append((cs + [ident.copy()], ls + [name]))
-                    if const.any():
-                        cs2 = list(cs)
-                        cs2[-1] = (cs2[-1] @ const) % p
-                        new.append((cs2, list(ls)))
-                partial = new
-        for cs, ls in partial:
-            if not ls:
-                constant = (constant + cs[0]) % p
-            elif all(m_.any() for m_ in cs):
-                terms.append((cs, ls))
-    if constant.any():
-        raise AssertionError("twisted differential has a constant term")
+                bases.append(kind[1] if kind[0] == "chord" else f"{kind[0]}{kind[1]}")
+                coeffs.append(ident)
+        if all(cf.any() for cf in coeffs):
+            terms.append((coeffs, bases))
     return terms
 
 
@@ -289,37 +261,20 @@ class TwistedCopy:
         self.eps = PureAugmentation(self.dga, rhos)
 
     def top_diff(self, base: str):
-        """Twisted differential of base^{1,K}, on the words that can become
-        staircase terms.
+        """Staircase terms of d_eps(base^{1,K}) as (coeffs, bases).
 
         A staircase term has the letters z^{12}, ..., z^{K-1,K} and nothing
         else.  Off-diagonal chords c^{ij} (i != j) and the Morse generators
         x/y have eps = 0, so twisting keeps them as letters; a diagonal chord
         c^{ii} that stays a letter makes the term non-staircase.  So only the
         words whose off-diagonal letters are that chain, with every diagonal
-        letter on the level reached so far, can contribute, and only those
-        (`lambda_staircase_diff`, cached per (m, p, K, base)) are expanded.
+        letter on the level reached so far, can contribute
+        (`lambda_staircase_diff`, cached per (m, p, K, base)), and each gives
+        exactly one term: every diagonal letter replaced by its eps value
+        (`_expand_twist`).
         """
         f = lambda_staircase_diff(self.m, self.p, self.K, base)
         return _expand_twist(self.dga, f, self.eps, self.n, self.p)
-
-    def staircase(self, base: str):
-        """Terms of d_eps(base^{1,K}) whose letters descend one copy at a time."""
-        out = []
-        k = self.K - 1
-        for coeffs, letters in self.top_diff(base):
-            if len(letters) != k:
-                continue
-            levels = [self.dga.copy_info[l] for l in letters]
-            ok = True
-            for t, lv in enumerate(levels):
-                if (lv[2], lv[3]) != (t + 1, t + 2):
-                    ok = False
-                    break
-            if ok:
-                bases = [lv[1] if lv[0] == "chord" else f"{lv[0]}{lv[1]}" for lv in levels]
-                out.append((coeffs, bases))
-        return out
 
 
 def base_generators(m: int) -> list[str]:
@@ -357,7 +312,7 @@ def mu_k_twisted(tw: TwistedCopy, args) -> HomElement:
         if dual_degree(w) != out_deg:
             continue
         acc = xa.zeros(n, n)
-        for cs, bases in tw.staircase(w):
+        for cs, bases in tw.top_diff(w):
             # letters are left-to-right z^{1,2} .. z^{k,k+1}; slot s counts
             # from the right, so left-to-right position t pairs with args[k-1-t]
             val = cs[0]
@@ -373,51 +328,6 @@ def mu_k_twisted(tw: TwistedCopy, args) -> HomElement:
         if acc.any():
             coeffs[w] = (sign * acc) % p
     return HomElement(n, p, out_deg, coeffs)
-
-
-def check_twisted_d_squared(rhos) -> bool:
-    """Symbolic check that the pure-augmentation twist squares to zero.
-
-    Matrix-coefficient terms cannot be added slotwise, so sums are expanded
-    in the basis of elementary-matrix index words: a term
-    (C_r, l_r, ..., l_1, C_0) contributes C_r[a_r, b_r] ... C_0[a_0, b_0] on
-    the key (letters, (a_r, b_r, ..., a_0, b_0)).
-    """
-    tw = TwistedCopy(tuple(rhos))
-    dga, eps, n, p = tw.dga, tw.eps, tw.n, tw.p
-    diffs = {name: _expand_twist(dga, dga.diff[name], eps, n, p)
-             for name, g in dga.gens.items() if not g.invertible}
-
-    def indexed(terms, acc, scale=1):
-        for coeffs, letters in terms:
-            idx_choices = [np.argwhere(c % p).tolist() for c in coeffs]
-            if any(not ch for ch in idx_choices):
-                continue
-            for combo in itertools.product(*idx_choices):
-                val = scale
-                for c, (a, b) in zip(coeffs, combo):
-                    val = val * int(c[a, b]) % p
-                key = (tuple(letters), tuple(x for ab in combo for x in ab))
-                acc[key] = (acc.get(key, 0) + val) % p
-
-    for name, terms in diffs.items():
-        acc: dict = {}
-        for coeffs, letters in terms:
-            sign = 1
-            for i, letter in enumerate(letters):
-                inner = diffs[letter]
-                spliced = []
-                for ics, ils in inner:
-                    new_coeffs = list(coeffs[:i]) + [coeffs[i] @ ics[0] % p] \
-                        + list(ics[1:-1]) + [ics[-1] @ coeffs[i + 1] % p] \
-                        + list(coeffs[i + 2:])
-                    new_letters = list(letters[:i]) + list(ils) + list(letters[i + 1:])
-                    spliced.append((new_coeffs, new_letters))
-                indexed(spliced, acc, scale=sign)
-                sign *= (-1) ** dga.gens[letter].degree
-        if any(v % p for v in acc.values()):
-            return False
-    return True
 
 
 def mu1(r0: Representation, r1: Representation, x: HomElement) -> HomElement:
@@ -452,7 +362,7 @@ def mu1_matrix(r0, r1, degree: int) -> np.ndarray:
     mat = xa.zeros(len(dst) * n * n, len(src) * n * n)
     for w in dst:
         wi = dst.index(w) * n * n
-        for cs, bases in tw.staircase(w):
+        for cs, bases in tw.top_diff(w):
             z = bases[0]
             if z not in src:
                 continue

@@ -75,6 +75,9 @@ def _objects(args, rng):
         seen.setdefault(r.key(), r)
         if len(seen) >= count:
             break
+    if args.samples > 8:
+        print(f"drew {len(seen)} distinct objects: sampled objects are capped "
+              f"at 8 whatever --samples ({args.samples}) asks for", file=sys.stderr)
     return list(seen.values()), False
 
 

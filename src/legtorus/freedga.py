@@ -36,19 +36,6 @@ class Generator:
             raise ValueError("invertible generators must have degree 0")
 
 
-def reduce_letters(letters) -> Word:
-    """Cancel adjacent g g^-1 pairs (stack pass; confluent for unit exponents)."""
-    out: list[tuple[str, int]] = []
-    for name, exp in letters:
-        if exp not in (1, -1):
-            raise ValueError("letters carry exponent +1 or -1")
-        if out and out[-1][0] == name and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((name, exp))
-    return tuple(out)
-
-
 def _join(w1: Word, w2: Word) -> Word:
     """The reduced product of reduced words: only their junction can cancel."""
     r, top = 0, min(len(w1), len(w2))
@@ -177,9 +164,6 @@ class DGA:
             for w in f.terms:
                 if sum([deg[n] * e for n, e in w]) != tgt:
                     raise ValueError(f"differential of {name} is not homogeneous of degree {tgt}")
-
-    def generator_names(self):
-        return list(self.gens)
 
     def word_degree(self, w: Word) -> int:
         return sum(self._degree[n] * e for n, e in w)

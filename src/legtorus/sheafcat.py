@@ -141,7 +141,8 @@ def ext0(F: SheafObject, G: SheafObject) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def ext0_dim(F, G) -> int:
-    return len(ext0(F, G))
+    """dim Ext^0(F, G) = 2n^2 - rank of the Ext map."""
+    return 2 * F.n * F.n - xa.rank(_ext_map(F, G), F.p)
 
 
 def morphism_data(F: SheafObject, G: SheafObject, u):
@@ -226,7 +227,8 @@ def ext1(F: SheafObject, G: SheafObject) -> Ext1Space:
 
 
 def ext1_dim(F, G) -> int:
-    return Ext1Space(F, G).dim
+    """dim Ext^1(F, G) = mn^2 - rank of the Ext map."""
+    return F.m * F.n * F.n - xa.rank(_ext_map(F, G), F.p)
 
 
 def extension_from_class(w, F: SheafObject, G: SheafObject):

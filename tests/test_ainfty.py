@@ -6,12 +6,11 @@ import pytest
 
 from legtorus import exactalg as xa
 from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
-                             TwistedCopy, _expand_twist, base_generators,
+                             TwistedCopy, _eval_matrix_poly, base_generators,
                              check_representation, enumerate_reps,
                              hom_basis_order, hom_cohomology, is_isomorphic,
-                             mu1, mu1_matrix, mu2, mu_k, random_rep, twist_diff,
-                             unit)
-from legtorus.freedga import (FreePoly, build_lambda_dga, lambda_copy_dga,
+                             mu1, mu1_matrix, mu2, mu_k, random_rep, unit)
+from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, lambda_copy_dga,
                               lambda_staircase_diff, link_grading, pq_matrix,
                               staircase_part)
 from legtorus.torusrep import mu1_closed
@@ -83,6 +82,113 @@ def test_enumerate_budget_refusal():
 
 
 # -- twisting ----------------------------------------------------------------
+#
+# The library twists only staircase words, each into its one staircase term.
+# The helpers below are the full twist it replaced: every diagonal chord is
+# expanded into both "letter" and "eps", so they serve as references for the
+# twisted differential of a whole DGA and for d_eps^2 = 0.
+
+def twist_diff(dga: DGA, eps) -> dict[str, list]:
+    """Twisted differential of a DGA by a matrix augmentation.
+
+    eps(name, exp) must return the augmentation matrix for every generator
+    (invertible generators included).  Result: for each non-invertible
+    generator, a list of terms (coeffs, letters) with len(coeffs) ==
+    len(letters) + 1 and matrix coefficients interleaved left to right.
+    Raises if eps fails eps(d(g)) = 0 for some generator.
+    """
+    n = eps(next(iter(dga.gens)), 1).shape[0]
+    p = dga.p
+    for name, f in dga.diff.items():
+        val = _eval_matrix_poly(f, eps, n, p)
+        if val.any():
+            raise ValueError(f"not an augmentation: eps(d({name})) != 0")
+    return {name: branching_expand_twist(dga, dga.diff[name], eps, n, p)
+            for name, g in dga.gens.items() if not g.invertible}
+
+
+def branching_expand_twist(dga: DGA, f: FreePoly, eps, n: int, p: int):
+    """phi_eps applied to f: letters become (letter + eps) for chords and
+    eps values for invertible generators; returns interleaved matrix terms.
+
+    Scalar terms must cancel (the twisted differential is augmented), so they
+    are summed and checked rather than returned.
+    """
+    ident = xa.eye(n)
+    terms = []
+    constant = xa.zeros(n, n)
+    for w, c in f.terms.items():
+        partial = [([(c % p) * ident % p], [])]
+        for name, exp in w:
+            g = dga.gens[name]
+            if g.invertible:
+                val = eps(name, exp)
+                for cs, _ in partial:
+                    cs[-1] = (cs[-1] @ val) % p
+            else:
+                const = eps(name, exp)
+                new = []
+                for cs, ls in partial:
+                    new.append((cs + [ident.copy()], ls + [name]))
+                    if const.any():
+                        cs2 = list(cs)
+                        cs2[-1] = (cs2[-1] @ const) % p
+                        new.append((cs2, list(ls)))
+                partial = new
+        for cs, ls in partial:
+            if not ls:
+                constant = (constant + cs[0]) % p
+            elif all(m_.any() for m_ in cs):
+                terms.append((cs, ls))
+    if constant.any():
+        raise AssertionError("twisted differential has a constant term")
+    return terms
+
+
+def check_twisted_d_squared(rhos) -> bool:
+    """Symbolic check that the pure-augmentation twist squares to zero.
+
+    Matrix-coefficient terms cannot be added slotwise, so sums are expanded
+    in the basis of elementary-matrix index words: a term
+    (C_r, l_r, ..., l_1, C_0) contributes C_r[a_r, b_r] ... C_0[a_0, b_0] on
+    the key (letters, (a_r, b_r, ..., a_0, b_0)).
+    """
+    tw = TwistedCopy(tuple(rhos))
+    dga, eps, n, p = tw.dga, tw.eps, tw.n, tw.p
+    diffs = {name: branching_expand_twist(dga, dga.diff[name], eps, n, p)
+             for name, g in dga.gens.items() if not g.invertible}
+
+    def indexed(terms, acc, scale=1):
+        for coeffs, letters in terms:
+            idx_choices = [np.argwhere(c % p).tolist() for c in coeffs]
+            if any(not ch for ch in idx_choices):
+                continue
+            for combo in itertools.product(*idx_choices):
+                val = scale
+                for c, (a, b) in zip(coeffs, combo):
+                    val = val * int(c[a, b]) % p
+                key = (tuple(letters), tuple(x for ab in combo for x in ab))
+                acc[key] = (acc.get(key, 0) + val) % p
+
+    for name, terms in diffs.items():
+        acc: dict = {}
+        for coeffs, letters in terms:
+            sign = 1
+            for i, letter in enumerate(letters):
+                inner = diffs[letter]
+                spliced = []
+                for ics, ils in inner:
+                    new_coeffs = list(coeffs[:i]) + [coeffs[i] @ ics[0] % p] \
+                        + list(ics[1:-1]) + [ics[-1] @ coeffs[i + 1] % p] \
+                        + list(coeffs[i + 2:])
+                    new_letters = list(letters[:i]) + list(ils) + list(letters[i + 1:])
+                    spliced.append((new_coeffs, new_letters))
+                indexed(spliced, acc, scale=sign)
+                sign *= (-1) ** dga.gens[letter].degree
+        if any(v % p for v in acc.values()):
+            return False
+    return True
+
 
 def test_twist_of_base_dga():
     # with the zero augmentation on chords, d_eps(b1) = a1 a2 over F_2
@@ -121,7 +227,6 @@ def test_twisted_differential_squares_to_zero():
 
 
 def test_twisted_d_squared_symbolic():
-    from legtorus.ainfty import check_twisted_d_squared
     rng = random.Random(17)
     for p in (3, 5):
         for m in (1, 2):
@@ -136,12 +241,13 @@ def test_twisted_d_squared_symbolic():
 # -- the twist restricted to staircase words ----------------------------------
 
 def reference_staircase(self, base):
-    """TwistedCopy.staircase as it was before the twist was restricted: it
-    filters the full twist of d(base^{1,K}).  Only the first loop line
-    differs, which expanded through the (then unrestricted) top_diff."""
+    """TwistedCopy.top_diff by the full twist: expand every word of
+    d(base^{1,K}) through the branching expander, then keep the terms whose
+    letters descend one copy at a time."""
     out = []
     k = self.K - 1
-    full = _expand_twist(self.dga, self.dga.diff[f"{base}^1{self.K}"], self.eps, self.n, self.p)
+    full = branching_expand_twist(self.dga, self.dga.diff[f"{base}^1{self.K}"],
+                                  self.eps, self.n, self.p)
     for coeffs, letters in full:
         if len(letters) != k:
             continue
@@ -163,17 +269,11 @@ def same_terms(got, want):
         for (cg, bg), (cw, bw) in zip(got, want))
 
 
-@pytest.mark.parametrize("K, m, n, p", [
-    (2, 1, 1, 2), (2, 2, 2, 3), (2, 5, 2, 5), (2, 4, 1, 7),
-    (3, 5, 1, 2), (3, 4, 2, 3), (3, 2, 1, 5), (3, 3, 2, 7),
-    (4, 3, 2, 2), (4, 5, 1, 3), (4, 4, 1, 5), (4, 1, 2, 7),
-])
-def test_restricted_twist_matches_full_staircase(K, m, n, p):
-    rng = random.Random(1000 * K + 10 * m + p)
-    rhos = tuple(random_rep(m, n, p, rng) for _ in range(K))
+def check_against_full_twist(rhos, rng):
+    K, (m, n, p) = len(rhos), (rhos[0].m, rhos[0].n, rhos[0].p)
     tw = TwistedCopy(rhos)
     for base in base_generators(m):
-        assert same_terms(tw.staircase(base), reference_staircase(tw, base)), base
+        assert same_terms(tw.top_diff(base), reference_staircase(tw, base)), base
     # degree-1 arguments put mu_2 and mu_3 in degree 2 (b1, b2), where the
     # P_m/Q_m words are twisted; mu_1 gets a degree-0 or degree-1 argument
     degs = [rng.choice([0, 1])] if K == 2 else [1] * (K - 1)
@@ -181,10 +281,37 @@ def test_restricted_twist_matches_full_staircase(K, m, n, p):
     fast = mu_k(rhos, args)
     fast_mats = [mu1_matrix(*rhos, d) for d in (0, 1)] if K == 2 else []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TwistedCopy, "staircase", reference_staircase)
+        mp.setattr(TwistedCopy, "top_diff", reference_staircase)
         assert mu_k(rhos, args) == fast
         for d, mat in enumerate(fast_mats):
             assert np.array_equal(mu1_matrix(*rhos, d), mat)
+
+
+@pytest.mark.parametrize("K, m, n, p", [
+    (2, 1, 1, 2), (2, 2, 2, 3), (2, 5, 2, 5), (2, 4, 1, 7),
+    (3, 5, 1, 2), (3, 4, 2, 3), (3, 2, 1, 5), (3, 3, 2, 7),
+    (4, 3, 2, 2), (4, 5, 1, 3), (4, 4, 1, 5), (4, 1, 2, 7),
+])
+def test_restricted_twist_matches_full_staircase(K, m, n, p):
+    rng = random.Random(1000 * K + 10 * m + p)
+    check_against_full_twist(tuple(random_rep(m, n, p, rng) for _ in range(K)), rng)
+
+
+def rep_with_zero_chord(m, n, p, j, rng):
+    while True:
+        mats = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
+        mats[j] = xa.zeros(n, n)
+        if xa.det(pq_matrix("P", mats, p), p):
+            return Representation(m, n, p, mats)
+
+
+def test_restricted_twist_with_a_zero_chord():
+    # eps(a2^{ii}) = 0: the full twist never forms the eps branch of a2^{ii},
+    # the one-pass twist forms it and must drop it for its zero coefficient
+    rng = random.Random(40)
+    for K in (2, 3, 4):
+        check_against_full_twist(tuple(rep_with_zero_chord(3, 2, 3, 1, rng)
+                                       for _ in range(K)), rng)
 
 
 def chain_words(copy, f, k):
@@ -278,6 +405,16 @@ def test_mu_k_validates_arguments():
         mu_k((r0, bad), [x])
     with pytest.raises(ValueError):
         HomElement(1, 3, 0, {"a1": np.array([[1]])})
+
+
+def test_mu0_vanishes():
+    # the 1-copy twist keeps the all-diagonal words of d(b^{11}); their eps
+    # values sum to rho(d b) = 0
+    rng = random.Random(18)
+    for _ in range(20):
+        m, n, p = rng.choice([1, 2, 3, 4]), rng.choice([1, 2]), rng.choice([2, 3, 5])
+        out = mu_k((random_rep(m, n, p, rng),), [])
+        assert out.degree == 2 and out.is_zero()
 
 
 def test_mu3_lands_in_bounded_degrees():

@@ -131,6 +131,18 @@ def test_sampling_without_duplicates_prints_nothing(capsys):
     assert "sampled" not in err
 
 
+def test_object_cap_is_reported_on_stderr_only(capsys):
+    # 3^2 tuples exceed --budget 5, so objects are sampled, at most 8 of them
+    args = ["hom", "--m", "2", "--n", "1", "--p", "3", "--budget", "5", "--seed", "3"]
+    assert main(args + ["--samples", "12"]) == 0
+    out12, err = capsys.readouterr()
+    assert "capped at 8 whatever --samples (12) asks for" in err
+    assert main(args + ["--samples", "8"]) == 0
+    out8, err = capsys.readouterr()
+    assert "capped" not in err
+    assert json.loads(out12)["rows"] and "capped" not in out12 + out8
+
+
 def test_csv_format():
     proc = run_cli(["reps", "--m", "1", "--n", "1", "--p", "3", "--format", "csv"])
     lines = proc.stdout.strip().splitlines()

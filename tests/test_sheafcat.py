@@ -135,6 +135,10 @@ def test_ext0_and_ext1_share_one_map():
         m, n, p = rng.choice([1, 2, 3, 4]), rng.choice([1, 2]), rng.choice([2, 3, 5])
         F, G = rand_object(m, n, p, rng), rand_object(m, n, p, rng)
         assert ext0_dim(F, G) - ext1_dim(F, G) == (2 - m) * n * n, (m, n, p)
+        # the dims from one rank agree with the kernel basis and the
+        # cokernel's coset space
+        assert ext0_dim(F, G) == len(ext0(F, G))
+        assert ext1_dim(F, G) == ext1(F, G).dim == len(ext1(F, G).basis())
 
 
 # -- Ext^1 and extensions ----------------------------------------------------------
