@@ -10,6 +10,12 @@ sign rule
 
 where d_s is the (dual) degree of the s-th argument and arguments are listed
 Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
+
+`mu_k`, `mu1` and `mu2` twist the symbolic (k+1)-copy DGA (`TwistedCopy`).
+The mu_1 matrix behind HomCohomology (`mu1_matrix`) builds no copy DGA: it
+evaluates the 2-copy differential on 2x2 block upper-triangular matrices and
+reads the (1,2) corner, so its cost is polynomial in m.  The copy route is
+that matrix's test oracle.
 """
 
 from __future__ import annotations
@@ -354,21 +360,67 @@ def _unvec(v: np.ndarray, order: list[str], n: int, p: int, degree: int) -> HomE
 
 
 def mu1_matrix(r0, r1, degree: int) -> np.ndarray:
-    """Matrix of mu_1 from degree to degree+1 in the canonical dual basis."""
-    tw = TwistedCopy((r0, r1))
-    n, p, m = r0.n, r0.p, r0.m
+    """Matrix of mu_1 from degree to degree+1 in the canonical dual basis.
+
+    mu_1(z^) is the (1,2) corner of the 2-copy differential evaluated on
+    2x2 block upper-triangular matrices: copy 1 carries r0, copy 2 carries
+    r1, and the off-diagonal generator z^{12} carries the argument's
+    coefficient.  Two corner-only factors multiply to zero, so the corner is
+    linear in the argument, and one batched evaluation over the stack of
+    unit coefficients (one per source entry, row-major as `_vec` flattens)
+    gives every column at once.  The (r, c) of each generator come from
+    `link_grading`; the terms Y_r B + B Y_c of d(b) have no source in
+    degree 0 or 1.
+    """
+    if (r0.m, r0.n, r0.p) != (r1.m, r1.n, r1.p):
+        raise ValueError("mismatched representations")
+    m, n, p = r0.m, r0.n, r0.p
     src = hom_basis_order(m, degree)
     dst = hom_basis_order(m, degree + 1)
-    mat = xa.zeros(len(dst) * n * n, len(src) * n * n)
-    for w in dst:
-        wi = dst.index(w) * n * n
-        for cs, bases in tw.top_diff(w):
-            z = bases[0]
-            if z not in src:
-                continue
-            zi = src.index(z) * n * n
-            block = xa.kron(cs[0], cs[1].T, p)
-            mat[wi:wi + n * n, zi:zi + n * n] = (mat[wi:wi + n * n, zi:zi + n * n] + block) % p
+    nn, N = n * n, len(src) * n * n
+    units = np.eye(N, dtype=np.int64).reshape(N, len(src), n, n)
+    zero, ident = xa.zeros(n, n), xa.eye(n)
+
+    def block(top, corner, bottom):
+        out = np.zeros((N, 2 * n, 2 * n), dtype=np.int64)
+        out[:, :n, :n], out[:, :n, n:], out[:, n:, n:] = top, corner, bottom
+        return out
+
+    def z(base):
+        return units[:, src.index(base)] if base in src else zero
+
+    def mul(*mats):
+        acc = mats[0]
+        for b in mats[1:]:
+            acc = (acc @ b) % p
+        return acc
+
+    lg = link_grading(m)
+    chords = [block(a, z(f"a{j}"), b) for j, (a, b) in enumerate(zip(r0.A, r1.A), start=1)]
+    Y = {l: block(zero, z(f"y{l}"), zero) for l in (1, 2)}
+    X = {l: block(ident, z(f"x{l}"), ident) for l in (1, 2)}
+
+    def delta(l, exp=1):
+        return block(r0.value(f"t{l}", exp), zero, r1.value(f"t{l}", exp))
+
+    def diff(w):
+        if w == "b1":  # X1^-1 Delta1^-1 + P_m, with X^-1 = 2 - X as X - 1 squares to 0
+            return mul(block(ident, -z("x1"), ident), delta(1, -1)) + pq_matrix("P", chords, p, 2 * n)
+        if w == "b2":
+            return mul(delta(2), X[2]) + pq_matrix("Q", chords, p, 2 * n)
+        if w.startswith("a"):
+            r, c = lg[w]
+            a = chords[int(w[1:]) - 1]
+            return mul(Y[r], a) - mul(a, Y[c])
+        l = int(w[1:])
+        if w.startswith("x"):
+            r, c = lg[f"t{l}"]
+            return mul(delta(l, -1), Y[r], delta(l), X[l]) - mul(X[l], Y[c])
+        return mul(Y[l], Y[l])
+
+    mat = xa.zeros(len(dst) * nn, N)
+    for i, w in enumerate(dst):
+        mat[i * nn:(i + 1) * nn] = (diff(w)[:, :n, n:] % p).reshape(N, nn).T
     return mat
 
 

@@ -78,6 +78,9 @@ def _objects(args, rng):
     if args.samples > 8:
         print(f"drew {len(seen)} distinct objects: sampled objects are capped "
               f"at 8 whatever --samples ({args.samples}) asks for", file=sys.stderr)
+    elif len(seen) < count:
+        print(f"drew {len(seen)} distinct objects of {count} aimed for "
+              f"in {count * 4} draws", file=sys.stderr)
     return list(seen.values()), False
 
 

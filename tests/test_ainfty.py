@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
+from legtorus import ainfty
 from legtorus import exactalg as xa
 from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
                              TwistedCopy, _eval_matrix_poly, base_generators,
@@ -13,7 +15,7 @@ from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
 from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, lambda_copy_dga,
                               lambda_staircase_diff, link_grading, pq_matrix,
                               staircase_part)
-from legtorus.torusrep import mu1_closed
+from legtorus.torusrep import cohomology_closed, mu1_closed
 
 
 def rand_homog(m, n, p, deg, rng):
@@ -283,8 +285,9 @@ def check_against_full_twist(rhos, rng):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TwistedCopy, "top_diff", reference_staircase)
         assert mu_k(rhos, args) == fast
+        # mu1_matrix reads no top_diff; the copy route is its reference
         for d, mat in enumerate(fast_mats):
-            assert np.array_equal(mu1_matrix(*rhos, d), mat)
+            assert np.array_equal(reference_mu1_matrix(*rhos, d), mat)
 
 
 @pytest.mark.parametrize("K, m, n, p", [
@@ -363,6 +366,76 @@ def test_staircase_part_reads_levels():
     f = FreePoly(3, {tuple((name, 1) for name in w): 1 for w in kept + rejected})
     got = staircase_part(copy, f, 3).terms
     assert set(got) == {tuple((name, 1) for name in w) for w in kept}
+
+
+# -- the mu_1 matrix by 2x2 block evaluation ----------------------------------
+
+def reference_mu1_matrix(r0, r1, degree: int) -> np.ndarray:
+    """mu1_matrix by the copy route: one kron block per staircase term."""
+    tw = TwistedCopy((r0, r1))
+    n, p, m = r0.n, r0.p, r0.m
+    src = hom_basis_order(m, degree)
+    dst = hom_basis_order(m, degree + 1)
+    mat = xa.zeros(len(dst) * n * n, len(src) * n * n)
+    for w in dst:
+        wi = dst.index(w) * n * n
+        for cs, bases in tw.top_diff(w):
+            z = bases[0]
+            if z not in src:
+                continue
+            zi = src.index(z) * n * n
+            block = xa.kron(cs[0], cs[1].T, p)
+            mat[wi:wi + n * n, zi:zi + n * n] = (mat[wi:wi + n * n, zi:zi + n * n] + block) % p
+    return mat
+
+
+def test_mu1_matrix_matches_copy_route():
+    rng = random.Random(19)
+    for case in range(200):
+        m, n = rng.randint(1, 8), rng.randint(1, 3)
+        p = rng.choice([2, 3, 5, 7, 32749])
+        if case % 4 == 0 and m > 1:  # P_1 = a_1 must stay invertible
+            j = rng.randrange(m)
+            r0, r1 = (rep_with_zero_chord(m, n, p, j, rng) for _ in range(2))
+        else:
+            r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
+        for d in (-1, 0, 1, 2):
+            got, want = mu1_matrix(r0, r1, d), reference_mu1_matrix(r0, r1, d)
+            assert got.dtype == want.dtype and got.shape == want.shape, (case, d)
+            assert np.array_equal(got, want), (case, m, n, p, d)
+        assert mu1_matrix(r0, r1, 2).shape == (0, 2 * n * n)
+        assert mu1_matrix(r0, r1, -1).shape == (2 * n * n, 0)
+
+
+@pytest.mark.parametrize("m", [12, 24])
+def test_hom_cohomology_builds_no_copy_dga(m):
+    rng = random.Random(20 + m)
+    r0, r1 = random_rep(m, 3, 3, rng), random_rep(m, 3, 3, rng)
+    closed = cohomology_closed(r0, r1).dims
+    with pytest.MonkeyPatch.context() as mp:
+        def refuse(*args, **kwargs):
+            raise AssertionError("HomCohomology reached the copy route")
+        mp.setattr(ainfty, "lambda_copy_dga", refuse)
+        mp.setattr(TwistedCopy, "top_diff", refuse)
+        mp.setattr(xa, "kron", refuse)
+        start = time.perf_counter()
+        H = hom_cohomology(r0, r1)
+        elapsed = time.perf_counter() - start
+    assert H.dims == closed
+    assert elapsed < 1.0, elapsed
+
+
+def test_mismatched_objects_rejected():
+    rng = random.Random(21)
+    r = random_rep(2, 2, 3, rng)
+    for other in (random_rep(3, 2, 3, rng), random_rep(2, 1, 3, rng),
+                  random_rep(2, 2, 5, rng)):
+        for a, b in ((r, other), (other, r)):
+            with pytest.raises(ValueError, match="mismatched"):
+                hom_cohomology(a, b)
+            for d in (0, 1):
+                with pytest.raises(ValueError, match="mismatched"):
+                    mu1_matrix(a, b, d)
 
 
 # -- mu_k --------------------------------------------------------------------

@@ -143,6 +143,19 @@ def test_object_cap_is_reported_on_stderr_only(capsys):
     assert json.loads(out12)["rows"] and "capped" not in out12 + out8
 
 
+def test_short_object_sample_is_reported_on_stderr_only(capsys):
+    # only 7 of the 9 tuples over F_3 have P_2 invertible, so --samples 8
+    # aims for 8 objects and gets 7; --samples 4 gets all it aims for
+    args = ["hom", "--m", "2", "--n", "1", "--p", "3", "--budget", "5", "--seed", "3"]
+    assert main(args + ["--samples", "8"]) == 0
+    out8, err = capsys.readouterr()
+    assert "drew 7 distinct objects of 8 aimed for in 32 draws" in err
+    assert "aimed" not in out8
+    assert main(args + ["--samples", "4"]) == 0
+    _, err = capsys.readouterr()
+    assert "aimed" not in err
+
+
 def test_csv_format():
     proc = run_cli(["reps", "--m", "1", "--n", "1", "--p", "3", "--format", "csv"])
     lines = proc.stdout.strip().splitlines()
