@@ -425,57 +425,34 @@ def mu1_matrix(r0, r1, degree: int) -> np.ndarray:
 
 
 class HomCohomology:
-    """H^* of Hom(rho, rho') with canonical echelon coset representatives."""
+    """H^d = ker maps[d] / im maps[d-1] of Hom(rho, rho') under mu_1, d = 0, 1, 2,
+    with canonical echelon coset representatives; maps[-1] and maps[2] are zero."""
 
     def __init__(self, r0: Representation, r1: Representation):
-        self.r0, self.r1 = r0, r1
         self.n, self.p, self.m = r0.n, r0.p, r0.m
-        n2 = self.n * self.n
         self.orders = {d: hom_basis_order(self.m, d) for d in (0, 1, 2)}
-        self.mats = {0: mu1_matrix(r0, r1, 0), 1: mu1_matrix(r0, r1, 1)}
-        dims = {d: len(self.orders[d]) * n2 for d in (0, 1, 2)}
-        rank0, k0 = xa.rank_kernel(self.mats[0], self.p)
-        rank1, k1 = xa.rank_kernel(self.mats[1], self.p)
-        self.kernels = {0: k0, 1: k1, 2: xa.eye(dims[2])}
-        # image row-space data for coset reduction in each degree
-        self.red = {}
-        for d in (1, 2):
-            basis, piv = xa.row_space(self.mats[d - 1].T, self.p)
-            self.red[d] = (basis, piv)
-        self.dims = {0: k0.shape[1], 1: k1.shape[1] - rank0, 2: dims[2] - rank1}
+        size = {d: len(self.orders[d]) * self.n * self.n for d in (0, 1, 2)}
+        mats = {-1: xa.zeros(size[0], 0), 0: mu1_matrix(r0, r1, 0),
+                1: mu1_matrix(r0, r1, 1), 2: xa.zeros(0, size[2])}
+        self.maps = {d: xa.LinearMap(a, self.p) for d, a in mats.items()}
+        self.dims = {d: self.maps[d].nullity - self.maps[d - 1].rank for d in (0, 1, 2)}
 
     def is_cocycle(self, x: HomElement) -> bool:
-        if x.degree == 2:
-            return True
         v = _vec(x, self.orders[x.degree])
-        return not ((self.mats[x.degree] @ v) % self.p).any()
+        return not ((self.maps[x.degree].a @ v) % self.p).any()
 
     def class_vector(self, x: HomElement) -> np.ndarray:
         """Canonical coset representative of a cocycle."""
         if not self.is_cocycle(x):
             raise ValueError("not a cocycle")
-        v = _vec(x, self.orders[x.degree])
-        if x.degree == 0:
-            return v
-        basis, piv = self.red[x.degree]
-        return xa.coset_reduce(v, basis, piv, self.p)
+        return self.maps[x.degree - 1].reduce(_vec(x, self.orders[x.degree]))
 
     def same_class(self, x: HomElement, y: HomElement) -> bool:
         return x.degree == y.degree and np.array_equal(self.class_vector(x), self.class_vector(y))
 
     def basis(self, d: int) -> list[HomElement]:
-        """Canonical cocycle representatives forming a basis of H^d.
-
-        Coset reduction is linear, so the row space of the reduced kernel
-        vectors consists of canonical representatives again.
-        """
-        if self.kernels[d].shape[1] == 0:
-            return []
-        reduced = np.vstack([
-            self.class_vector(_unvec(col % self.p, self.orders[d], self.n, self.p, d))
-            for col in self.kernels[d].T
-        ])
-        rows, _ = xa.row_space(reduced, self.p)
+        """Canonical cocycle representatives forming a basis of H^d."""
+        rows = self.maps[d - 1].classes(self.maps[d].kernel.T)
         return [_unvec(row, self.orders[d], self.n, self.p, d) for row in rows]
 
 

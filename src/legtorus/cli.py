@@ -262,6 +262,10 @@ def main(argv=None) -> int:
         ap.error("--m must be at least 1")
     if getattr(args, "n", 1) < 1:
         ap.error("--n must be at least 1")
+    if args.samples < 0:
+        ap.error("--samples must be at least 0")
+    if args.resolution < 1:
+        ap.error("--resolution must be at least 1")
     try:
         xa.check_field(args.p)
     except ValueError as e:

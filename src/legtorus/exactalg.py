@@ -8,10 +8,16 @@ has exactly one reduced row echelon form, so every basis derived from it is
 canonical whatever order the kernel eliminates in: row spaces come out as
 RREF rows and kernels in reduced column echelon order.
 
+`LinearMap` is the kernel/cokernel type behind H^*, the closed form and Ext:
+one RREF gives rank, nullity, corank and kernel; the image basis for coset
+representatives is built only when a class is first reduced.
+
 Supported moduli: p = 2 and odd primes below 2**15.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -131,23 +137,13 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    if m.size == 0:
-        return 0
-    return len(rref(m, p)[1])
+    return LinearMap(m, p).rank
 
 
 def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Rank and a kernel basis (columns, reduced column echelon order)."""
-    rows, cols = m.shape
-    r, pivots = rref(m, p) if m.size else (m.reshape(0, cols), [])
-    rk = len(pivots)
-    free = [c for c in range(cols) if c not in pivots]
-    k = zeros(cols, len(free))
-    for idx, fc in enumerate(free):
-        k[fc, idx] = 1
-        for row, pc in enumerate(pivots):
-            k[pc, idx] = (-int(r[row, fc])) % p
-    return rk, k
+    f = LinearMap(m, p)
+    return f.rank, f.kernel
 
 
 def det(m: np.ndarray, p: int) -> int:
@@ -198,14 +194,52 @@ def row_space(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r[: len(pivots)], pivots
 
 
-def coset_reduce(v: np.ndarray, basis: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Canonical representative of v modulo the row space of `basis` (RREF)."""
-    w = np.mod(np.array(v, dtype=np.int64), p)
-    for row, pc in enumerate(pivots):
-        c = int(w[pc])
-        if c:
-            w = (w - c * basis[row]) % p
-    return w
+class LinearMap:
+    """The F_p map v -> a v, eliminated once.
+
+    One RREF of `a` gives rank, nullity, corank and the kernel basis.  The
+    canonical (RREF) basis of the image is built on the first `reduce` or
+    `classes`, so a caller that reads only dimensions pays one elimination.
+    """
+
+    def __init__(self, a: np.ndarray, p: int):
+        self.a, self.p = a, p
+        rows, cols = a.shape
+        r, self._pivots = rref(a, p) if a.size else (a.reshape(0, cols), [])
+        self.rank = len(self._pivots)
+        self.nullity, self.corank = cols - self.rank, rows - self.rank
+        self._rref = r[:self.rank]
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """Kernel basis as columns, one per free column, in reduced column echelon order."""
+        cols = self.a.shape[1]
+        if not self._pivots:  # zero map: tiny systems pay more for the indexing below
+            return eye(cols)
+        free = sorted(set(range(cols)) - set(self._pivots))
+        k = zeros(cols, len(free))
+        k[free, np.arange(len(free))] = 1
+        k[self._pivots, :] = (-self._rref[:, free]) % self.p
+        return k
+
+    @functools.cached_property
+    def _image(self) -> tuple[np.ndarray, list[int]]:
+        return row_space(self.a.T, self.p)
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Canonical representative of v (of each row, for a matrix) modulo the
+        image: RREF image rows vanish at each other's pivots, so one product
+        (at most `rank` terms below p^2 each) clears every pivot entry."""
+        basis, pivots = self._image
+        w = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        return (w - w[..., pivots] @ basis) % self.p
+
+    def classes(self, vectors: np.ndarray) -> np.ndarray:
+        """Canonical (RREF) basis rows of span(rows of `vectors`) modulo the image.
+
+        Reduction is linear, so these rows are canonical representatives again.
+        """
+        return row_space(self.reduce(vectors), self.p)[0]
 
 
 def left_inverse(basis_cols: np.ndarray, p: int) -> np.ndarray:

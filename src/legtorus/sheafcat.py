@@ -13,6 +13,7 @@ The equivalence functor transposes tuples, sends an H^0 class (u1,u2) to
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -131,18 +132,24 @@ def _ext_map(F: SheafObject, G: SheafObject) -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=1)
+def _ext(F: SheafObject, G: SheafObject) -> xa.LinearMap:
+    """The pair's Ext map, eliminated once for all Ext functions (keyed on
+    object identity: SheafObject defines no __eq__)."""
+    return xa.LinearMap(_ext_map(F, G), F.p)
+
+
 def ext0(F: SheafObject, G: SheafObject) -> list[tuple[np.ndarray, np.ndarray]]:
     """Basis of Ext^0(F, G) as pairs (u1, u2)."""
     n = F.n
     n2 = n * n
-    _, ker = xa.rank_kernel(_ext_map(F, G), F.p)
     return [(col[:n2].reshape(n, n) % F.p, col[n2:].reshape(n, n) % F.p)
-            for col in ker.T]
+            for col in _ext(F, G).kernel.T]
 
 
 def ext0_dim(F, G) -> int:
     """dim Ext^0(F, G) = 2n^2 - rank of the Ext map."""
-    return 2 * F.n * F.n - xa.rank(_ext_map(F, G), F.p)
+    return _ext(F, G).nullity
 
 
 def morphism_data(F: SheafObject, G: SheafObject, u):
@@ -190,36 +197,20 @@ class Ext1Space:
     """(End V)^m modulo the image of `_ext_map`, with canonical coset reps."""
 
     def __init__(self, F: SheafObject, G: SheafObject):
-        self.image_rows, self.image_pivots = xa.row_space(_ext_map(F, G).T, F.p)
-        self.F, self.G = F, G
-        self.n, self.p, self.m = F.n, F.p, F.m
-        self.dim = self.m * self.n * self.n - len(self.image_pivots)
+        self.map = _ext(F, G)
+        self.n, self.m = F.n, F.m
+        self.dim = self.map.corank
 
     def reduce(self, w) -> np.ndarray:
-        v = np.concatenate([np.mod(np.array(wj, dtype=np.int64), self.p).reshape(-1)
-                            for wj in w])
-        return xa.coset_reduce(v, self.image_rows, self.image_pivots, self.p)
-
-    def cls(self, w):
-        v = self.reduce(w)
-        n, n2 = self.n, self.n * self.n
-        return tuple(v[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m))
+        return self.map.reduce(np.concatenate([np.ravel(wj) for wj in w]))
 
     def same(self, w, w2) -> bool:
         return np.array_equal(self.reduce(w), self.reduce(w2))
 
     def basis(self):
         n, n2 = self.n, self.n * self.n
-        rows = []
-        for j in range(self.m):
-            for a in range(n):
-                for b in range(n):
-                    w = [xa.zeros(n, n) for _ in range(self.m)]
-                    w[j][a, b] = 1
-                    rows.append(self.reduce(w))
-        span, _ = xa.row_space(np.vstack(rows), self.p)
         return [tuple(row[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m))
-                for row in span]
+                for row in self.map.classes(xa.eye(self.m * n2))]
 
 
 def ext1(F: SheafObject, G: SheafObject) -> Ext1Space:
@@ -228,7 +219,7 @@ def ext1(F: SheafObject, G: SheafObject) -> Ext1Space:
 
 def ext1_dim(F, G) -> int:
     """dim Ext^1(F, G) = mn^2 - rank of the Ext map."""
-    return F.m * F.n * F.n - xa.rank(_ext_map(F, G), F.p)
+    return _ext(F, G).corank
 
 
 def extension_from_class(w, F: SheafObject, G: SheafObject):

@@ -155,21 +155,16 @@ class TorusHomClosed:
         self.rho, self.rho2 = rho, rho2
         self.n, self.p, self.m = rho.n, rho.p, rho.m
         self.matrix = reduced_complex_matrix(rho, rho2)
-        rk, ker = xa.rank_kernel(self.matrix, self.p)
-        self.h0_kernel = ker
-        self.image_rows, self.image_pivots = xa.row_space(self.matrix.T, self.p)
-        n2 = self.n * self.n
-        self.dims = {0: ker.shape[1], 1: self.m * n2 - rk, 2: 0}
+        self.map = xa.LinearMap(self.matrix, self.p)
+        self.dims = {0: self.map.nullity, 1: self.map.corank, 2: 0}
 
     def h0_basis(self) -> list[H0Class]:
         n, n2 = self.n, self.n * self.n
         return [H0Class(col[:n2].reshape(n, n) % self.p, col[n2:].reshape(n, n) % self.p)
-                for col in self.h0_kernel.T]
+                for col in self.map.kernel.T]
 
     def h1_reduce(self, w) -> np.ndarray:
-        v = np.concatenate([np.mod(np.array(wj, dtype=np.int64), self.p).reshape(-1)
-                            for wj in w])
-        return xa.coset_reduce(v, self.image_rows, self.image_pivots, self.p)
+        return self.map.reduce(np.concatenate([np.ravel(wj) for wj in w]))
 
     def h1_class(self, w) -> H1Class:
         v = self.h1_reduce(w)

@@ -19,6 +19,11 @@ def test_usage_errors_exit_2():
     assert run_cli(["dga", "--m", "0"]).returncode == 2
     assert run_cli(["dga", "--p", "6"]).returncode == 2
     assert run_cli(["bogus"]).returncode == 2
+    for argv in (["hom", "--m", "2", "--n", "1", "--p", "3", "--samples", "-1"],
+                 ["verify", "--samples", "-1"], ["cech", "--resolution", "0"]):
+        proc = run_cli(argv)
+        assert proc.returncode == 2 and not proc.stdout, argv
+        assert "must be at least" in proc.stderr, argv
 
 
 def test_dga_json_contains_differential():

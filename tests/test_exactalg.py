@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -6,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from legtorus import exactalg as xa
+from legtorus.ainfty import _unvec, _vec, hom_basis_order, hom_cohomology, mu1_matrix, random_rep
+from legtorus.sheafcat import Ext1Space, _ext_map, ext0, ext0_dim, ext1_dim, functor_obj
+from legtorus.torusrep import H0Class, cohomology_closed, reduced_complex_matrix
 
 
 def brute_rank(m, p):
@@ -265,10 +269,11 @@ def test_coset_reduce_canonical():
     p = 5
     gens = xa.rand_matrix(rng, 3, 6, p)
     basis, piv = xa.row_space(gens, p)
+    f = xa.LinearMap(gens.T, p)  # its image is the row space of gens
     v = xa.rand_matrix(rng, 1, 6, p)[0]
-    r1 = xa.coset_reduce(v, basis, piv, p)
+    r1 = f.reduce(v)
     shift = (v + gens.T @ np.array([1, 2, 3])) % p
-    r2 = xa.coset_reduce(shift, basis, piv, p)
+    r2 = f.reduce(shift)
     assert np.array_equal(r1, r2)
     for row, pc in enumerate(piv):
         assert r1[pc] == 0
@@ -283,3 +288,275 @@ def test_left_inverse():
             continue
         li = xa.left_inverse(a, p)
         assert np.array_equal((li @ a) % p, xa.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# LinearMap against the helpers it replaced, kept here verbatim as references
+
+def reference_rank_kernel(m, p):
+    """Rank and a kernel basis (columns, reduced column echelon order)."""
+    rows, cols = m.shape
+    r, pivots = xa.rref(m, p) if m.size else (m.reshape(0, cols), [])
+    rk = len(pivots)
+    free = [c for c in range(cols) if c not in pivots]
+    k = xa.zeros(cols, len(free))
+    for idx, fc in enumerate(free):
+        k[fc, idx] = 1
+        for row, pc in enumerate(pivots):
+            k[pc, idx] = (-int(r[row, fc])) % p
+    return rk, k
+
+
+def reference_row_space(m, p):
+    """Canonical (RREF) basis of the row space: (basis rows, pivot cols)."""
+    if m.size == 0:
+        return m.reshape(0, m.shape[1] if m.ndim == 2 else 0), []
+    r, pivots = xa.rref(m, p)
+    return r[: len(pivots)], pivots
+
+
+def reference_coset_reduce(v, basis, pivots, p):
+    """Canonical representative of v modulo the row space of `basis` (RREF)."""
+    w = np.mod(np.array(v, dtype=np.int64), p)
+    for row, pc in enumerate(pivots):
+        c = int(w[pc])
+        if c:
+            w = (w - c * basis[row]) % p
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.integers(0, 10),
+       st.sampled_from([2, 3, 5, 7, 32749]), st.floats(0.0, 1.0))
+@example(1, 0, 5, 3, 0.5)
+@example(2, 5, 0, 3, 0.5)
+@example(3, 0, 0, 2, 0.5)
+@example(4, 6, 6, 2, 1.0)
+@example(5, 6, 6, 32749, 0.0)
+@example(6, 8, 3, 32749, 1.0)
+def test_linear_map_matches_reference(seed, rows, cols, p, density):
+    a = sparse_random(seed, rows, cols, p, density)
+    f = xa.LinearMap(a, p)
+    rk, ker = reference_rank_kernel(a, p)
+    assert (f.rank, f.nullity, f.corank) == (rk, cols - rk, rows - rk)
+    assert f.kernel.dtype == np.int64 and np.array_equal(f.kernel, ker)
+    assert xa.rank_kernel(a, p)[0] == rk and np.array_equal(xa.rank_kernel(a, p)[1], ker)
+    basis, piv = reference_row_space(a.T, p)
+    rng = np.random.default_rng(seed)
+    vs = rng.integers(-p, 2 * p, size=(6, rows))
+    want = np.array([reference_coset_reduce(v, basis, piv, p) for v in vs]).reshape(6, rows)
+    for v, w in zip(vs, want):
+        got = f.reduce(v)
+        assert got.dtype == np.int64 and np.array_equal(got, w)
+        assert np.array_equal(f.reduce(got), got)
+    assert np.array_equal(f.reduce(vs), want)
+    images = (a @ rng.integers(0, p, size=(cols, 4))).T % p
+    assert not f.reduce(images).any() and not f.reduce(a.T % p).any()
+    assert np.array_equal(f.classes(vs), reference_row_space(want, p)[0])
+
+
+def vectors(p, k):
+    return [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=k)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_linear_map_brute_force(p):
+    """Every vector of F_p^k, k <= 4: kernel, image, cosets and classes by enumeration."""
+    rng = random.Random(40 + p)
+    for rows, cols in itertools.product(range(5), repeat=2):
+        for _ in range(3):
+            a = xa.rand_matrix(rng, rows, cols, p).reshape(rows, cols)
+            f = xa.LinearMap(a, p)
+            kernel = {tuple(x) for x in vectors(p, cols) if not (a @ x % p).any()}
+            assert len(kernel) == p ** f.nullity
+            assert {tuple(f.kernel @ c % p) for c in vectors(p, f.nullity)} == kernel
+            image = {tuple(a @ x % p) for x in vectors(p, cols)}
+            assert len(image) == p ** f.rank
+            reps = set()
+            for v in vectors(p, rows):
+                r = f.reduce(v)
+                assert tuple((r - v) % p) in image
+                reps.add(tuple(r))
+            # one representative in each coset: reduce is constant on cosets
+            assert len(reps) == p ** f.corank
+            count = rng.randrange(4)
+            gens = xa.rand_matrix(rng, count, rows, p).reshape(count, rows)
+            cls = f.classes(gens)
+            spanned = {tuple(f.reduce(c @ gens % p)) for c in vectors(p, len(gens))}
+            assert {tuple(c @ cls % p) for c in vectors(p, len(cls))} == spanned
+            assert len(spanned) == p ** len(cls)
+
+
+# ---------------------------------------------------------------------------
+# The three routes' classes against their bodies from before LinearMap, kept
+# here verbatim on the reference helpers above
+
+class ReferenceHomCohomology:
+    def __init__(self, r0, r1):
+        self.r0, self.r1 = r0, r1
+        self.n, self.p, self.m = r0.n, r0.p, r0.m
+        n2 = self.n * self.n
+        self.orders = {d: hom_basis_order(self.m, d) for d in (0, 1, 2)}
+        self.mats = {0: mu1_matrix(r0, r1, 0), 1: mu1_matrix(r0, r1, 1)}
+        dims = {d: len(self.orders[d]) * n2 for d in (0, 1, 2)}
+        rank0, k0 = reference_rank_kernel(self.mats[0], self.p)
+        rank1, k1 = reference_rank_kernel(self.mats[1], self.p)
+        self.kernels = {0: k0, 1: k1, 2: xa.eye(dims[2])}
+        # image row-space data for coset reduction in each degree
+        self.red = {}
+        for d in (1, 2):
+            basis, piv = reference_row_space(self.mats[d - 1].T, self.p)
+            self.red[d] = (basis, piv)
+        self.dims = {0: k0.shape[1], 1: k1.shape[1] - rank0, 2: dims[2] - rank1}
+
+    def is_cocycle(self, x):
+        if x.degree == 2:
+            return True
+        v = _vec(x, self.orders[x.degree])
+        return not ((self.mats[x.degree] @ v) % self.p).any()
+
+    def class_vector(self, x):
+        if not self.is_cocycle(x):
+            raise ValueError("not a cocycle")
+        v = _vec(x, self.orders[x.degree])
+        if x.degree == 0:
+            return v
+        basis, piv = self.red[x.degree]
+        return reference_coset_reduce(v, basis, piv, self.p)
+
+    def basis(self, d):
+        if self.kernels[d].shape[1] == 0:
+            return []
+        reduced = np.vstack([
+            self.class_vector(_unvec(col % self.p, self.orders[d], self.n, self.p, d))
+            for col in self.kernels[d].T
+        ])
+        rows, _ = reference_row_space(reduced, self.p)
+        return [_unvec(row, self.orders[d], self.n, self.p, d) for row in rows]
+
+
+class ReferenceTorusHomClosed:
+    def __init__(self, rho, rho2):
+        self.rho, self.rho2 = rho, rho2
+        self.n, self.p, self.m = rho.n, rho.p, rho.m
+        self.matrix = reduced_complex_matrix(rho, rho2)
+        rk, ker = reference_rank_kernel(self.matrix, self.p)
+        self.h0_kernel = ker
+        self.image_rows, self.image_pivots = reference_row_space(self.matrix.T, self.p)
+        n2 = self.n * self.n
+        self.dims = {0: ker.shape[1], 1: self.m * n2 - rk, 2: 0}
+
+    def h0_basis(self):
+        n, n2 = self.n, self.n * self.n
+        return [H0Class(col[:n2].reshape(n, n) % self.p, col[n2:].reshape(n, n) % self.p)
+                for col in self.h0_kernel.T]
+
+    def h1_reduce(self, w):
+        v = np.concatenate([np.mod(np.array(wj, dtype=np.int64), self.p).reshape(-1)
+                            for wj in w])
+        return reference_coset_reduce(v, self.image_rows, self.image_pivots, self.p)
+
+
+def reference_ext0(F, G):
+    n = F.n
+    n2 = n * n
+    _, ker = reference_rank_kernel(_ext_map(F, G), F.p)
+    return [(col[:n2].reshape(n, n) % F.p, col[n2:].reshape(n, n) % F.p)
+            for col in ker.T]
+
+
+class ReferenceExt1Space:
+    def __init__(self, F, G):
+        self.image_rows, self.image_pivots = reference_row_space(_ext_map(F, G).T, F.p)
+        self.F, self.G = F, G
+        self.n, self.p, self.m = F.n, F.p, F.m
+        self.dim = self.m * self.n * self.n - len(self.image_pivots)
+
+    def reduce(self, w):
+        v = np.concatenate([np.mod(np.array(wj, dtype=np.int64), self.p).reshape(-1)
+                            for wj in w])
+        return reference_coset_reduce(v, self.image_rows, self.image_pivots, self.p)
+
+    def basis(self):
+        n, n2 = self.n, self.n * self.n
+        rows = []
+        for j in range(self.m):
+            for a in range(n):
+                for b in range(n):
+                    w = [xa.zeros(n, n) for _ in range(self.m)]
+                    w[j][a, b] = 1
+                    rows.append(self.reduce(w))
+        span, _ = reference_row_space(np.vstack(rows), self.p)
+        return [tuple(row[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m))
+                for row in span]
+
+
+def same_arrays(xs, ys):
+    xs, ys = [np.asarray(x) for x in xs], [np.asarray(y) for y in ys]
+    return len(xs) == len(ys) and all(x.shape == y.shape and np.array_equal(x, y)
+                                      for x, y in zip(xs, ys))
+
+
+def test_classes_match_reference_on_seeded_pairs():
+    """dims, bases and class vectors of H^*, the closed form and Ext, 120 pairs."""
+    for seed in range(120):
+        rng = random.Random(seed)
+        m, n, p = rng.randint(1, 5), rng.choice([1, 2]), rng.choice([2, 3, 5, 7])
+        r0 = random_rep(m, n, p, rng)
+        r1 = r0 if seed % 4 == 0 else random_rep(m, n, p, rng)  # self pairs have H^0 != 0
+        H, RH = hom_cohomology(r0, r1), ReferenceHomCohomology(r0, r1)
+        assert H.dims == RH.dims, seed
+        for d in (0, 1, 2):
+            assert H.basis(d) == RH.basis(d), (seed, d)
+            order = RH.orders[d]
+            for _ in range(3):
+                # a random cocycle: kernel combination plus a coboundary
+                v = RH.kernels[d] @ np.array([rng.randrange(p) for _ in range(RH.kernels[d].shape[1])],
+                                             dtype=np.int64)
+                if d > 0:
+                    src = RH.mats[d - 1]
+                    v = v + src @ np.array([rng.randrange(p) for _ in range(src.shape[1])],
+                                           dtype=np.int64)
+                x = _unvec(v % p, order, n, p, d)
+                assert np.array_equal(H.class_vector(x), RH.class_vector(x)), (seed, d)
+        C, RC = cohomology_closed(r0, r1), ReferenceTorusHomClosed(r0, r1)
+        assert C.dims == RC.dims, seed
+        assert same_arrays([a for c in C.h0_basis() for a in (c.u1, c.u2)],
+                           [a for c in RC.h0_basis() for a in (c.u1, c.u2)]), seed
+        F, G = functor_obj(r0), functor_obj(r1)
+        assert same_arrays([a for u in ext0(F, G) for a in u],
+                           [a for u in reference_ext0(F, G) for a in u]), seed
+        E, RE = Ext1Space(F, G), ReferenceExt1Space(F, G)
+        assert E.dim == RE.dim == C.dims[1], seed
+        assert same_arrays([a for w in E.basis() for a in w],
+                           [a for w in RE.basis() for a in w]), seed
+        for _ in range(3):
+            w = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
+            assert np.array_equal(C.h1_reduce(w), RC.h1_reduce(w)), seed
+            assert np.array_equal(E.reduce(w), RE.reduce(w)), seed
+
+
+def test_one_elimination_per_map(monkeypatch):
+    """Dims cost one RREF per nonzero map; the first class reduction one more."""
+    calls = []
+    real = xa.rref
+    monkeypatch.setattr(xa, "rref", lambda m, p: calls.append(m.shape) or real(m, p))
+
+    def cost(fn):
+        before = len(calls)
+        fn()
+        return len(calls) - before
+
+    rng = random.Random(17)
+    r0, r1 = random_rep(3, 2, 3, rng), random_rep(3, 2, 3, rng)
+    F, G = functor_obj(r0), functor_obj(r1)
+    w = [xa.rand_matrix(rng, 2, 2, 3) for _ in range(3)]
+    assert cost(lambda: hom_cohomology(r0, r1).dims) == 2
+    assert cost(lambda: cohomology_closed(r0, r1).dims) == 1
+    assert cost(lambda: (ext0_dim(F, G), ext1_dim(F, G))) == 1
+    H, C = hom_cohomology(r0, r1), cohomology_closed(r0, r1)
+    x = _unvec(H.maps[1].kernel[:, 0], H.orders[1], 2, 3, 1)
+    E = Ext1Space(F, G)  # the pair's map is already eliminated
+    for reduce in (lambda: H.class_vector(x), lambda: C.h1_reduce(w), lambda: E.reduce(w)):
+        assert cost(reduce) == 1
+        assert cost(reduce) == 0

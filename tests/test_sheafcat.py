@@ -6,7 +6,7 @@ import pytest
 from legtorus import exactalg as xa
 from legtorus.ainfty import BudgetExceeded, enumerate_reps, random_rep
 from legtorus.freedga import pq_matrix
-from legtorus.sheafcat import (Ext1Space, SheafObject, build_sheaf_object,
+from legtorus.sheafcat import (Ext1Space, SheafObject, _ext_map, build_sheaf_object,
                                check_extension_exact, check_morphism,
                                compose00, compose01, compose10,
                                enumerate_sheaf_objects, ext0, ext0_dim, ext1,
@@ -140,6 +140,18 @@ def test_ext0_and_ext1_share_one_map():
         assert ext0_dim(F, G) == len(ext0(F, G))
         assert ext1_dim(F, G) == ext1(F, G).dim == len(ext1(F, G).basis())
 
+
+
+def test_ext_pair_cache_follows_the_pair():
+    # the pair's eliminated map is cached by object identity: each pair in
+    # turn, and an equal but distinct copy, must give freshly computed dims
+    rng = random.Random(8)
+    F, G = rand_object(3, 2, 3, rng), rand_object(3, 2, 3, rng)
+    F2 = SheafObject(F.m, F.n, F.p, F.A)
+    for X, Y in ((F, G), (G, F), (F, G), (F, F), (F2, G), (F2, F), (G, G)):
+        rk = xa.rank(_ext_map(X, Y), X.p)
+        assert (ext0_dim(X, Y), ext1_dim(X, Y)) == (2 * 4 - rk, 3 * 4 - rk)
+        assert ext1(X, Y).dim == 3 * 4 - rk and len(ext0(X, Y)) == 2 * 4 - rk
 
 # -- Ext^1 and extensions ----------------------------------------------------------
 
