@@ -11,14 +11,20 @@ cusps.
 
 Sections of Hom(F, G) over a tile/edge/vertex neighborhood are computed as
 the solution space of the commutation constraints of the local stratum
-quiver; the three-term complex C^0 -> C^1 -> C^2 then gives H^0/H^1 (checked
-against Ext^0/Ext^1) and the surjectivity of d^1, i.e. the vanishing of H^2.
-The leaf/Y-removal game replays the combinatorial surjectivity proof with a
-rank certificate at every step.
+quiver.  An open with no constraints (every vertex, and every edge the front
+does not cross) has the identity kernel, and each distinct constrained system
+is eliminated once per complex.  The three-term complex C^0 -> C^1 -> C^2 then
+gives H^0/H^1 (checked against Ext^0/Ext^1) and the surjectivity of d^1, i.e.
+the vanishing of H^2.  The leaf/Y-removal game replays the combinatorial
+surjectivity proof with a rank check at every step; when it succeeds it is
+the certificate for rank d^1, and d^1 is eliminated globally only when it
+fails.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -600,40 +606,72 @@ class OpenSpace:
         return self.basis.shape[1]
 
 
-def _solve_sections(items, constraints, p) -> OpenSpace:
-    """Kernel of the commutation constraints.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    items: list of (key, fdim, gdim) unknown blocks lambda_key (gdim x fdim).
-    constraints: list of (key_s, key_t, fmap, gmap) meaning
+
+def _section_kernel(blocks, constraints, p):
+    """Kernel of the commutation constraints: (basis, free rows), read-only.
+
+    blocks: list of (fdim, gdim), the unknown blocks lambda_i (gdim x fdim) in
+    order.  constraints: list of (s, t, fmap, gmap), block positions, meaning
     lambda_t . fmap = gmap . lambda_s.
     """
-    offsets, dims = {}, {}
-    total = 0
-    fdims, gdims = {}, {}
-    for key, fd, gd in items:
-        offsets[key] = total
-        dims[key] = fd * gd
-        fdims[key], gdims[key] = fd, gd
-        total += fd * gd
+    starts = list(itertools.accumulate((fd * gd for fd, gd in blocks), initial=0))
+    total = starts[-1]
     rows = []
-    for ks, kt, fmap, gmap in constraints:
-        dfs, dgs = fdims[ks], gdims[ks]
-        dft, dgt = fdims[kt], gdims[kt]
+    for s, t, fmap, gmap in constraints:
+        (dfs, dgs), (dft, dgt) = blocks[s], blocks[t]
         if dgt * dfs == 0:
             continue
         row = xa.zeros(dgt * dfs, total)
         if dft * dgt:
-            row[:, offsets[kt]:offsets[kt] + dft * dgt] = \
-                xa.kron(np.eye(dgt, dtype=np.int64), fmap.T, p)
+            row[:, starts[t]:starts[t + 1]] = xa.kron(xa.eye(dgt), fmap.T, p)
         if dfs * dgs:
-            blk = row[:, offsets[ks]:offsets[ks] + dfs * dgs]
-            row[:, offsets[ks]:offsets[ks] + dfs * dgs] = \
-                (blk - xa.kron(gmap, np.eye(dfs, dtype=np.int64), p)) % p
+            blk = row[:, starts[s]:starts[s + 1]]
+            row[:, starts[s]:starts[s + 1]] = (blk - xa.kron(gmap, xa.eye(dfs), p)) % p
         rows.append(row)
     sys = np.vstack(rows) if rows else xa.zeros(0, total)
     _, ker = xa.rank_kernel(sys, p)
     free = np.array([np.flatnonzero(col)[-1] for col in ker.T], dtype=np.int64)
-    return OpenSpace([k for k, _, _ in items], dims, offsets, total, ker, free)
+    return _frozen(ker), _frozen(free)
+
+
+def _section_solver(p):
+    """The section space of an open from its (items, constraints), for one complex.
+
+    items: list of (key, fdim, gdim) unknown blocks lambda_key (gdim x fdim).
+    constraints: list of (key_s, key_t, fmap, gmap) meaning
+    lambda_t . fmap = gmap . lambda_s.  With no constraints the kernel is the
+    identity, with no elimination.  Otherwise the system depends only on its
+    positional signature, the (fdim, gdim) of each block and each constraint's
+    block positions and map contents, so each distinct signature is
+    eliminated once.  Bases and free rows are read-only and shared by every
+    open of the same size or signature.
+    """
+    solved = {}
+
+    def solve(items, constraints) -> OpenSpace:
+        keys = [k for k, _, _ in items]
+        blocks = [(fd, gd) for _, fd, gd in items]
+        sizes = [fd * gd for fd, gd in blocks]
+        offsets = dict(zip(keys, itertools.accumulate(sizes, initial=0)))
+        total = sum(sizes)
+        if not constraints:
+            sig = total
+            if sig not in solved:
+                solved[sig] = _frozen(xa.eye(total)), _frozen(np.arange(total, dtype=np.int64))
+        else:
+            pos = {k: i for i, k in enumerate(keys)}
+            cons = [(pos[ks], pos[kt], fmap, gmap) for ks, kt, fmap, gmap in constraints]
+            sig = (tuple(blocks), tuple((s, t, f.shape, f.tobytes(), g.shape, g.tobytes())
+                                        for s, t, f, g in cons))
+            if sig not in solved:
+                solved[sig] = _section_kernel(blocks, cons, p)
+        return OpenSpace(keys, dict(zip(keys, sizes)), offsets, total, *solved[sig])
+
+    return solve
 
 
 class CechComplex:
@@ -648,10 +686,11 @@ class CechComplex:
         self.dF, self.mF = local_data(T, F)
         self.dG, self.mG = local_data(T, G)
 
-        self.tile_space = {t: self._tile_space(t) for t in T.tiles}
+        solve = _section_solver(p)
+        self.tile_space = {t: solve(*self._tile_system(t)) for t in T.tiles}
         self.edges = sorted(T.edge_info)
-        self.edge_space = {ek: self._edge_space(ek) for ek in self.edges}
-        self.vertex_space = {v: self._vertex_space(v) for v in T.vertices}
+        self.edge_space = {ek: solve(*self._edge_system(ek)) for ek in self.edges}
+        self.vertex_space = {v: solve(*self._vertex_system(v)) for v in T.vertices}
 
         self.c0_dim = sum(s.dim for s in self.tile_space.values())
         self.c1_dim = sum(s.dim for s in self.edge_space.values())
@@ -667,12 +706,12 @@ class CechComplex:
             if (row[k] @ self.d0[k] % p).any():
                 raise AssertionError("d1 . d0 != 0")
 
-    # -- local section spaces ------------------------------------------------
+    # -- local constraint systems: (items, constraints) for `_section_solver` --
 
     def _rdims(self, region):
         return self.dF[("R", region)], self.dG[("R", region)]
 
-    def _tile_space(self, tile) -> OpenSpace:
+    def _tile_system(self, tile):
         T = self.T
         items = []
         for fi in range(len(T.tile_face_lists[tile])):
@@ -714,14 +753,14 @@ class CechComplex:
                 constraints.append((vkey, ("F", fi),
                                     self.mF[(vkey, ("R", reg))],
                                     self.mG[(vkey, ("R", reg))]))
-        return _solve_sections(items, constraints, self.p)
+        return items, constraints
 
-    def _edge_space(self, ek) -> OpenSpace:
+    def _edge_system(self, ek):
         T = self.T
         info = T.edge_info[ek]
         if info["arc"] is None:
             fd, gd = self._rdims(info["region"])
-            return _solve_sections([(("S", "only"), fd, gd)], [], self.p)
+            return [(("S", "only"), fd, gd)], []
         arc = info["arc"]
         akey = ("A", arc)
         fa, ga = self.dF[akey], self.dG[akey]
@@ -734,11 +773,11 @@ class CechComplex:
             (akey, ("S", "below"), self.mF[(akey, ("R", info["below"]))],
              self.mG[(akey, ("R", info["below"]))]),
         ]
-        return _solve_sections(items, constraints, self.p)
+        return items, constraints
 
-    def _vertex_space(self, v) -> OpenSpace:
+    def _vertex_system(self, v):
         fd, gd = self._rdims(self.T.vertex_region[v])
-        return _solve_sections([(("S", "only"), fd, gd)], [], self.p)
+        return [(("S", "only"), fd, gd)], []
 
     # -- restriction maps ----------------------------------------------------
 
@@ -822,17 +861,35 @@ class CechComplex:
         h2 = self.c2_dim - rank_d1
         return h0, h1, h2
 
+    @functools.cached_property
+    def game(self):
+        """The trace of `graph_game(self)`, played at first use."""
+        return graph_game(self)
+
     def rank_d1(self):
+        """rank d^1, certified by the leaf/Y game when it succeeds.
+
+        Ordered by removal, the blue columns the game removes make d^1 block
+        upper-triangular (each removed blue meets no red still alive but the
+        one removed with it), and every diagonal block was checked surjective,
+        so a successful game means rank d^1 = dim C^2.  Only when the game
+        fails is d^1 eliminated globally.
+        """
         if not hasattr(self, "_rank_d1"):
-            self._rank_d1 = xa.rank(self.d1, self.p)
+            self._rank_d1 = self.c2_dim if self.game["success"] else xa.rank(self.d1, self.p)
         return self._rank_d1
 
     def h2_certificate(self):
-        """True iff d^1 is surjective; returns (flag, certificate)."""
+        """True iff d^1 is surjective; returns (flag, certificate).
+
+        `certified_by` is "game" when the leaf/Y game's trace proves the rank
+        and "rank" when it came from eliminating d^1.
+        """
         rank_d1 = self.rank_d1()
         return rank_d1 == self.c2_dim, {"rank_d1": int(rank_d1),
                                         "dim_c1": int(self.c1_dim),
-                                        "dim_c2": int(self.c2_dim)}
+                                        "dim_c2": int(self.c2_dim),
+                                        "certified_by": "game" if self.game["success"] else "rank"}
 
 
 def _offsets(keys, spaces):
@@ -882,8 +939,9 @@ def graph_game(cx: CechComplex):
         if vL is not None and vL in alive_red:
             d0 = (vL[1], vL[2])
             ne, se = edge_key(d0, "NE"), edge_key(d0, "SE")
-            for b in (ne, se):
-                assert b in alive_blue and len(leaf(b)) <= 1, ("not a leaf", b)
+            if any(b not in alive_blue or leaf(b) != [vL] for b in (ne, se)):
+                return {"success": False, "stuck": [str(vL)], "steps": steps,
+                        "failed_rule": "leaf"}
             if red_dim[vL] == 0:
                 rule = "zero-stalk"
             elif T.edge_info[ne]["arc"] is None or T.edge_info[se]["arc"] is None:
@@ -891,8 +949,8 @@ def graph_game(cx: CechComplex):
             else:
                 cont = T.content.get(d0, ("empty",))
                 rule = {"crossing": "crossing-surjective", "cusp": "cusp-lemma"}[cont[0]]
-            combined = np.hstack([block(ne, vL), block(se, vL)])
-            ok = xa.rank(combined, p) == red_dim[vL]
+            ok = red_dim[vL] == 0 or \
+                xa.rank(np.hstack([block(ne, vL), block(se, vL)]), p) == red_dim[vL]
             if not ok:
                 return {"success": False, "stuck": [str(vL)], "steps": steps,
                         "failed_rule": rule}
@@ -901,7 +959,9 @@ def graph_game(cx: CechComplex):
             alive_blue -= {ne, se}
             alive_red.discard(vL)
         if vR is not None and vR in alive_red:
-            assert h in alive_blue and len(leaf(h)) <= 1, ("not a leaf", h)
+            if h not in alive_blue or leaf(h) != [vR]:
+                return {"success": False, "stuck": [str(vR)], "steps": steps,
+                        "failed_rule": "leaf"}
             ok = red_dim[vR] == 0 or xa.rank(block(h, vR), p) == red_dim[vR]
             if not ok:
                 return {"success": False, "stuck": [str(vR)], "steps": steps,

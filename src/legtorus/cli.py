@@ -17,7 +17,7 @@ import sys
 from . import exactalg as xa
 from .ainfty import (BudgetExceeded, enumerate_reps, hom_cohomology,
                      random_rep)
-from .cech import CechComplex, build_tiling, graph_game
+from .cech import CechComplex, build_tiling
 from .freedga import build_lambda_dga, kcopy_dga
 from .sheafcat import ext0_dim, ext1_dim, functor_obj
 from .torusrep import cohomology_closed
@@ -165,7 +165,7 @@ def cmd_cech(args):
                      "agrees": dims == (e0, e1, 0) and ok_h2,
                      "rank_d1": cert["rank_d1"], "dim_c2": cert["dim_c2"]})
         if trace is None:
-            trace = graph_game(cx)
+            trace = cx.game
     ok = all(r["agrees"] for r in rows)
     _emit({"command": "cech", "m": args.m, "n": args.n, "p": args.p,
            "resolution": args.resolution, "complete_enumeration": complete,

@@ -253,9 +253,10 @@ def check_graph_game(cfg, rng):
         res = graph_game(cx)
         if not res["success"]:
             return False, f"game stuck at m={m}: {res.get('stuck')}"
-        ok, cert = cx.h2_certificate()
-        if not ok:
-            return False, f"game succeeded but d1 not surjective at m={m}: {cert}"
+        rank_d1 = xa.rank(cx.d1, p)
+        if rank_d1 != cx.c2_dim:
+            return False, (f"game succeeded but d1 not surjective at m={m}: "
+                           f"rank {rank_d1} < dim C^2 = {cx.c2_dim}")
     return True, "leaf/Y reduction removes every red node"
 
 

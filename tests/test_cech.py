@@ -1,14 +1,21 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
-from legtorus.cech import (CechComplex, EyeSheaf, SLANTED, build_tiling,
-                           eye_tiling, graph_game, neighbor, vertex_edges,
-                           vertex_tiles)
+from legtorus.cech import (CechComplex, EyeSheaf, OpenSpace, SLANTED,
+                           build_tiling, eye_tiling, graph_game, neighbor,
+                           vertex_edges, vertex_tiles)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rand_pair(m, n, p, rng):
@@ -201,10 +208,14 @@ def test_graph_game_stuck_on_a_vertex_with_zero_rows():
         v = next(v for v in T.vertices if str(v) == step["removed_red"])
         assert cx.vertex_space[v].dim > 0
         cx.d1[cx._vert_off[v]:cx._vert_off[v] + cx.vertex_space[v].dim] = 0
-        res = graph_game(cx)
-        assert not res["success"]
-        assert res["stuck"] == [str(v)] and res["failed_rule"] == rule
-        assert not cx.h2_certificate()[0]
+        # zeroed before the first rank_d1(): the game fails, so the rank is
+        # the dense one
+        ok, cert = cx.h2_certificate()
+        assert not ok and cert["certified_by"] == "rank"
+        assert cx.rank_d1() == cert["rank_d1"] == xa.rank(cx.d1, cx.p) < cx.c2_dim
+        for res in (cx.game, graph_game(cx)):
+            assert not res["success"]
+            assert res["stuck"] == [str(v)] and res["failed_rule"] == rule
 
 
 def test_graph_game_eye():
@@ -287,3 +298,148 @@ def test_red_blue_maps_are_restriction_maps_up_to_sign(complexes):
                 assert np.array_equal(mat, ref) or np.array_equal(mat, (-ref) % cx.p)
                 checked += mat.size
         assert checked > 0
+
+
+# -- rank d^1 certified by the game -----------------------------------------------------
+
+def test_rank_d1_matches_dense_rank(complexes):
+    rng = random.Random(30)
+    cases = [*complexes]
+    for m in (1, 2, 3, 4):
+        for rho in (1, 2, 3):
+            for p in (2, 3, 5):
+                F, G = rand_pair(m, rng.choice([1, 2]), p, rng)
+                cases.append(CechComplex(build_tiling(m, rho), F, G))
+    for cx in cases:
+        ok, cert = cx.h2_certificate()
+        assert cx.rank_d1() == xa.rank(cx.d1, cx.p) == cx.c2_dim
+        assert ok and cert["certified_by"] == "game" and cx.game["success"]
+
+
+NON_LEAF_GAME = """
+import json, random
+from legtorus import cech, exactalg as xa
+from legtorus.ainfty import random_rep
+from legtorus.sheafcat import functor_obj
+
+rng = random.Random(32)
+F, G = (functor_obj(random_rep(2, 2, 3, rng)) for _ in range(2))
+T = cech.build_tiling(2)
+cx = cech.CechComplex(T, F, G)
+steps = cech.graph_game(cx)["steps"]
+k = next(i for i, s in enumerate(steps) if len(s["removed_blues"]) == 2)
+blue = next(ek for ek in cx.edges if str(ek) == steps[k]["removed_blues"][0])
+other = next(v for v in T.vertices if str(v) == steps[-1]["removed_red"])
+edges_of = cech.vertex_edges
+# a second live red on the slanted blue of step k, so that blue is not a leaf
+cech.vertex_edges = lambda v: edges_of(v) + [(blue, False)] if v == other else edges_of(v)
+cx = cech.CechComplex(T, F, G)
+ok, cert = cx.h2_certificate()
+print(json.dumps({"debug": __debug__, "ok": ok, "cert": cert, "game": cx.game,
+                  "red": steps[k]["removed_red"], "before": steps[:k],
+                  "dense": xa.rank(cx.d1, 3)}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts", "optimized"])
+def test_non_leaf_gives_no_game_certificate(flags):
+    """The leaf checks are part of the certificate, so `python -O` keeps them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", NON_LEAF_GAME], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["debug"] == (not flags)
+    game = out["game"]
+    assert not game["success"] and game["failed_rule"] == "leaf"
+    assert game["stuck"] == [out["red"]] and game["steps"] == out["before"]
+    assert out["cert"]["certified_by"] == "rank"
+    assert out["ok"] and out["cert"]["rank_d1"] == out["dense"] == out["cert"]["dim_c2"]
+
+
+# -- local sections: closed form and one elimination per distinct system ----------------
+
+def reference_solve_sections(items, constraints, p) -> OpenSpace:
+    """`_solve_sections` as it was before systems were shared: one elimination
+    per open, kept verbatim as the reference."""
+    offsets, dims = {}, {}
+    total = 0
+    fdims, gdims = {}, {}
+    for key, fd, gd in items:
+        offsets[key] = total
+        dims[key] = fd * gd
+        fdims[key], gdims[key] = fd, gd
+        total += fd * gd
+    rows = []
+    for ks, kt, fmap, gmap in constraints:
+        dfs, dgs = fdims[ks], gdims[ks]
+        dft, dgt = fdims[kt], gdims[kt]
+        if dgt * dfs == 0:
+            continue
+        row = xa.zeros(dgt * dfs, total)
+        if dft * dgt:
+            row[:, offsets[kt]:offsets[kt] + dft * dgt] = \
+                xa.kron(np.eye(dgt, dtype=np.int64), fmap.T, p)
+        if dfs * dgs:
+            blk = row[:, offsets[ks]:offsets[ks] + dfs * dgs]
+            row[:, offsets[ks]:offsets[ks] + dfs * dgs] = \
+                (blk - xa.kron(gmap, np.eye(dfs, dtype=np.int64), p)) % p
+        rows.append(row)
+    sys = np.vstack(rows) if rows else xa.zeros(0, total)
+    _, ker = xa.rank_kernel(sys, p)
+    free = np.array([np.flatnonzero(col)[-1] for col in ker.T], dtype=np.int64)
+    return OpenSpace([k for k, _, _ in items], dims, offsets, total, ker, free)
+
+
+def local_systems(cx):
+    """(open space, its (items, constraints)) for every tile, edge and vertex."""
+    return ([(cx.tile_space[t], cx._tile_system(t)) for t in cx.T.tiles]
+            + [(cx.edge_space[ek], cx._edge_system(ek)) for ek in cx.edges]
+            + [(cx.vertex_space[v], cx._vertex_system(v)) for v in cx.T.vertices])
+
+
+def test_open_spaces_match_reference_solver(complexes):
+    rng = random.Random(33)
+    cases = [*complexes, CechComplex(build_tiling(4), *rand_pair(4, 2, 3, rng)),
+             CechComplex(build_tiling(2, 3), *rand_pair(2, 2, 2, rng))]
+    for cx in cases:
+        for space, (items, constraints) in local_systems(cx):
+            ref = reference_solve_sections(items, constraints, cx.p)
+            assert space.keys == ref.keys and space.total == ref.total
+            assert space.dims == ref.dims and space.offsets == ref.offsets
+            assert space.basis.dtype == space.free.dtype == np.int64
+            assert np.array_equal(space.basis, ref.basis)
+            assert np.array_equal(space.free, ref.free)
+            assert not space.basis.flags.writeable and not space.free.flags.writeable
+
+
+def test_one_elimination_per_distinct_system(monkeypatch):
+    rng = random.Random(34)
+    built = []
+
+    class CountingMap(xa.LinearMap):
+        def __init__(self, a, p):
+            built.append(a.shape)
+            super().__init__(a, p)
+
+    monkeypatch.setattr(xa, "LinearMap", CountingMap)
+    for m, n, p, rho in [(4, 2, 3, 1), (2, 2, 5, 2), (3, 1, 2, 1)]:
+        T = build_tiling(m, rho)
+        F, G = rand_pair(m, n, p, rng)
+        del built[:]
+        cx = CechComplex(T, F, G)
+        solved = len(built)
+        shared = {}
+        for space, (items, constraints) in local_systems(cx):
+            if not constraints:
+                assert np.array_equal(space.basis, xa.eye(space.total))
+                continue
+            pos = {k: i for i, k in enumerate(space.keys)}
+            sig = (tuple((fd, gd) for _, fd, gd in items),
+                   tuple((pos[s], pos[t], f.shape, f.tolist(), g.shape, g.tolist())
+                         for s, t, f, g in constraints))
+            first = shared.setdefault(repr(sig), space)
+            assert first.basis is space.basis and first.free is space.free
+        n_open = len(cx.tile_space) + len(cx.edge_space) + len(cx.vertex_space)
+        assert 0 < solved == len(shared) < n_open // 4, (m, n, p, solved, len(shared))

@@ -1,4 +1,5 @@
-from legtorus.verify import ALL_CHECKS, rng_for, run_suites
+from legtorus import cech, verify
+from legtorus.verify import ALL_CHECKS, check_graph_game, rng_for, run_suites
 
 SMALL = {"max_m": 2, "max_n": 1, "primes": (2, 3), "samples": 4,
          "pairs_per_config": 1}
@@ -29,3 +30,23 @@ def test_rng_for_is_stable():
     b = rng_for(7, "x").random()
     c = rng_for(7, "y").random()
     assert a == b and a != c
+
+
+def test_graph_game_suite_checks_the_game_against_the_dense_rank(monkeypatch):
+    """A game that claims success on a d^1 with a zeroed row must not pass:
+    the suite's oracle is the dense rank, not the certificate the game feeds."""
+
+    class ZeroedRow(cech.CechComplex):
+        def _build_d1(self):
+            d1 = super()._build_d1()
+            d1[0] = 0
+            return d1
+
+    def lenient_game(cx):
+        return {"success": True, "steps": [], "removed": 0}
+
+    monkeypatch.setattr(verify, "CechComplex", ZeroedRow)
+    monkeypatch.setattr(verify, "graph_game", lenient_game)
+    monkeypatch.setattr(cech, "graph_game", lenient_game)
+    ok, detail = check_graph_game(SMALL, rng_for(0, "cech.graph_game"))
+    assert not ok and "not surjective" in detail
