@@ -15,10 +15,16 @@ quiver.  An open with no constraints (every vertex, and every edge the front
 does not cross) has the identity kernel, and each distinct constrained system
 is eliminated once per complex.  The three-term complex C^0 -> C^1 -> C^2 then
 gives H^0/H^1 (checked against Ext^0/Ext^1) and the surjectivity of d^1, i.e.
-the vanishing of H^2.  The leaf/Y-removal game replays the combinatorial
-surjectivity proof with a rank check at every step; when it succeeds it is
-the certificate for rank d^1, and d^1 is eliminated globally only when it
-fails.
+the vanishing of H^2.
+
+The differentials are held as blocks, d^0 keyed (edge, tile) and d^1 keyed
+(vertex, edge), each block a +- restriction map.  d^1 . d^0 = 0 is checked
+block by block, once per (vertex, tile), and ranks come from one forward
+elimination pass on sparse rows read straight from the blocks.  The dense
+`d0`/`d1` are views assembled on first read, for tests and tracing only.
+The leaf/Y-removal game replays the combinatorial surjectivity proof with a
+rank check at every step; when it succeeds it is the certificate for rank
+d^1, and d^1 is eliminated globally only when it fails.
 """
 
 from __future__ import annotations
@@ -575,9 +581,12 @@ def local_data(T: TilingComplex, obj):
 
 def _check_functor(dims, maps, p):
     """Commutativity of all composable triangles of generization maps."""
+    from_source = {}
+    for (s, t), m in maps.items():
+        from_source.setdefault(s, []).append((t, m))
     for (s, t), m1 in maps.items():
-        for (s2, t2), m2 in maps.items():
-            if s2 == t and (s, t2) in maps:
+        for t2, m2 in from_source.get(t, ()):
+            if (s, t2) in maps:
                 if ((m2 @ m1 - maps[(s, t2)]) % p).any():
                     raise AssertionError(f"generizations do not commute: {s} -> {t} -> {t2}")
 
@@ -698,13 +707,19 @@ class CechComplex:
         self._tile_off = _offsets(T.tiles, self.tile_space)
         self._edge_off = _offsets(self.edges, self.edge_space)
         self._vert_off = _offsets(T.vertices, self.vertex_space)
-        self.d0 = self._build_d0()
-        self.d1 = self._build_d1()
-        # d1 . d0 = 0, checked row by row over the few nonzeros of each row of d1
-        for row in self.d1:
-            k = np.flatnonzero(row)
-            if (row[k] @ self.d0[k] % p).any():
-                raise AssertionError("d1 . d0 != 0")
+        self.d0_blocks = self._build_d0()
+        self.d1_blocks = self._build_d1()
+        # d1 . d0 = 0, block by block: block (v, t) of the product is the sum
+        # over the edges e at v that contain t of d1[v, e] @ d0[e, t]
+        product = {}
+        for (v, ek), b1 in self.d1_blocks.items():
+            for t in ek:
+                b0 = self.d0_blocks.get((ek, t))
+                if b0 is not None:
+                    term = b1 @ b0 % p
+                    product[v, t] = (product[v, t] + term) % p if (v, t) in product else term
+        if any(b.any() for b in product.values()):
+            raise AssertionError("d1 . d0 != 0")
 
     # -- local constraint systems: (items, constraints) for `_section_solver` --
 
@@ -821,40 +836,49 @@ class CechComplex:
     # -- differentials ---------------------------------------------------------
 
     def _build_d0(self):
+        """d^0 as {(edge, tile): block}: on the edge between tiles ta < tb,
+        the restriction from tb minus the restriction from ta.  An edge with
+        no sections has no blocks."""
         p = self.p
-        d0 = xa.zeros(self.c1_dim, self.c0_dim)
+        blocks = {}
         for ek in self.edges:
-            ta, tb = ek  # sorted: ta < tb
-            es = self.edge_space[ek]
-            if es.dim == 0:
+            if self.edge_space[ek].dim == 0:
                 continue
-            rows = slice(self._edge_off[ek], self._edge_off[ek] + es.dim)
-            ca, cb = self._tile_off[ta], self._tile_off[tb]
-            d0[rows, cb:cb + self.tile_space[tb].dim] = self._tile_to_edge(tb, ek)
-            d0[rows, ca:ca + self.tile_space[ta].dim] = (-self._tile_to_edge(ta, ek)) % p
-        return d0
+            ta, tb = ek  # sorted: ta < tb
+            blocks[ek, tb] = self._tile_to_edge(tb, ek)
+            blocks[ek, ta] = (-self._tile_to_edge(ta, ek)) % p
+        return blocks
 
     def _build_d1(self):
+        """d^1 as {(vertex, edge): block}, the alternating restrictions to
+        each vertex from its three edges.  A vertex with no sections has no
+        blocks."""
         p = self.p
-        d1 = xa.zeros(self.c2_dim, self.c1_dim)
+        blocks = {}
         for v in self.T.vertices:
-            vs = self.vertex_space[v]
-            if vs.dim == 0:
+            if self.vertex_space[v].dim == 0:
                 continue
             tiles = sorted(vertex_tiles(v))
             pairs = [((tiles[1], tiles[2]), 1), ((tiles[0], tiles[2]), -1),
                      ((tiles[0], tiles[1]), 1)]
-            r0 = self._vert_off[v]
             for ek, sgn in pairs:  # three distinct edges, each sorted like `tiles`
-                c0 = self._edge_off[ek]
-                d1[r0:r0 + vs.dim, c0:c0 + self.edge_space[ek].dim] = \
-                    (sgn * self._edge_to_vertex(ek, v)) % p
-        return d1
+                blocks[v, ek] = (sgn * self._edge_to_vertex(ek, v)) % p
+        return blocks
+
+    @functools.cached_property
+    def d0(self) -> np.ndarray:
+        """Dense d^0 (C^1 x C^0), assembled from its blocks on first read.
+        Ranks and the d^1 . d^0 check never read it."""
+        return _dense(self.d0_blocks, self._edge_off, self._tile_off, (self.c1_dim, self.c0_dim))
+
+    @functools.cached_property
+    def d1(self) -> np.ndarray:
+        """Dense d^1 (C^2 x C^1), assembled from its blocks on first read."""
+        return _dense(self.d1_blocks, self._vert_off, self._edge_off, (self.c2_dim, self.c1_dim))
 
     def cohomology_dims(self):
         """(dim H^0, dim H^1, dim H^2) of the Cech complex of Hom(F, G)."""
-        p = self.p
-        rank_d0 = xa.rank(self.d0, p)
+        rank_d0 = _block_rank(self.d0_blocks, self._edge_off, self._tile_off, self.p)
         rank_d1 = self.rank_d1()
         h0 = self.c0_dim - rank_d0
         h1 = (self.c1_dim - rank_d1) - rank_d0
@@ -876,8 +900,13 @@ class CechComplex:
         fails is d^1 eliminated globally.
         """
         if not hasattr(self, "_rank_d1"):
-            self._rank_d1 = self.c2_dim if self.game["success"] else xa.rank(self.d1, self.p)
+            self._rank_d1 = self.c2_dim if self.game["success"] else self.eliminated_rank_d1()
         return self._rank_d1
+
+    def eliminated_rank_d1(self) -> int:
+        """rank d^1 from one forward pass on the sparse rows of its blocks,
+        independent of the game."""
+        return _block_rank(self.d1_blocks, self._vert_off, self._edge_off, self.p)
 
     def h2_certificate(self):
         """True iff d^1 is surjective; returns (flag, certificate).
@@ -901,6 +930,26 @@ def _offsets(keys, spaces):
     return out
 
 
+def _block_rank(blocks, row_off, col_off, p) -> int:
+    """Rank of the block matrix {(row key, col key): block}, by `xa.rank_rows`
+    on its {col: residue} rows, read straight from the blocks."""
+    rows = {}
+    for (rk, ck), b in blocks.items():
+        i, j = np.nonzero(b)
+        r0, c0 = row_off[rk], col_off[ck]
+        for r, c, v in zip((i + r0).tolist(), (j + c0).tolist(), b[i, j].tolist()):
+            rows.setdefault(r, {})[c] = v
+    return xa.rank_rows((rows[r] for r in sorted(rows)), p)
+
+
+def _dense(blocks, row_off, col_off, shape) -> np.ndarray:
+    out = xa.zeros(*shape)
+    for (rk, ck), b in blocks.items():
+        r0, c0 = row_off[rk], col_off[ck]
+        out[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The leaf / Y-removal game
 
@@ -908,8 +957,8 @@ def graph_game(cx: CechComplex):
     """Play the leaf/Y-removal game on an assembled complex; returns a trace dict.
 
     Blue nodes are the edges of the tiling and red nodes its vertices.  Each
-    edge-to-vertex map is read from its block of d^1, which is +- the
-    restriction map; every step tests a rank, which a sign does not change.
+    edge-to-vertex map is its block of d^1, which is +- the restriction map;
+    every step tests a rank, which a sign does not change.
     The torus/eye graphs succeed by removing the Y of each horizontal edge
     from left to right.  If no rule applies the report lists what is stuck.
     """
@@ -925,10 +974,6 @@ def graph_game(cx: CechComplex):
 
     def leaf(b):
         return [v for v in reds_of[b] if v in alive_red]
-
-    def block(ek, v):
-        r, c = cx._vert_off[v], cx._edge_off[ek]
-        return cx.d1[r:r + red_dim[v], c:c + cx.edge_space[ek].dim]
 
     horizontals = sorted((ek for ek in cx.edges if T.edge_info[ek]["horizontal"]),
                          key=lambda ek: (ek[0][0], min(ek[0][1], ek[1][1])))
@@ -950,7 +995,7 @@ def graph_game(cx: CechComplex):
                 cont = T.content.get(d0, ("empty",))
                 rule = {"crossing": "crossing-surjective", "cusp": "cusp-lemma"}[cont[0]]
             ok = red_dim[vL] == 0 or \
-                xa.rank(np.hstack([block(ne, vL), block(se, vL)]), p) == red_dim[vL]
+                xa.rank(np.hstack([cx.d1_blocks[vL, ne], cx.d1_blocks[vL, se]]), p) == red_dim[vL]
             if not ok:
                 return {"success": False, "stuck": [str(vL)], "steps": steps,
                         "failed_rule": rule}
@@ -962,7 +1007,7 @@ def graph_game(cx: CechComplex):
             if h not in alive_blue or leaf(h) != [vR]:
                 return {"success": False, "stuck": [str(vR)], "steps": steps,
                         "failed_rule": "leaf"}
-            ok = red_dim[vR] == 0 or xa.rank(block(h, vR), p) == red_dim[vR]
+            ok = red_dim[vR] == 0 or xa.rank(cx.d1_blocks[vR, h], p) == red_dim[vR]
             if not ok:
                 return {"success": False, "stuck": [str(vR)], "steps": steps,
                         "failed_rule": "horizontal-iso"}

@@ -207,6 +207,11 @@ def cmd_verify(args):
     cfg = {"max_m": min(args.m, 3), "max_n": min(args.n, 2),
            "primes": (2, 3) if args.p == 2 else (args.p,),
            "samples": args.samples, "pairs_per_config": 1}
+    clamped = [f"--{flag} {asked} to {used}" for flag, asked, used in
+               (("m", args.m, cfg["max_m"]), ("n", args.n, cfg["max_n"])) if asked != used]
+    if clamped:
+        print(f"note: verify clamps {' and '.join(clamped)}: its suites run at "
+              f"m <= 3 and draw n from {{1, 2}}", file=sys.stderr)
     if args.samples == 0:
         print("warning: --samples 0 makes every suite vacuous", file=sys.stderr)
     ok, results = run_suites(cfg, args.seed, corrupt_sign=args.corrupt_sign)

@@ -2,11 +2,13 @@
 
 Matrices are numpy int64 arrays whose entries are residues in [0, p).  All
 arithmetic is integer arithmetic reduced mod p; no floating point is used
-anywhere.  Every elimination, `rref` and `det` alike, goes through one
-sparse-row loop on Python ints, so no accumulation can overflow.  A matrix
-has exactly one reduced row echelon form, so every basis derived from it is
-canonical whatever order the kernel eliminates in: row spaces come out as
-RREF rows and kernels in reduced column echelon order.
+anywhere.  Eliminations run on sparse {col: residue} rows of Python ints, so
+no accumulation can overflow.  `rref` and `det` share one Gauss-Jordan loop.
+A matrix has exactly one reduced row echelon form, so every basis derived
+from it is canonical whatever order the kernel eliminates in: row spaces come
+out as RREF rows and kernels in reduced column echelon order.  A rank needs
+no RREF: `rank_rows` is one forward pass, with no back-substitution and no
+dense R, and `rank` routes dense input through it.
 
 `LinearMap` is the kernel/cokernel type behind H^*, the closed form and Ext:
 one RREF gives rank, nullity, corank and kernel; the image basis for coset
@@ -18,6 +20,7 @@ Supported moduli: p = 2 and odd primes below 2**15.
 from __future__ import annotations
 
 import functools
+import heapq
 
 import numpy as np
 
@@ -83,6 +86,53 @@ def _sub_multiple(dst: dict, src: dict, f: int, p: int) -> None:
             del dst[c]
 
 
+def sparse_rows(m: np.ndarray, p: int) -> list[dict[int, int]]:
+    """The rows of m as {col: residue} dicts, dropping zeros."""
+    a = np.mod(np.asarray(m, dtype=np.int64), p)
+    rows = [{} for _ in range(a.shape[0])]
+    nz_rows, nz_cols = np.nonzero(a)
+    for i, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
+        rows[i][c] = v
+    return rows
+
+
+def rank_rows(rows, p: int) -> int:
+    """Rank of the matrix with the given {col: residue} rows, by one forward pass.
+
+    Each row is reduced against the pivot rows found so far, in increasing
+    order of pivot column, and what is left, normalised, becomes the pivot
+    row of its lead column.  There is no back-substitution and no dense R:
+    a pivot row keeps entries at later pivot columns, so a subtraction can
+    fill in a pivot column the row did not hit before, and that column joins
+    the queue.  Pivot rows have their lead at the smallest column, so the
+    queue only grows upward and each pivot is applied at most once per row.
+    The rows are consumed.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        hits = [c for c in row if c in pivot_rows]
+        heapq.heapify(hits)
+        while hits:
+            c = heapq.heappop(hits)
+            f = row.get(c)
+            if not f:
+                continue
+            for k, v in pivot_rows[c].items():
+                old = row.get(k)
+                x = ((old or 0) - f * v) % p
+                if not x:
+                    del row[k]  # f, v are nonzero mod a prime, so k was in row
+                    continue
+                row[k] = x
+                if old is None and k in pivot_rows:
+                    heapq.heappush(hits, k)
+        if row:
+            lead = min(row)
+            inv = pow(row[lead], -1, p)
+            pivot_rows[lead] = {c: v * inv % p for c, v in row.items()} if inv != 1 else row
+    return len(pivot_rows)
+
+
 def _eliminate(m: np.ndarray, p: int):
     """The Gauss-Jordan loop behind `rref` and `det`: (pivot_rows, leads).
 
@@ -92,15 +142,10 @@ def _eliminate(m: np.ndarray, p: int):
     maps pivot column -> row; leads lists (lead column, lead value before
     normalising) for each row, in order, that did not reduce to zero.
     """
-    a = np.mod(np.asarray(m, dtype=np.int64), p)
-    rows, cols = a.shape
-    sparse = [{} for _ in range(rows)]
-    nz_rows, nz_cols = np.nonzero(a)
-    for i, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), a[nz_rows, nz_cols].tolist()):
-        sparse[i][c] = v
+    cols = np.shape(m)[1]
     pivot_rows: dict[int, dict[int, int]] = {}
     leads = []
-    for row in sparse:
+    for row in sparse_rows(m, p):
         if len(pivot_rows) == cols:
             break  # every column has a pivot: the remaining rows reduce to zero
         # pivot rows vanish at every other pivot column, so the hits are fixed
@@ -137,7 +182,7 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    return LinearMap(m, p).rank
+    return rank_rows(sparse_rows(m, p), p)
 
 
 def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:

@@ -253,7 +253,7 @@ def check_graph_game(cfg, rng):
         res = graph_game(cx)
         if not res["success"]:
             return False, f"game stuck at m={m}: {res.get('stuck')}"
-        rank_d1 = xa.rank(cx.d1, p)
+        rank_d1 = cx.eliminated_rank_d1()
         if rank_d1 != cx.c2_dim:
             return False, (f"game succeeded but d1 not surjective at m={m}: "
                            f"rank {rank_d1} < dim C^2 = {cx.c2_dim}")

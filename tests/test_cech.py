@@ -11,7 +11,8 @@ import pytest
 from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
 from legtorus.cech import (CechComplex, EyeSheaf, OpenSpace, SLANTED,
-                           build_tiling, eye_tiling, graph_game, neighbor,
+                           _block_rank, _check_functor, build_tiling,
+                           eye_tiling, graph_game, local_data, neighbor,
                            vertex_edges, vertex_tiles)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
 
@@ -85,6 +86,41 @@ def test_edge_classification():
         assert info["upper_vertex"] is not None or info["lower_vertex"] is not None
 
 
+def reference_check_functor(dims, maps, p):
+    """`_check_functor` as it was before maps were indexed by source: every
+    ordered pair of maps, kept verbatim as the reference."""
+    for (s, t), m1 in maps.items():
+        for (s2, t2), m2 in maps.items():
+            if s2 == t and (s, t2) in maps:
+                if ((m2 @ m1 - maps[(s, t2)]) % p).any():
+                    raise AssertionError(f"generizations do not commute: {s} -> {t} -> {t2}")
+
+
+def test_functor_check_matches_all_pairs_reference():
+    """Corrupting any composite map fails both checks on the same triangle."""
+    rng = random.Random(36)
+    corrupted = 0
+    for m, n, p in [(1, 1, 2), (2, 2, 3), (3, 1, 5)]:
+        T = build_tiling(m)
+        dims, maps = local_data(T, functor_obj(random_rep(m, n, p, rng)))
+        composites = {(s, t2) for (s, t) in maps for (s2, t2) in maps
+                      if s2 == t and (s, t2) in maps}
+        for key in sorted(composites):
+            if maps[key].size == 0:
+                continue
+            bad = dict(maps)
+            bad[key] = maps[key].copy()
+            bad[key].flat[0] = (bad[key].flat[0] + 1) % p
+            errors = []
+            for check in (_check_functor, reference_check_functor):
+                with pytest.raises(AssertionError, match="do not commute") as exc:
+                    check(dims, bad, p)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1]
+            corrupted += 1
+    assert corrupted > 10
+
+
 # -- Cech cohomology as an Ext oracle ------------------------------------------------
 
 def test_full_enumeration_m2_n1_f2():
@@ -128,16 +164,19 @@ def test_corrupted_d0_is_rejected(monkeypatch):
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
     cx = CechComplex(T, F, G)
-    # a nonzero entry of d0 in a row whose column of d1 is nonzero: changing
-    # it changes d1 . d0
-    i = next(i for i in range(cx.c1_dim) if cx.d1[:, i].any() and cx.d0[i].any())
-    j = np.flatnonzero(cx.d0[i])[0]
+    # a nonzero entry of a d0 block in a row whose column of d1 is nonzero:
+    # changing it changes block (v, t) of d1 . d0
+    ek, t, i = next((ek, t, i) for (v, ek), b1 in cx.d1_blocks.items()
+                    for t in ek if (ek, t) in cx.d0_blocks
+                    for i in range(b1.shape[1])
+                    if b1[:, i].any() and cx.d0_blocks[ek, t][i].any())
+    j = np.flatnonzero(cx.d0_blocks[ek, t][i])[0]
     build_d0 = CechComplex._build_d0
 
     def corrupted(self):
-        d0 = build_d0(self)
-        d0[i, j] = (d0[i, j] + 1) % self.p
-        return d0
+        blocks = build_d0(self)
+        blocks[ek, t][i, j] = (blocks[ek, t][i, j] + 1) % self.p
+        return blocks
 
     monkeypatch.setattr(CechComplex, "_build_d0", corrupted)
     with pytest.raises(AssertionError, match="d1 . d0 != 0"):
@@ -207,9 +246,10 @@ def test_graph_game_stuck_on_a_vertex_with_zero_rows():
         cx = CechComplex(T, F, G)
         v = next(v for v in T.vertices if str(v) == step["removed_red"])
         assert cx.vertex_space[v].dim > 0
-        cx.d1[cx._vert_off[v]:cx._vert_off[v] + cx.vertex_space[v].dim] = 0
+        for ek, _ in vertex_edges(v):
+            cx.d1_blocks[v, ek][:] = 0
         # zeroed before the first rank_d1(): the game fails, so the rank is
-        # the dense one
+        # the eliminated one; the dense view is built after the zeroing
         ok, cert = cx.h2_certificate()
         assert not ok and cert["certified_by"] == "rank"
         assert cx.rank_d1() == cert["rank_d1"] == xa.rank(cx.d1, cx.p) < cx.c2_dim
@@ -302,18 +342,47 @@ def test_red_blue_maps_are_restriction_maps_up_to_sign(complexes):
 
 # -- rank d^1 certified by the game -----------------------------------------------------
 
-def test_rank_d1_matches_dense_rank(complexes):
+@pytest.fixture(scope="module")
+def seeded_complexes():
+    """36 seeded complexes: m 1-4, resolution 1-3, p in {2, 3, 5}."""
     rng = random.Random(30)
-    cases = [*complexes]
+    cases = []
     for m in (1, 2, 3, 4):
         for rho in (1, 2, 3):
             for p in (2, 3, 5):
                 F, G = rand_pair(m, rng.choice([1, 2]), p, rng)
                 cases.append(CechComplex(build_tiling(m, rho), F, G))
-    for cx in cases:
+    return cases
+
+
+def test_rank_d1_matches_dense_rank(complexes, seeded_complexes):
+    for cx in [*complexes, *seeded_complexes]:
         ok, cert = cx.h2_certificate()
         assert cx.rank_d1() == xa.rank(cx.d1, cx.p) == cx.c2_dim
         assert ok and cert["certified_by"] == "game" and cx.game["success"]
+
+
+def test_block_ranks_match_dense_rref(complexes, seeded_complexes):
+    """The forward pass on rows read from the blocks, whose entries are
+    residues, against the Gauss-Jordan RREF of the dense views."""
+    for cx in [*complexes, *seeded_complexes]:
+        for b in [*cx.d0_blocks.values(), *cx.d1_blocks.values()]:
+            assert b.dtype == np.int64 and (b.size == 0 or 0 <= b.min() <= b.max() < cx.p)
+        rank_d0 = _block_rank(cx.d0_blocks, cx._edge_off, cx._tile_off, cx.p)
+        assert rank_d0 == len(xa.rref(cx.d0, cx.p)[1])
+        assert cx.cohomology_dims()[0] == cx.c0_dim - rank_d0
+        rank_d1 = _block_rank(cx.d1_blocks, cx._vert_off, cx._edge_off, cx.p)
+        assert rank_d1 == cx.eliminated_rank_d1() == len(xa.rref(cx.d1, cx.p)[1])
+
+
+def test_scale_pair_is_certified_without_dense_differentials():
+    rng = random.Random(35)
+    F, G = rand_pair(16, 4, 3, rng)
+    cx = CechComplex(build_tiling(16), F, G)
+    assert cx.cohomology_dims() == (ext0_dim(F, G), ext1_dim(F, G), 0)
+    ok, cert = cx.h2_certificate()
+    assert ok and cert["certified_by"] == "game"
+    assert "d0" not in vars(cx) and "d1" not in vars(cx)
 
 
 NON_LEAF_GAME = """

@@ -182,6 +182,17 @@ def test_verify_corrupt_sign_fails_and_names_relation():
     assert "relation violated" in proc.stderr
 
 
+def test_verify_says_what_it_clamped():
+    proc = run_cli(["verify", "--m", "6", "--n", "3", "--p", "3", "--samples", "1"])
+    assert proc.returncode == 0
+    assert "note: verify clamps --m 6 to 3 and --n 3 to 2" in proc.stderr
+    assert "clamps" not in proc.stdout
+    args = ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]
+    proc = run_cli(args)
+    assert "clamps" not in proc.stderr
+    assert proc.stdout == (GOLDEN / "verify.json").read_text()
+
+
 def test_verify_zero_samples_vacuous():
     proc = run_cli(["verify", "--samples", "0"])
     assert proc.returncode == 0

@@ -114,6 +114,27 @@ def test_rref_matches_dense_reference_on_d1_shape():
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from([2, 3, 5, 7, 32749]), st.floats(0.0, 1.0))
+@example(1, 0, 5, 3, 0.5)
+@example(2, 5, 0, 3, 0.5)
+@example(3, 1, 7, 5, 0.5)
+@example(4, 7, 1, 7, 0.5)
+@example(5, 6, 6, 2, 1.0)
+@example(6, 6, 6, 32749, 0.0)
+def test_forward_pass_rank_matches_dense_reference(seed, rows, cols, p, density):
+    m = sparse_random(seed, rows, cols, p, density)
+    rank = len(dense_rref(m, p)[1])
+    assert xa.rank(m, p) == rank
+    assert xa.rank_rows(xa.sparse_rows(m, p)[::-1], p) == rank  # any row order
+
+
+def test_forward_pass_rank_on_d1_shape():
+    m = sparse_random(2024, 400, 700, 3, 0.005)
+    assert xa.rank(m, 3) == len(dense_rref(m, 3)[1])
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 7),
        st.sampled_from([2, 3, 5, 7, 32749]), st.floats(0.0, 1.0))
 @example(1, 0, 3, 0.5)

@@ -34,13 +34,17 @@ def test_rng_for_is_stable():
 
 def test_graph_game_suite_checks_the_game_against_the_dense_rank(monkeypatch):
     """A game that claims success on a d^1 with a zeroed row must not pass:
-    the suite's oracle is the dense rank, not the certificate the game feeds."""
+    the suite's oracle is the eliminated rank of d^1's blocks, not the
+    certificate the game feeds."""
 
     class ZeroedRow(cech.CechComplex):
         def _build_d1(self):
-            d1 = super()._build_d1()
-            d1[0] = 0
-            return d1
+            blocks = super()._build_d1()
+            v = next(iter(blocks))[0]  # the vertex whose rows come first in d^1
+            for (w, _), b in blocks.items():
+                if w == v:
+                    b[0] = 0  # row 0 of d^1
+            return blocks
 
     def lenient_game(cx):
         return {"success": True, "steps": [], "removed": 0}
