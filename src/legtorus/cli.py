@@ -193,7 +193,8 @@ def cmd_equiv(args):
             "agree": (H.dims[0], H.dims[1], H.dims[2]) == (e0, e1, 0)
             and dims == (e0, e1, 0) and ok_h2,
         })
-    cfg = {"max_m": args.m, "primes": (args.p,), "samples": max(args.samples, 4)}
+    cfg = {"max_m": args.m, "max_n": args.n, "primes": (args.p,),
+           "samples": max(args.samples, 4)}
     fok, fdetail = check_functoriality(cfg, rng_for(args.seed, "equiv.functor"))
     ok = all(r["agree"] for r in rows) and fok
     _emit({"command": "equiv", "m": args.m, "n": args.n, "p": args.p,

@@ -3,16 +3,19 @@
 Matrices are numpy int64 arrays whose entries are residues in [0, p).  All
 arithmetic is integer arithmetic reduced mod p; no floating point is used
 anywhere.  Eliminations run on sparse {col: residue} rows of Python ints, so
-no accumulation can overflow.  `rref` and `det` share one Gauss-Jordan loop.
-A matrix has exactly one reduced row echelon form, so every basis derived
-from it is canonical whatever order the kernel eliminates in: row spaces come
-out as RREF rows and kernels in reduced column echelon order.  A rank needs
-no RREF: `rank_rows` is one forward pass, with no back-substitution and no
-dense R, and `rank` routes dense input through it.
+no accumulation can overflow.
 
-`LinearMap` is the kernel/cokernel type behind H^*, the closed form and Ext:
-one RREF gives rank, nullity, corank and kernel; the image basis for coset
-representatives is built only when a class is first reduced.
+There is one elimination loop, the forward pass `_forward`.  `rank_rows` and
+`rank` count its pivot rows and `det` reads its leads; `rref` adds one
+back-substitution, run from the last pivot column down.  A matrix has
+exactly one reduced row echelon form, so every basis derived from it is
+canonical whatever order the rows are eliminated in: row spaces come out as
+RREF rows and kernels in reduced column echelon order.
+
+`LinearMap` is the kernel/cokernel type behind H^*, the closed form and Ext.
+Its forward pass gives rank, nullity and corank; the kernel is
+back-substituted from the kept pivot rows when first read, and the image
+basis for coset representatives is built only when a class is first reduced.
 
 Supported moduli: p = 2 and odd primes below 2**15.
 """
@@ -96,20 +99,26 @@ def sparse_rows(m: np.ndarray, p: int) -> list[dict[int, int]]:
     return rows
 
 
-def rank_rows(rows, p: int) -> int:
-    """Rank of the matrix with the given {col: residue} rows, by one forward pass.
+def _forward(rows, p: int, cols: int | None = None):
+    """The one elimination loop, a forward pass: (pivot_rows, leads).
 
-    Each row is reduced against the pivot rows found so far, in increasing
-    order of pivot column, and what is left, normalised, becomes the pivot
-    row of its lead column.  There is no back-substitution and no dense R:
-    a pivot row keeps entries at later pivot columns, so a subtraction can
-    fill in a pivot column the row did not hit before, and that column joins
-    the queue.  Pivot rows have their lead at the smallest column, so the
-    queue only grows upward and each pivot is applied at most once per row.
-    The rows are consumed.
+    Each {col: residue} row is reduced against the pivot rows found so far,
+    in increasing order of pivot column, and what is left, normalised,
+    becomes the pivot row of its lead column.  A pivot row keeps entries at
+    later pivot columns, so a subtraction can fill in a pivot column the row
+    did not hit before, and that column joins the queue.  Pivot rows have
+    their lead at the smallest column, so the queue only grows upward and
+    each pivot is applied at most once per row; a reduced row vanishes at
+    every earlier lead column.  pivot_rows maps pivot column -> row; leads
+    lists (lead column, lead value before normalising) for each row, in
+    order, that did not reduce to zero.  The pass stops once all `cols`
+    columns have a pivot.  The rows are consumed.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
+    leads = []
     for row in rows:
+        if len(pivot_rows) == cols:
+            break  # every column has a pivot: the remaining rows reduce to zero
         hits = [c for c in row if c in pivot_rows]
         heapq.heapify(hits)
         while hits:
@@ -128,48 +137,38 @@ def rank_rows(rows, p: int) -> int:
                     heapq.heappush(hits, k)
         if row:
             lead = min(row)
+            leads.append((lead, row[lead]))
             inv = pow(row[lead], -1, p)
             pivot_rows[lead] = {c: v * inv % p for c, v in row.items()} if inv != 1 else row
-    return len(pivot_rows)
-
-
-def _eliminate(m: np.ndarray, p: int):
-    """The Gauss-Jordan loop behind `rref` and `det`: (pivot_rows, leads).
-
-    Each row is read as {col: residue}, reduced against the pivot rows found
-    so far and normalised; its pivot column is then cleared out of the
-    earlier pivot rows, so every pivot row stays fully reduced.  pivot_rows
-    maps pivot column -> row; leads lists (lead column, lead value before
-    normalising) for each row, in order, that did not reduce to zero.
-    """
-    cols = np.shape(m)[1]
-    pivot_rows: dict[int, dict[int, int]] = {}
-    leads = []
-    for row in sparse_rows(m, p):
-        if len(pivot_rows) == cols:
-            break  # every column has a pivot: the remaining rows reduce to zero
-        # pivot rows vanish at every other pivot column, so the hits are fixed
-        for c in [c for c in row if c in pivot_rows]:
-            _sub_multiple(row, pivot_rows[c], row[c], p)
-        if not row:
-            continue
-        lead = min(row)
-        leads.append((lead, row[lead]))
-        inv = pow(row[lead], -1, p)
-        if inv != 1:
-            row = {c: v * inv % p for c, v in row.items()}
-        for prow in pivot_rows.values():
-            f = prow.get(lead)
-            if f:
-                _sub_multiple(prow, row, f, p)
-        pivot_rows[lead] = row
     return pivot_rows, leads
 
 
+def _back_substitute(pivot_rows: dict[int, dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Turn the forward pass's pivot rows into RREF rows, in place.
+
+    Rows are reduced from the last pivot column down.  Every pivot row below
+    is then already reduced and vanishes at every other pivot column, so a
+    subtraction fills in no pivot column and each row's hits are fixed once
+    read.
+    """
+    for lead in sorted(pivot_rows, reverse=True):
+        row = pivot_rows[lead]
+        for c in [c for c in row if c != lead and c in pivot_rows]:
+            _sub_multiple(row, pivot_rows[c], row[c], p)
+    return pivot_rows
+
+
+def rank_rows(rows, p: int) -> int:
+    """Rank of the matrix with the given {col: residue} rows, by one forward
+    pass with no back-substitution and no dense R.  The rows are consumed."""
+    return len(_forward(rows, p)[0])
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form. Returns (R, pivot column list)."""
+    """Reduced row echelon form, by the forward pass and one back-substitution.
+    Returns (R, pivot column list)."""
     rows, cols = np.shape(m)
-    pivot_rows, _ = _eliminate(m, p)
+    pivot_rows = _back_substitute(_forward(sparse_rows(m, p), p, cols)[0], p)
     pivots = sorted(pivot_rows)
     flat, vals = [], []
     for i, c in enumerate(pivots):
@@ -182,7 +181,7 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    return rank_rows(sparse_rows(m, p), p)
+    return len(_forward(sparse_rows(m, p), p, np.shape(m)[1])[0])
 
 
 def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
@@ -193,11 +192,12 @@ def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
 
 def det(m: np.ndarray, p: int) -> int:
     """Determinant mod p.  Each reduced row is its original row minus earlier
-    rows, so det is the product of the lead values times the sign of the
-    permutation sending each row to its lead column (0 if a row vanishes)."""
+    rows and vanishes at every earlier lead column, so det is the product of
+    the lead values times the sign of the permutation sending each row to its
+    lead column (0 if a row vanishes)."""
     if m.shape[0] != m.shape[1]:
         raise ValueError("determinant requires a square matrix")
-    _, leads = _eliminate(m, p)
+    _, leads = _forward(sparse_rows(m, p), p, m.shape[1])
     if len(leads) < m.shape[0]:
         return 0
     d = 1
@@ -242,29 +242,36 @@ def row_space(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 class LinearMap:
     """The F_p map v -> a v, eliminated once.
 
-    One RREF of `a` gives rank, nullity, corank and the kernel basis.  The
+    One forward pass of `a` gives rank, nullity and corank; its pivot rows
+    stay sparse and are back-substituted when `kernel` is first read.  The
     canonical (RREF) basis of the image is built on the first `reduce` or
-    `classes`, so a caller that reads only dimensions pays one elimination.
+    `classes`, so a caller that reads only dimensions pays one forward pass
+    and builds no dense matrix.
     """
 
     def __init__(self, a: np.ndarray, p: int):
         self.a, self.p = a, p
         rows, cols = a.shape
-        r, self._pivots = rref(a, p) if a.size else (a.reshape(0, cols), [])
-        self.rank = len(self._pivots)
+        self._pivot_rows, _ = _forward(sparse_rows(a, p), p, cols)
+        self.rank = len(self._pivot_rows)
         self.nullity, self.corank = cols - self.rank, rows - self.rank
-        self._rref = r[:self.rank]
 
     @functools.cached_property
     def kernel(self) -> np.ndarray:
         """Kernel basis as columns, one per free column, in reduced column echelon order."""
-        cols = self.a.shape[1]
-        if not self._pivots:  # zero map: tiny systems pay more for the indexing below
-            return eye(cols)
-        free = sorted(set(range(cols)) - set(self._pivots))
-        k = zeros(cols, len(free))
-        k[free, np.arange(len(free))] = 1
-        k[self._pivots, :] = (-self._rref[:, free]) % self.p
+        cols, p = self.a.shape[1], self.p
+        pivot_rows = _back_substitute(self._pivot_rows, p)
+        free = [c for c in range(cols) if c not in pivot_rows]
+        n = len(free)
+        index = {c: i for i, c in enumerate(free)}
+        # a unit at each free column, and minus the RREF row at each pivot;
+        # an RREF row's entries other than its lead all lie in free columns
+        flat, vals = [c * n + i for i, c in enumerate(free)], [1] * n
+        for c, row in pivot_rows.items():
+            flat += [c * n + index[j] for j in row if j != c]
+            vals += [p - v for j, v in row.items() if j != c]
+        k = zeros(cols, n)
+        k.ravel()[flat] = vals
         return k
 
     @functools.cached_property

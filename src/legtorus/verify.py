@@ -214,7 +214,7 @@ def check_functoriality(cfg, rng):
     samples = cfg["samples"]
     for _ in range(samples):
         m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.choice([1, 2])
+        n = rng.randrange(1, cfg["max_n"] + 1)
         p = rng.choice(cfg["primes"])
         reps = [random_rep(m, n, p, rng) for _ in range(3)]
         r0, r1, r2 = reps

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from legtorus import verify
 from legtorus.cech import CechComplex
 from legtorus.cli import main
 
@@ -202,3 +203,13 @@ def test_verify_zero_samples_vacuous():
 
 def test_main_in_process():
     assert main(["dga", "--m", "1", "--p", "2"]) == 0
+
+
+def test_equiv_functoriality_draws_n_up_to_the_flag(monkeypatch, capsys):
+    drawn = []
+    real = verify.random_rep
+    monkeypatch.setattr(verify, "random_rep",
+                        lambda m, n, p, rng: drawn.append(n) or real(m, n, p, rng))
+    assert main(["equiv", "--m", "2", "--n", "3", "--p", "3", "--samples", "1", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["functoriality"]["ok"]
+    assert 3 in drawn and set(drawn) <= {1, 2, 3}

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from legtorus import exactalg as xa
 from legtorus.ainfty import _unvec, _vec, hom_basis_order, hom_cohomology, mu1_matrix, random_rep
-from legtorus.sheafcat import Ext1Space, _ext_map, ext0, ext0_dim, ext1_dim, functor_obj
+from legtorus.sheafcat import Ext1Space, _ext, _ext_map, ext0, ext0_dim, ext1_dim, functor_obj
 from legtorus.torusrep import H0Class, cohomology_closed, reduced_complex_matrix
+
+from gauss_jordan import gauss_jordan_rref
 
 
 def brute_rank(m, p):
@@ -88,10 +90,11 @@ def sparse_random(seed, rows, cols, p, density):
 def assert_matches_dense(m, p):
     r, pivots = xa.rref(m, p)
     ref, ref_pivots = dense_rref(m, p)
+    gj, gj_pivots = gauss_jordan_rref(m, p)
     assert r.dtype == np.int64
     assert r.shape == ref.shape
-    assert pivots == ref_pivots
-    assert np.array_equal(r, ref)
+    assert pivots == ref_pivots == gj_pivots
+    assert np.array_equal(r, ref) and np.array_equal(r, gj)
     assert r.size == 0 or (r.min() >= 0 and r.max() < p)
 
 
@@ -312,12 +315,13 @@ def test_left_inverse():
 
 
 # ---------------------------------------------------------------------------
-# LinearMap against the helpers it replaced, kept here verbatim as references
+# LinearMap against the helpers it replaced, kept here verbatim as references,
+# on the Gauss-Jordan loop that ran them (tests/gauss_jordan.py)
 
 def reference_rank_kernel(m, p):
     """Rank and a kernel basis (columns, reduced column echelon order)."""
     rows, cols = m.shape
-    r, pivots = xa.rref(m, p) if m.size else (m.reshape(0, cols), [])
+    r, pivots = gauss_jordan_rref(m, p) if m.size else (m.reshape(0, cols), [])
     rk = len(pivots)
     free = [c for c in range(cols) if c not in pivots]
     k = xa.zeros(cols, len(free))
@@ -332,7 +336,7 @@ def reference_row_space(m, p):
     """Canonical (RREF) basis of the row space: (basis rows, pivot cols)."""
     if m.size == 0:
         return m.reshape(0, m.shape[1] if m.ndim == 2 else 0), []
-    r, pivots = xa.rref(m, p)
+    r, pivots = gauss_jordan_rref(m, p)
     return r[: len(pivots)], pivots
 
 
@@ -558,26 +562,41 @@ def test_classes_match_reference_on_seeded_pairs():
 
 
 def test_one_elimination_per_map(monkeypatch):
-    """Dims cost one RREF per nonzero map; the first class reduction one more."""
-    calls = []
-    real = xa.rref
-    monkeypatch.setattr(xa, "rref", lambda m, p: calls.append(m.shape) or real(m, p))
+    """Dims cost one forward pass per nonzero map, no back-substitution and no
+    dense matrix; the kernel back-substitutes the kept pivot rows with no
+    second pass, and the first class reduction costs one RREF more."""
+    passes, back_subs = [], []
+    forward, back_substitute = xa._forward, xa._back_substitute
+
+    def counting_forward(rows, p, cols=None):
+        rows = list(rows)
+        if rows and cols != 0:  # a map with no rows or no columns has nothing to eliminate
+            passes.append(cols)
+        return forward(rows, p, cols)
+
+    monkeypatch.setattr(xa, "_forward", counting_forward)
+    monkeypatch.setattr(xa, "_back_substitute",
+                        lambda rows, p: back_subs.append(len(rows)) or back_substitute(rows, p))
 
     def cost(fn):
-        before = len(calls)
+        before = len(passes), len(back_subs)
         fn()
-        return len(calls) - before
+        return len(passes) - before[0], len(back_subs) - before[1]
 
     rng = random.Random(17)
     r0, r1 = random_rep(3, 2, 3, rng), random_rep(3, 2, 3, rng)
     F, G = functor_obj(r0), functor_obj(r1)
     w = [xa.rand_matrix(rng, 2, 2, 3) for _ in range(3)]
-    assert cost(lambda: hom_cohomology(r0, r1).dims) == 2
-    assert cost(lambda: cohomology_closed(r0, r1).dims) == 1
-    assert cost(lambda: (ext0_dim(F, G), ext1_dim(F, G))) == 1
+    assert cost(lambda: hom_cohomology(r0, r1).dims) == (2, 0)
+    assert cost(lambda: cohomology_closed(r0, r1).dims) == (1, 0)
+    assert cost(lambda: (ext0_dim(F, G), ext1_dim(F, G))) == (1, 0)
     H, C = hom_cohomology(r0, r1), cohomology_closed(r0, r1)
+    for f in (*H.maps.values(), C.map, _ext(F, G)):
+        assert [k for k, v in vars(f).items() if isinstance(v, np.ndarray)] == ["a"]
+    assert cost(lambda: H.maps[1].kernel) == (0, 1)
+    assert cost(lambda: H.maps[1].kernel) == (0, 0)
     x = _unvec(H.maps[1].kernel[:, 0], H.orders[1], 2, 3, 1)
     E = Ext1Space(F, G)  # the pair's map is already eliminated
     for reduce in (lambda: H.class_vector(x), lambda: C.h1_reduce(w), lambda: E.reduce(w)):
-        assert cost(reduce) == 1
-        assert cost(reduce) == 0
+        assert cost(reduce) == (1, 1)
+        assert cost(reduce) == (0, 0)
