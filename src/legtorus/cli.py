@@ -21,7 +21,7 @@ from .cech import CechComplex, build_tiling
 from .freedga import build_lambda_dga, kcopy_dga
 from .sheafcat import ext0_dim, ext1_dim, functor_obj
 from .torusrep import cohomology_closed
-from .verify import check_functoriality, rng_for, run_suites
+from .verify import N_FROM_1_2, check_functoriality, rng_for, run_suites
 
 SCHEMA = 1
 
@@ -213,6 +213,9 @@ def cmd_verify(args):
     if clamped:
         print(f"note: verify clamps {' and '.join(clamped)}: its suites run at "
               f"m <= 3 and draw n from {{1, 2}}", file=sys.stderr)
+    elif args.n < 2:
+        print(f"note: --n {args.n} does not bound the suites {', '.join(N_FROM_1_2)}: "
+              f"they draw n from {{1, 2}}", file=sys.stderr)
     if args.samples == 0:
         print("warning: --samples 0 makes every suite vacuous", file=sys.stderr)
     ok, results = run_suites(cfg, args.seed, corrupt_sign=args.corrupt_sign)

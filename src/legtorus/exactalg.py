@@ -91,6 +91,8 @@ def _sub_multiple(dst: dict, src: dict, f: int, p: int) -> None:
 
 def sparse_rows(m: np.ndarray, p: int) -> list[dict[int, int]]:
     """The rows of m as {col: residue} dicts, dropping zeros."""
+    if not np.size(m):
+        return [{} for _ in range(np.shape(m)[0])]  # distinct: callers consume rows
     a = np.mod(np.asarray(m, dtype=np.int64), p)
     rows = [{} for _ in range(a.shape[0])]
     nz_rows, nz_cols = np.nonzero(a)

@@ -8,7 +8,12 @@ signed Leibniz rule.
 
 The module also builds the concrete objects of interest: the continuant-style
 polynomial families P_m / Q_m, the DGA of the Legendrian (2,m) torus link
-with two base points, and the k-copy DGA construction.
+with two base points, and the k-copy DGA construction.  The k-copy
+differential is built from sparse k x k word matrices, {(i, j): {word:
+coeff}} holding nonzero entries only, multiplied by one product that adds
+into its output in place; Phi of a base word is expanded letter by letter,
+one row vector per source copy, so the cost tracks the number of terms
+built.
 """
 
 from __future__ import annotations
@@ -42,6 +47,42 @@ def _join(w1: Word, w2: Word) -> Word:
     while r < top and w1[-1 - r][0] == w2[r][0] and w1[-1 - r][1] == -w2[r][1]:
         r += 1
     return w1[:len(w1) - r] + w2[r:]
+
+
+Matrix = dict[tuple[int, int], dict[Word, int]]  # sparse k x k word matrix
+
+
+def _mat_mul(a: Matrix, b: Matrix, p: int, out: Matrix | None = None,
+             coeff: int = 1) -> Matrix:
+    """out += coeff * a b on sparse word matrices, in place; returns out.
+
+    Only nonzero entries are stored, and each entry is one {word: coeff}
+    dict that the terms of every product are added into.  An entry that
+    cancels to zero stays as an empty dict.
+    """
+    if out is None:
+        out = {}
+    b_rows: dict[int, list] = {}
+    for (s, j), g in b.items():
+        b_rows.setdefault(s, []).append((j, tuple(g.items())))
+    for (i, s), f in a.items():
+        row = b_rows.get(s)
+        if not row:
+            continue
+        # reduced words can only cancel where w2 starts with w1's last generator
+        f = [(w1, c1 * coeff, w1[-1][0] if w1 else None) for w1, c1 in f.items()]
+        for j, g in row:
+            acc = out.setdefault((i, j), {})
+            get = acc.get
+            for w1, c1, last in f:
+                for w2, c2 in g:
+                    w = _join(w1, w2) if w2 and w2[0][0] == last else w1 + w2
+                    v = (get(w, 0) + c1 * c2) % p
+                    if v:
+                        acc[w] = v
+                    else:
+                        acc.pop(w, None)
+    return out
 
 
 class FreePoly:
@@ -103,20 +144,8 @@ class FreePoly:
         return out
 
     def __mul__(self, other: "FreePoly") -> "FreePoly":
-        p = self.p
-        acc: dict[Word, int] = {}
-        for w1, c1 in self.terms.items():
-            # reduced words can only cancel where w2 starts with w1's last generator
-            last = w1[-1][0] if w1 else None
-            for w2, c2 in other.terms.items():
-                w = _join(w1, w2) if w2 and w2[0][0] == last else w1 + w2
-                v = (acc.get(w, 0) + c1 * c2) % p
-                if v:
-                    acc[w] = v
-                else:
-                    acc.pop(w, None)
-        out = FreePoly(p)
-        out.terms = acc
+        out = FreePoly(self.p)
+        out.terms = _mat_mul({(0, 0): self.terms}, {(0, 0): other.terms}, self.p)[0, 0]
         return out
 
     def __repr__(self):
@@ -159,10 +188,13 @@ class DGA:
         self.diff = dict(diff)
         self.copy_info = copy_info or {}
         self._degree = deg = {name: g.degree for name, g in self.gens.items()}
+        # a word whose letters all have degree 0 has degree 0, so only the
+        # words with another letter are summed
+        flat = frozenset((n, e) for n, d in deg.items() if not d for e in (1, -1))
         for name, f in self.diff.items():
             tgt = deg[name] - 1
             for w in f.terms:
-                if sum([deg[n] * e for n, e in w]) != tgt:
+                if (tgt or not flat.issuperset(w)) and self.word_degree(w) != tgt:
                     raise ValueError(f"differential of {name} is not homogeneous of degree {tgt}")
 
     def word_degree(self, w: Word) -> int:
@@ -176,20 +208,31 @@ class DGA:
         return degs.pop() if degs else None
 
     def apply_diff(self, f: FreePoly) -> FreePoly:
-        """Leibniz extension of the differential; input must be homogeneous."""
+        """Leibniz extension of the differential; input must be homogeneous.
+
+        Each term c w_1 .. w_n gives the terms (-1)^{|w_1..w_{i-1}|} c
+        w_1..w_{i-1} d(w_i) w_{i+1}..w_n, added into one dict in place.
+        """
         self.poly_degree(f)
-        out = FreePoly.zero(self.p)
+        p = self.p
+        acc: dict[Word, int] = {}
         for w, c in f.terms.items():
             sign = 1
-            for i, (name, exp) in enumerate(w):
+            for i, (name, _) in enumerate(w):
                 g = self.gens[name]
                 if not g.invertible:
-                    dg = self.diff[name]
-                    if not dg.is_zero():
-                        left = FreePoly(self.p, {w[:i]: (c * sign) % self.p})
-                        right = FreePoly(self.p, {w[i + 1:]: 1})
-                        out = out + left * dg * right
-                sign *= (-1) ** g.degree
+                    left, right, cs = w[:i], w[i + 1:], c * sign
+                    for u, cu in self.diff[name].terms.items():
+                        v = _join(_join(left, u), right)
+                        x = (acc.get(v, 0) + cs * cu) % p
+                        if x:
+                            acc[v] = x
+                        else:
+                            acc.pop(v, None)
+                if g.degree % 2:
+                    sign = -sign
+        out = FreePoly(p)
+        out.terms = acc
         return out
 
     def check_d_squared(self) -> bool:
@@ -300,26 +343,6 @@ def lambda_dga(m: int, p: int) -> DGA:
 # ---------------------------------------------------------------------------
 # k-copy DGA
 
-def _pm_mul(a, b, p):
-    k = len(a)
-    return [[_sum_polys([a[i][s] * b[s][j] for s in range(k)], p) for j in range(k)]
-            for i in range(k)]
-
-
-def _sum_polys(polys, p):
-    acc: dict[Word, int] = {}
-    for f in polys:
-        for w, c in f.terms.items():
-            v = (acc.get(w, 0) + c) % p
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
-    out = FreePoly(p)
-    out.terms = acc
-    return out
-
-
 def kcopy_dga(dga: DGA, k: int) -> DGA:
     """The k-copy DGA: chords c^{ij}, invertibles t^i, Morse generators x, y.
 
@@ -328,6 +351,13 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
     d(X) = Delta^-1 Y_r Delta X - X Y_c and d(Y) = Y^2, where Phi sends t to
     Delta X and t^-1 to X^-1 Delta^-1 (geometric series in the nilpotent
     upper part).
+
+    Every matrix is a sparse word matrix (`_mat_mul`), and the cost tracks
+    the number of terms built.  Phi of a polynomial expands each word c w
+    letter by letter from c times the identity, so each source copy i grows
+    one row vector, and the last letter's product adds the rows into the
+    k x k result in place.  Each letter's image (chord matrix, Delta X,
+    X^-1 Delta^-1) is built once.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -359,81 +389,78 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
                     gens.append(Generator(nm, deg, r=tg.r, c=tg.c))
                     info[nm] = (fam, l, i, j)
 
-    one = FreePoly.one(p)
-    zero = FreePoly.zero(p)
+    def letter_mat(stem: str, upper: bool = False) -> Matrix:
+        # the letter stem^{ij} at (i, j), above the diagonal only when upper
+        return {(i, j): {((f"{stem}^{i + 1}{j + 1}", 1),): 1}
+                for i in range(k) for j in range(k) if i < j or not upper}
 
-    def chord_mat(name):
-        return [[FreePoly.gen(p, f"{name}^{i}{j}") for j in range(1, k + 1)]
-                for i in range(1, k + 1)]
+    def delta(l: int, exp: int) -> Matrix:
+        tn = ts[l - 1].name
+        return {(i, i): {((f"{tn}^{i + 1}", exp),): 1} for i in range(k)}
 
-    def y_mat(l):
-        return [[FreePoly.gen(p, f"y{l}^{i}{j}") if i < j else zero
-                 for j in range(1, k + 1)] for i in range(1, k + 1)]
+    identity: Matrix = {(i, i): {(): 1} for i in range(k)}
 
     def x_mat(l):
-        return [[one if i == j else (FreePoly.gen(p, f"x{l}^{i}{j}") if i < j else zero)
-                 for j in range(1, k + 1)] for i in range(1, k + 1)]
+        return {(i, j): {((f"x{l}^{i + 1}{j + 1}", 1),): 1} if i < j else {(): 1}
+                for i in range(k) for j in range(i, k)}
 
     def x_inv_mat(l):
         # (1 + N)^-1 = 1 - N + N^2 - ... with N strictly upper triangular
-        n_mat = [[FreePoly.gen(p, f"x{l}^{i}{j}") if i < j else zero
-                  for j in range(1, k + 1)] for i in range(1, k + 1)]
-        out = [[one if i == j else zero for j in range(k)] for i in range(k)]
-        power = [[one if i == j else zero for j in range(k)] for i in range(k)]
-        sign = 1
-        for _ in range(1, k):
-            power = _pm_mul(power, n_mat, p)
-            sign = -sign
-            out = [[out[i][j] + power[i][j].scale(sign) for j in range(k)] for i in range(k)]
+        n_mat = letter_mat(f"x{l}", upper=True)
+        out = {key: dict(f) for key, f in identity.items()}
+        power = identity
+        for e in range(1, k):
+            power = _mat_mul(power, n_mat, p)
+            _mat_mul(power, identity, p, out, coeff=(-1) ** e)
         return out
 
-    def delta_mat(l, exp):
-        tn = ts[l - 1].name
-        return [[FreePoly.gen(p, f"{tn}^{i + 1}", exp=exp) if i == j else zero
-                 for j in range(k)] for i in range(k)]
+    images: dict[tuple[str, int], Matrix] = {}
 
-    def phi_word(word: Word):
-        out = [[one if i == j else zero for j in range(k)] for i in range(k)]
-        for name, exp in word:
-            g = dga.gens[name]
-            if g.invertible:
+    def image(letter) -> Matrix:
+        if letter not in images:
+            name, exp = letter
+            if dga.gens[name].invertible:
                 l = t_index[name]
-                m_ = _pm_mul(delta_mat(l, 1), x_mat(l), p) if exp == 1 \
-                    else _pm_mul(x_inv_mat(l), delta_mat(l, -1), p)
+                images[letter] = _mat_mul(delta(l, 1), x_mat(l), p) if exp == 1 \
+                    else _mat_mul(x_inv_mat(l), delta(l, -1), p)
             else:
-                m_ = chord_mat(name)
-            out = _pm_mul(out, m_, p)
+                images[letter] = letter_mat(name)
+        return images[letter]
+
+    def phi_poly(f: FreePoly, out: Matrix) -> Matrix:
+        for w, c in f.terms.items():
+            rows = {(i, i): {(): c} for i in range(k)}
+            if not w:
+                _mat_mul(rows, identity, p, out)
+            for n, letter in enumerate(w, start=1):
+                rows = _mat_mul(rows, image(letter), p, out if n == len(w) else None)
         return out
 
-    def phi_poly(f: FreePoly):
-        out = [[zero] * k for _ in range(k)]
-        for w, c in f.terms.items():
-            m_ = phi_word(w)
-            out = [[out[i][j] + m_[i][j].scale(c) for j in range(k)] for i in range(k)]
+    def entry(mat: Matrix, i: int, j: int) -> FreePoly:
+        out = FreePoly(p)
+        out.terms = mat.get((i, j)) or {}
         return out
 
     diff: dict[str, FreePoly] = {}
     for g in chords:
-        phi_dc = phi_poly(dga.diff[g.name])
-        c_mat = chord_mat(g.name)
-        yr, yc = y_mat(g.r), y_mat(g.c)
-        lhs = _pm_mul(yr, c_mat, p)
-        rhs = _pm_mul(c_mat, yc, p)
-        sgn = -((-1) ** g.degree)
+        c_mat = letter_mat(g.name)
+        dc = phi_poly(dga.diff[g.name], {})
+        _mat_mul(letter_mat(f"y{g.r}", upper=True), c_mat, p, dc)
+        _mat_mul(c_mat, letter_mat(f"y{g.c}", upper=True), p, dc, coeff=-((-1) ** g.degree))
         for i in range(k):
             for j in range(k):
-                diff[f"{g.name}^{i + 1}{j + 1}"] = phi_dc[i][j] + lhs[i][j] + rhs[i][j].scale(sgn)
+                diff[f"{g.name}^{i + 1}{j + 1}"] = entry(dc, i, j)
     for g in ts:
         l = t_index[g.name]
-        dx = _pm_mul(_pm_mul(_pm_mul(delta_mat(l, -1), y_mat(g.r), p), delta_mat(l, 1), p),
-                     x_mat(l), p)
-        dx2 = _pm_mul(x_mat(l), y_mat(g.c), p)
-        ysq = _pm_mul(y_mat(l), y_mat(l), p)
-        for i in range(1, k + 1):
-            diff[f"{g.name}^{i}"] = zero
-            for j in range(i + 1, k + 1):
-                diff[f"x{l}^{i}{j}"] = dx[i - 1][j - 1] - dx2[i - 1][j - 1]
-                diff[f"y{l}^{i}{j}"] = ysq[i - 1][j - 1]
+        y_l, y_r, y_c = (letter_mat(f"y{e}", upper=True) for e in (l, g.r, g.c))
+        dx = _mat_mul(_mat_mul(_mat_mul(delta(l, -1), y_r, p), delta(l, 1), p), x_mat(l), p)
+        _mat_mul(x_mat(l), y_c, p, dx, coeff=-1)
+        ysq = _mat_mul(y_l, y_l, p)
+        for i in range(k):
+            diff[f"{g.name}^{i + 1}"] = FreePoly(p)
+            for j in range(i + 1, k):
+                diff[f"x{l}^{i + 1}{j + 1}"] = entry(dx, i, j)
+                diff[f"y{l}^{i + 1}{j + 1}"] = entry(ysq, i, j)
 
     return DGA(p, gens, diff, copy_info=info)
 

@@ -286,6 +286,11 @@ ALL_CHECKS = [
 ]
 
 
+# the suites that draw n from {1, 2} whatever cfg["max_n"] says
+N_FROM_1_2 = ("oracle.mu1", "oracle.mu2", "ainfty.relations", "ainfty.units",
+              "ainfty.conjugation_iso")
+
+
 def run_suites(cfg: dict, seed: int, corrupt_sign: bool = False):
     """Run every named suite; returns (all_ok, list of result dicts)."""
     results = []

@@ -213,3 +213,29 @@ def test_equiv_functoriality_draws_n_up_to_the_flag(monkeypatch, capsys):
     assert main(["equiv", "--m", "2", "--n", "3", "--p", "3", "--samples", "1", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["functoriality"]["ok"]
     assert 3 in drawn and set(drawn) <= {1, 2, 3}
+
+
+def test_verify_says_which_suites_draw_n_past_the_flag():
+    args = ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]
+    proc = run_cli(args)
+    assert proc.returncode == 0
+    note = next(line for line in proc.stderr.splitlines() if line.startswith("note:"))
+    assert note.startswith("note: --n 1 does not bound the suites")
+    assert all(name in note for name in verify.N_FROM_1_2) and "{1, 2}" in note
+    assert "note" not in proc.stdout
+    assert proc.stdout == (GOLDEN / "verify.json").read_text()
+    assert "does not bound" not in run_cli([*args[:4], "2", *args[5:]]).stderr
+
+
+def test_only_the_named_suites_draw_n_past_max_n(monkeypatch):
+    """verify.N_FROM_1_2, which the note above prints, is exactly the set of
+    suites that draw n = 2 when max_n is 1."""
+    drawn = []
+    real = verify.random_rep
+    monkeypatch.setattr(verify, "random_rep",
+                        lambda m, n, p, rng: drawn.append(n) or real(m, n, p, rng))
+    cfg = {"max_m": 2, "max_n": 1, "primes": (3,), "samples": 4, "pairs_per_config": 1}
+    for name, check in verify.ALL_CHECKS:
+        drawn.clear()
+        check(cfg, verify.rng_for(1, name))
+        assert (max(drawn, default=1) == 2) == (name in verify.N_FROM_1_2), name

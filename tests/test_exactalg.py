@@ -412,6 +412,23 @@ def test_linear_map_brute_force(p):
             assert len(spanned) == p ** len(cls)
 
 
+@pytest.mark.parametrize("rows, cols", [(16, 0), (0, 16), (0, 0)])
+def test_linear_map_with_no_entries(rows, cols):
+    """Zero-size maps, which HomCohomology builds at both ends of its complex:
+    sparse_rows returns one distinct empty row per row, and LinearMap reads
+    rank 0, the identity kernel and reduce as the identity."""
+    a = xa.zeros(rows, cols)
+    got = xa.sparse_rows(a, 3)
+    assert got == [{}] * rows and len({id(r) for r in got}) == rows
+    f = xa.LinearMap(a, 3)
+    assert (f.rank, f.nullity, f.corank) == (0, cols, rows)
+    assert f.kernel.shape == (cols, cols) and np.array_equal(f.kernel, np.eye(cols, dtype=np.int64))
+    v = np.arange(-rows, rows, 2, dtype=np.int64)
+    assert np.array_equal(f.reduce(v), v % 3)
+    assert f.reduce(np.ones((2, rows), dtype=np.int64)).shape == (2, rows)
+    assert f.classes(np.eye(rows, dtype=np.int64)).shape == (rows, rows)
+
+
 # ---------------------------------------------------------------------------
 # The three routes' classes against their bodies from before LinearMap, kept
 # here verbatim on the reference helpers above

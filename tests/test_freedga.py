@@ -1,6 +1,6 @@
 import itertools
 import random
-
+import re
 import time
 
 import numpy as np
@@ -12,6 +12,8 @@ from legtorus import exactalg as xa
 from legtorus.freedga import (DGA, FreePoly, Generator, Word, build_lambda_dga,
                               kcopy_dga, link_grading, poly_str,
                               pq_matrix, pq_polynomial)
+
+import freedga_reference as ref
 
 
 def gen(p, name, exp=1):
@@ -330,3 +332,122 @@ def test_json_roundtrip_fields():
     names = [g["name"] for g in doc["generators"]]
     assert names == ["b1", "b2", "a1", "a2", "t1", "t2"]
     assert doc["differentials"]["b1"]["string"] == "t1^-1 + 1 + a1 a2"
+
+
+def poly(p, terms):
+    """FreePoly from {space-separated letters: coeff}, with ^-1 for inverses."""
+    out = {}
+    for text, c in terms.items():
+        out[tuple((tok[:-3], -1) if tok.endswith("^-1") else (tok, 1)
+                  for tok in text.split())] = c
+    return FreePoly(p, out)
+
+
+def twisted_dga(p):
+    """A DGA whose differentials put invertible letters inside longer words,
+    which the link DGA never does: there t is a one-letter word."""
+    gens = [Generator("b1", 1, r=1, c=2), Generator("e1", 2, r=2, c=2),
+            Generator("a1", 0, r=2, c=1), Generator("a2", 0),
+            Generator("t1", 0, invertible=True), Generator("t2", 0, invertible=True, r=2, c=2)]
+    diff = {g.name: FreePoly.zero(p) for g in gens}
+    diff["b1"] = poly(p, {"t1 a1 t1^-1": 1, "t1^-1 a2 t1": 2, "t1 t1": 1, "t1^-1 t1^-1": 1,
+                          "t1 t2^-1 a1": 1, "a2 t2 a1 t1^-1": 4, "": 1})
+    diff["e1"] = poly(p, {"b1 t1": 1, "t1^-1 b1 a1": 2, "a2 t2^-1 b1 t2": 1})
+    return DGA(p, gens, diff)
+
+
+def assert_same_copy(got: DGA, want: DGA):
+    assert list(got.gens.values()) == list(want.gens.values())
+    assert list(got.diff) == list(want.diff)
+    assert got.copy_info == want.copy_info
+    for name, f in want.diff.items():
+        assert got.diff[name].terms == f.terms, name
+        assert all(0 < c < got.p for c in got.diff[name].terms.values()), name
+
+
+@pytest.mark.parametrize("m, p", [(m, p) for m in (1, 2, 3, 4) for p in (2, 3, 5, 7)]
+                         + [(5, 3), (6, 3)])
+def test_kcopy_matches_reference(m, p):
+    """The sparse, in-place copy construction against the dense reference of
+    tests/freedga_reference.py: the same generators, the same order of
+    differentials, the same copy_info and the same terms for every entry."""
+    base = build_lambda_dga(m, p)
+    for k in (1, 2, 3, 4):
+        assert_same_copy(kcopy_dga(base, k), ref.kcopy_dga(base, k))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kcopy_with_invertibles_inside_words_matches_reference(p):
+    base = twisted_dga(p)
+    for k in (1, 2, 3, 4):
+        copy = kcopy_dga(base, k)
+        assert_same_copy(copy, ref.kcopy_dga(base, k))
+    # Phi(t1 t1) at (1, 2) is t^1 t^1 x^12 + t^1 x^12 t^2, the X^-1 Delta^-1
+    # image of t1^-1 t1^-1 at (1, 2) starts -x^12 (t^2)^-1 (t^2)^-1
+    b = copy.diff["b1^12"].terms
+    assert b[(("t1^1", 1), ("t1^1", 1), ("x1^12", 1))] == 1
+    assert b[(("t1^1", 1), ("x1^12", 1), ("t1^2", 1))] == 1
+    assert b[(("x1^12", 1), ("t1^2", -1), ("t1^2", -1))] == p - 1
+
+
+def random_homogeneous(dga: DGA, rng: random.Random, degree: int, terms: int) -> FreePoly:
+    """Up to `terms` random reduced words of the given degree, random coefficients."""
+    letters = [(n, 1) for n in dga.gens] + [(n, -1) for n, g in dga.gens.items() if g.invertible]
+    out = {}
+    for _ in range(50 * terms):
+        w = reduce_letters(rng.choice(letters) for _ in range(rng.randrange(5)))
+        if dga.word_degree(w) == degree:
+            out[w] = rng.randrange(1, dga.p)
+            if len(out) == terms:
+                break
+    return FreePoly(dga.p, out)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_diff_matches_reference(k):
+    """The in-place Leibniz rule against the reference, which adds each term
+    into a fresh copy of its output, on random homogeneous polynomials."""
+    rng = random.Random(k)
+    for m, p in ((2, 3), (3, 5), (3, 2)):
+        base = build_lambda_dga(m, p)
+        dga = base if k == 1 else kcopy_dga(base, k)
+        checked = 0
+        for _ in range(40):
+            f = random_homogeneous(dga, rng, rng.choice([-1, 0, 1, 2]), rng.randrange(1, 6))
+            got = dga.apply_diff(f)
+            assert got.terms == ref.apply_diff(dga, f).terms
+            assert all(0 < c < p for c in got.terms.values())
+            checked += not got.is_zero()
+        assert checked >= 10  # the comparison is not vacuous
+    for g in dga.diff.values():
+        assert dga.apply_diff(g) == ref.apply_diff(dga, g)
+
+
+def test_init_rejects_one_word_of_the_wrong_degree():
+    """DGA(...) checks every word of every differential: one wrong word, in
+    the base link DGA or spliced into a 3-copy, is enough to refuse it."""
+    p = 3
+    base = build_lambda_dga(3, p)
+    gens = list(base.gens.values())
+    DGA(p, gens, base.diff)
+    # degree 1 and 2 words in degree-0 differentials, a degree-0 word in a degree -1 one
+    for name, extra in (("b1", "a1 b2"), ("b2", "b1 t1 b2"), ("a1", "a2")):
+        bad = base.diff[name] + poly(p, {extra: 1})
+        with pytest.raises(ValueError, match=re.escape(f"differential of {name} is not homogeneous")):
+            DGA(p, gens, {**base.diff, name: bad})
+
+    copy = kcopy_dga(base, 3)
+    gens = list(copy.gens.values())
+    DGA(p, gens, copy.diff, copy_info=copy.copy_info)
+    for name in ("b1^12", "b2^23", "b1^31"):
+        terms = dict(copy.diff[name].terms)
+        w = max((w for w in terms if len(w) > 2), key=lambda w: (len(w), w))
+        c = terms.pop(w)
+        spliced = w[:2] + (("y1^12", 1),) + w[2:]  # degree -1 in a degree-0 differential
+        with pytest.raises(ValueError, match=re.escape(f"differential of {name} is not homogeneous")):
+            DGA(p, gens, {**copy.diff, name: FreePoly(p, {**terms, spliced: c})},
+                copy_info=copy.copy_info)
+    # a word of degree-0 letters in a differential of degree -1
+    bad = copy.diff["a1^12"] + poly(p, {"a1^11 a2^12": 1})
+    with pytest.raises(ValueError, match=re.escape("differential of a1^12 is not homogeneous")):
+        DGA(p, gens, {**copy.diff, "a1^12": bad}, copy_info=copy.copy_info)
