@@ -1,9 +1,10 @@
 """Batch command-line driver with machine-readable output.
 
-Subcommands: dga | reps | hom | ext | cech | equiv | verify.  All output goes
-to stdout as JSON (or CSV with --format csv), diagnostics to stderr.  The
-same (flags, seed) always produce byte-identical output.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+Subcommands: dga | reps | hom | ext | cech | equiv | verify, each taking only
+the flags it reads (an unknown flag is a usage error).  All output goes to
+stdout as JSON (reps, hom, ext, cech and equiv write CSV with --format csv),
+diagnostics to stderr.  The same (flags, seed) always produce byte-identical
+output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from .cech import CechComplex, build_tiling
 from .freedga import build_lambda_dga, kcopy_dga
 from .sheafcat import ext0_dim, ext1_dim, functor_obj
 from .torusrep import cohomology_closed
-from .verify import N_FROM_1_2, check_functoriality, rng_for, run_suites
+from .verify import check_functoriality, rng_for, run_suites
 
 SCHEMA = 1
 
 
-def _emit(payload: dict, fmt: str):
+def _emit(payload: dict, fmt: str = "json"):
     payload = {"schema": SCHEMA, **payload}
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
@@ -41,13 +42,10 @@ def _emit(payload: dict, fmt: str):
         sys.stdout.write(buf.getvalue())
 
 
-def _mats_to_list(mats):
-    return [m.tolist() for m in mats]
-
-
 def _sample_pairs(reps, samples, rng):
-    """Ordered index pairs: all of them, or `samples` draws without duplicates
-    (stderr says when repeated draws leave fewer pairs than requested)."""
+    """Ordered index pairs: all of them when `samples` is 0 or reaches their
+    number, otherwise `samples` draws without duplicates (stderr says when
+    repeated draws leave fewer pairs than requested)."""
     n = len(reps)
     if samples and samples < n * n:
         pairs = sorted({divmod(rng.randrange(n * n), n) for _ in range(samples)})
@@ -64,21 +62,19 @@ def _sheaf_objects(reps, pairs):
 
 
 def _objects(args, rng):
-    """Enumerate when feasible within budget, otherwise sample tuples."""
+    """Enumerate when feasible within budget, otherwise sample
+    max(2, --samples or 4) distinct tuples."""
     total = args.p ** (args.n * args.n * args.m)
     if total <= args.budget:
         return enumerate_reps(args.m, args.n, args.p, budget=args.budget), True
-    count = max(2, min(args.samples or 4, 8))
+    count = max(2, args.samples or 4)
     seen = {}
     for _ in range(count * 4):
         r = random_rep(args.m, args.n, args.p, rng)
         seen.setdefault(r.key(), r)
         if len(seen) >= count:
             break
-    if args.samples > 8:
-        print(f"drew {len(seen)} distinct objects: sampled objects are capped "
-              f"at 8 whatever --samples ({args.samples}) asks for", file=sys.stderr)
-    elif len(seen) < count:
+    if len(seen) < count:
         print(f"drew {len(seen)} distinct objects of {count} aimed for "
               f"in {count * 4} draws", file=sys.stderr)
     return list(seen.values()), False
@@ -93,17 +89,13 @@ def cmd_dga(args):
         out["copies"] = args.copies
         out["copy_dga"] = copy.to_json()
         out["copy_d_squared_zero"] = copy.check_d_squared()
-    _emit(out, args.format)
+    _emit(out)
     return 0
 
 
 def cmd_reps(args):
-    try:
-        reps = enumerate_reps(args.m, args.n, args.p, budget=args.budget)
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 1
-    rows = [{"index": i, "tuple": json.dumps(_mats_to_list(r.A))}
+    reps = enumerate_reps(args.m, args.n, args.p, budget=args.budget)
+    rows = [{"index": i, "tuple": json.dumps([a.tolist() for a in r.A])}
             for i, r in enumerate(reps)]
     _emit({"command": "reps", "m": args.m, "n": args.n, "p": args.p,
            "count": len(reps), "rows": rows}, args.format)
@@ -149,7 +141,7 @@ def cmd_ext(args):
 def cmd_cech(args):
     rng = rng_for(args.seed, "cech")
     reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples or 4, rng)
+    pairs = _sample_pairs(reps, args.samples, rng)
     objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
     rows = []
@@ -212,19 +204,56 @@ def cmd_verify(args):
                (("m", args.m, cfg["max_m"]), ("n", args.n, cfg["max_n"])) if asked != used]
     if clamped:
         print(f"note: verify clamps {' and '.join(clamped)}: its suites run at "
-              f"m <= 3 and draw n from {{1, 2}}", file=sys.stderr)
-    elif args.n < 2:
-        print(f"note: --n {args.n} does not bound the suites {', '.join(N_FROM_1_2)}: "
-              f"they draw n from {{1, 2}}", file=sys.stderr)
-    if args.samples == 0:
-        print("warning: --samples 0 makes every suite vacuous", file=sys.stderr)
+              f"m <= 3 and n <= 2", file=sys.stderr)
     ok, results = run_suites(cfg, args.seed, corrupt_sign=args.corrupt_sign)
     for r in results:
         print(("PASS " if r["ok"] else "FAIL ") + r["name"] + ": " + str(r["detail"]),
               file=sys.stderr)
     _emit({"command": "verify", "ok": ok, "results": results,
-           "corrupt_sign": bool(args.corrupt_sign)}, args.format)
+           "corrupt_sign": bool(args.corrupt_sign)})
     return 0 if ok else 1
+
+
+def _bounded(low: int, high: int | None = None):
+    """An argparse type: an int of at least low, and at most high if given."""
+    def integer(text):
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}" + (f" and at most {high}" if high else ""))
+        return value
+    return integer
+
+
+def _field(text):
+    try:
+        return xa.check_field(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+FLAGS = {
+    "m": {"type": _bounded(1), "default": 2, "help": "number of braid crossings"},
+    "n": {"type": _bounded(1), "default": 1, "help": "representation dimension"},
+    "p": {"type": _field, "default": 2, "help": "field characteristic (prime)"},
+    "seed": {"type": int, "default": 0},
+    "samples": {"type": _bounded(0), "default": 9,
+                "help": "ordered pairs to check, 0 for every pair"},
+    "budget": {"type": int, "default": 100_000, "help": "most tuples to enumerate"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "resolution": {"type": _bounded(1), "default": 1, "help": "Cech tiling dilation"},
+    "copies": {"type": _bounded(1, 10), "default": 1, "help": "k > 1 adds the k-copy DGA"},
+}
+REPS = ("m", "n", "p", "budget", "format")
+SAMPLED = REPS + ("seed", "samples")
+COMMANDS = (
+    ("dga", cmd_dga, "emit the link DGA (and k-copy)", ("m", "p", "copies")),
+    ("reps", cmd_reps, "enumerate objects", REPS),
+    ("hom", cmd_hom, "H^* dims, machinery vs closed form", SAMPLED),
+    ("ext", cmd_ext, "Ext dims vs the representation side", SAMPLED),
+    ("cech", cmd_cech, "Cech dims, rank certificates, game trace", SAMPLED + ("resolution",)),
+    ("equiv", cmd_equiv, "the equivalence report", SAMPLED + ("resolution",)),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -233,31 +262,15 @@ def make_parser() -> argparse.ArgumentParser:
         description="Representation and sheaf categories of Legendrian (2,m) "
                     "torus links over F_p, with cross-oracle verification.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, n=True):
-        sp.add_argument("--m", type=int, default=2, help="number of braid crossings")
-        if n:
-            sp.add_argument("--n", type=int, default=1, help="representation dimension")
-        sp.add_argument("--p", type=int, default=2, help="field characteristic (prime)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=9)
-        sp.add_argument("--budget", type=int, default=100_000)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--resolution", type=int, default=1)
-
-    sp = sub.add_parser("dga", help="emit the link DGA (and k-copy)")
-    common(sp, n=False)
-    sp.add_argument("--copies", type=int, default=1)
-    sp.set_defaults(fn=cmd_dga)
-
-    for name, fn in (("reps", cmd_reps), ("hom", cmd_hom), ("ext", cmd_ext),
-                     ("cech", cmd_cech), ("equiv", cmd_equiv)):
-        sp = sub.add_parser(name)
-        common(sp)
+    for name, fn, help_, flags in COMMANDS:
+        sp = sub.add_parser(name, help=help_)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
         sp.set_defaults(fn=fn)
-
     sp = sub.add_parser("verify", help="run all property suites")
-    common(sp)
+    for flag in ("m", "n", "p", "seed"):
+        sp.add_argument(f"--{flag}", **FLAGS[flag])
+    sp.add_argument("--samples", type=_bounded(1), default=9, help="random cases per suite")
     sp.add_argument("--corrupt-sign", action="store_true",
                     help="negative control: flip a composition sign")
     sp.set_defaults(fn=cmd_verify, m=3, n=2)
@@ -265,20 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "m", 1) < 1:
-        ap.error("--m must be at least 1")
-    if getattr(args, "n", 1) < 1:
-        ap.error("--n must be at least 1")
-    if args.samples < 0:
-        ap.error("--samples must be at least 0")
-    if args.resolution < 1:
-        ap.error("--resolution must be at least 1")
-    try:
-        xa.check_field(args.p)
-    except ValueError as e:
-        ap.error(str(e))
+    args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BudgetExceeded as e:

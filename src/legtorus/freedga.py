@@ -218,9 +218,11 @@ class DGA:
         acc: dict[Word, int] = {}
         for w, c in f.terms.items():
             sign = 1
-            for i, (name, _) in enumerate(w):
+            for i, (name, e) in enumerate(w):
                 g = self.gens[name]
                 if not g.invertible:
+                    if e != 1:
+                        raise ValueError(f"{name} is not invertible: no {name}^{e}")
                     left, right, cs = w[:i], w[i + 1:], c * sign
                     for u, cu in self.diff[name].terms.items():
                         v = _join(_join(left, u), right)
@@ -359,8 +361,8 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
     k x k result in place.  Each letter's image (chord matrix, Delta X,
     X^-1 Delta^-1) is built once.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not 1 <= k <= 10:
+        raise ValueError("k must be between 1 and 10: names such as b1^12 give one digit per copy")
     p = dga.p
     chords = [g for g in dga.gens.values() if not g.invertible]
     ts = [g for g in dga.gens.values() if g.invertible]

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 
 from legtorus import verify
 from legtorus.cech import CechComplex
-from legtorus.cli import main
+from legtorus.cli import main, make_parser
 
 
 def run_cli(args):
@@ -21,10 +23,47 @@ def test_usage_errors_exit_2():
     assert run_cli(["dga", "--p", "6"]).returncode == 2
     assert run_cli(["bogus"]).returncode == 2
     for argv in (["hom", "--m", "2", "--n", "1", "--p", "3", "--samples", "-1"],
-                 ["verify", "--samples", "-1"], ["cech", "--resolution", "0"]):
+                 ["verify", "--samples", "-1"], ["cech", "--resolution", "0"],
+                 ["dga", "--copies", "-3"], ["dga", "--copies", "11"]):
         proc = run_cli(argv)
         assert proc.returncode == 2 and not proc.stdout, argv
         assert "must be at least" in proc.stderr, argv
+
+
+# flags that other subcommands take but these do not read
+REMOVED_FLAGS = {
+    "dga": ["--seed", "--samples", "--budget", "--format", "--resolution"],
+    "reps": ["--seed", "--samples", "--resolution"],
+    "hom": ["--resolution"],
+    "ext": ["--resolution"],
+    "verify": ["--budget", "--format", "--resolution"],
+}
+VALUES = {"--seed": "1", "--samples": "3", "--budget": "10", "--format": "json",
+          "--resolution": "1"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in REMOVED_FLAGS.items()
+                                           for f in flags])
+def test_subcommands_reject_flags_they_do_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, VALUES[flag]])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out
+    assert f"unrecognized arguments: {flag}" in err
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's per-subcommand flag table lists exactly the options each
+    subparser takes (besides --help)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = readme[readme.index("## Command line"):readme.index("## Demos")]
+    table = {m[1]: m[2].split() for m in
+             re.finditer(r"^\| `(\w+)` \| `([^`]*)` \|", readme, re.M)}
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: [opt for a in sp._actions if not isinstance(a, argparse._HelpAction)
+                     for opt in a.option_strings]
+              for name, sp in sub.choices.items()}
+    assert table == parsed
 
 
 def test_dga_json_contains_differential():
@@ -68,6 +107,14 @@ def test_equiv_report():
     assert doc["objects"] == 3 and len(doc["rows"]) == 9
     assert doc["functoriality"]["ok"]
     assert all(r["ext2_cech"] == 0 for r in doc["rows"])
+
+
+def test_cech_zero_samples_checks_every_pair():
+    # two objects over F_3 at m = n = 1, so four ordered pairs
+    doc = json.loads(run_cli(["cech", "--m", "1", "--n", "1", "--p", "3",
+                              "--samples", "0"]).stdout)
+    assert [(r["source"], r["target"]) for r in doc["rows"]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert doc["all_agree"]
 
 
 def test_cech_trace_and_certificates():
@@ -137,16 +184,16 @@ def test_sampling_without_duplicates_prints_nothing(capsys):
     assert "sampled" not in err
 
 
-def test_object_cap_is_reported_on_stderr_only(capsys):
-    # 3^2 tuples exceed --budget 5, so objects are sampled, at most 8 of them
-    args = ["hom", "--m", "2", "--n", "1", "--p", "3", "--budget", "5", "--seed", "3"]
+def test_samples_past_8_draw_as_many_objects(capsys):
+    # 5^2 tuples exceed --budget 5, so objects are sampled: max(2, --samples)
+    # of them, with no cap at 8
+    args = ["equiv", "--m", "2", "--n", "1", "--p", "5", "--budget", "5", "--seed", "3"]
     assert main(args + ["--samples", "12"]) == 0
-    out12, err = capsys.readouterr()
-    assert "capped at 8 whatever --samples (12) asks for" in err
-    assert main(args + ["--samples", "8"]) == 0
-    out8, err = capsys.readouterr()
-    assert "capped" not in err
-    assert json.loads(out12)["rows"] and "capped" not in out12 + out8
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["objects"] == 12 and not doc["complete_enumeration"]
+    assert len(doc["rows"]) == 12 and doc["all_agree"]
+    assert not err
 
 
 def test_short_object_sample_is_reported_on_stderr_only(capsys):
@@ -194,11 +241,10 @@ def test_verify_says_what_it_clamped():
     assert proc.stdout == (GOLDEN / "verify.json").read_text()
 
 
-def test_verify_zero_samples_vacuous():
+def test_verify_zero_samples_is_a_usage_error():
     proc = run_cli(["verify", "--samples", "0"])
-    assert proc.returncode == 0
-    assert "vacuous" in proc.stdout
-    assert "warning" in proc.stderr
+    assert proc.returncode == 2 and not proc.stdout
+    assert "--samples: must be at least 1" in proc.stderr
 
 
 def test_main_in_process():
@@ -215,27 +261,26 @@ def test_equiv_functoriality_draws_n_up_to_the_flag(monkeypatch, capsys):
     assert 3 in drawn and set(drawn) <= {1, 2, 3}
 
 
-def test_verify_says_which_suites_draw_n_past_the_flag():
-    args = ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]
-    proc = run_cli(args)
-    assert proc.returncode == 0
-    note = next(line for line in proc.stderr.splitlines() if line.startswith("note:"))
-    assert note.startswith("note: --n 1 does not bound the suites")
-    assert all(name in note for name in verify.N_FROM_1_2) and "{1, 2}" in note
-    assert "note" not in proc.stdout
-    assert proc.stdout == (GOLDEN / "verify.json").read_text()
-    assert "does not bound" not in run_cli([*args[:4], "2", *args[5:]]).stderr
-
-
-def test_only_the_named_suites_draw_n_past_max_n(monkeypatch):
-    """verify.N_FROM_1_2, which the note above prints, is exactly the set of
-    suites that draw n = 2 when max_n is 1."""
+def test_verify_n_bounds_every_draw(monkeypatch, capsys):
     drawn = []
     real = verify.random_rep
     monkeypatch.setattr(verify, "random_rep",
                         lambda m, n, p, rng: drawn.append(n) or real(m, n, p, rng))
-    cfg = {"max_m": 2, "max_n": 1, "primes": (3,), "samples": 4, "pairs_per_config": 1}
-    for name, check in verify.ALL_CHECKS:
-        drawn.clear()
-        check(cfg, verify.rng_for(1, name))
-        assert (max(drawn, default=1) == 2) == (name in verify.N_FROM_1_2), name
+    assert main(["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert drawn and set(drawn) == {1}
+    assert "note" not in err
+    assert out == (GOLDEN / "verify.json").read_text()
+
+
+def test_every_suite_draws_n_up_to_max_n(monkeypatch):
+    drawn = []
+    real = verify.random_rep
+    monkeypatch.setattr(verify, "random_rep",
+                        lambda m, n, p, rng: drawn.append(n) or real(m, n, p, rng))
+    for max_n in (1, 2):
+        cfg = {"max_m": 2, "max_n": max_n, "primes": (3,), "samples": 4, "pairs_per_config": 1}
+        for name, check in verify.ALL_CHECKS:
+            drawn.clear()
+            check(cfg, verify.rng_for(1, name))
+            assert max(drawn, default=1) <= max_n, (name, max_n)

@@ -251,6 +251,14 @@ def test_apply_diff_rejects_inhomogeneous():
         dga.apply_diff(gen(5, "b1") + gen(5, "a1"))
 
 
+def test_apply_diff_rejects_the_inverse_of_a_noninvertible_letter():
+    dga = build_lambda_dga(1, 3)
+    for f in (gen(3, "b1", -1), gen(3, "t1") * gen(3, "a1", -1)):
+        with pytest.raises(ValueError, match="not invertible"):
+            dga.apply_diff(f)
+    assert dga.apply_diff(gen(3, "t1", -1)).is_zero()
+
+
 def test_diff_in_concrete_dga():
     # in the m=2 link DGA over F_2: d(b1 a1) = (t1^-1 + 1 + a1 a2) a1
     p = 2
@@ -307,6 +315,15 @@ def test_kcopy_d_squared():
         for k in (2, 3):
             for p in (2, 3):
                 assert kcopy_dga(build_lambda_dga(m, p), k).check_d_squared(), (m, k, p)
+
+
+def test_kcopy_takes_1_to_10_copies():
+    dga = build_lambda_dga(1, 2)
+    for k in (0, 11):
+        with pytest.raises(ValueError, match="between 1 and 10"):
+            kcopy_dga(dga, k)
+    copy = kcopy_dga(dga, 10)  # generator names stay distinct up to k = 10
+    assert len(copy.gens) == 3 * 100 + 2 * 10 + 2 * 45 * 2
 
 
 def test_kcopy_b_entry_contains_t_inverse_term():
