@@ -11,11 +11,14 @@ cusps.
 
 Sections of Hom(F, G) over a tile/edge/vertex neighborhood are computed as
 the solution space of the commutation constraints of the local stratum
-quiver.  An open with no constraints (every vertex, and every edge the front
-does not cross) has the identity kernel, and each distinct constrained system
-is eliminated once per complex.  The three-term complex C^0 -> C^1 -> C^2 then
-gives H^0/H^1 (checked against Ext^0/Ext^1) and the surjectivity of d^1, i.e.
-the vanishing of H^2.
+quiver.  A zero stalk (U0, the arcs bl_i and the vertices x1, x4, y_i; U0,
+bot and the cusps on the eye) adds no sections and no equations: it keeps its
+dimension and an empty unknown block, but has no generization maps and no
+constraints.  An open with no constraints (every vertex, and every edge the
+front does not cross) has the identity kernel, and each distinct constrained
+system is eliminated once per complex.  The three-term complex
+C^0 -> C^1 -> C^2 then gives H^0/H^1 (checked against Ext^0/Ext^1) and the
+surjectivity of d^1, i.e. the vanishing of H^2.
 
 The differentials are held as blocks, d^0 keyed (edge, tile) and d^1 keyed
 (vertex, edge), each block a +- restriction map.  d^1 . d^0 = 0 is checked
@@ -164,11 +167,10 @@ class TilingComplex:
     face_region: dict = field(default_factory=dict)  # (tile, face idx) -> region name
     tile_face_lists: dict = field(default_factory=dict)
     arc_sides: dict = field(default_factory=dict)  # arc -> (above region, below region)
-    tile_strata: dict = field(default_factory=dict)
     edge_info: dict = field(default_factory=dict)  # edge -> dict
     vertices: list = field(default_factory=list)   # interior vertices
     vertex_region: dict = field(default_factory=dict)
-    channel_face_local: dict = field(default_factory=dict)  # (tile, channel) -> face idx
+    channel_face: dict = field(default_factory=dict)  # (tile, channel) -> face idx
     tile_arcs: dict = field(default_factory=dict)
     tile_transits: dict = field(default_factory=dict)
 
@@ -364,7 +366,6 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
         if rx != ry:
             parent[rx] = ry
 
-    channel_face: dict = {}
     for tile in T.tiles:
         crossed = {d for d in SLANTED if T.cuts.get(edge_key(tile, d)) and T.in_box(neighbor(tile, d))}
         faces = tile_faces(crossed)
@@ -372,7 +373,7 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
         for fi, face in enumerate(faces):
             parent[(tile, fi)] = (tile, fi)
             for ch in face:
-                channel_face[(tile, ch)] = (tile, fi)
+                T.channel_face[(tile, ch)] = fi
     for tile in T.tiles:
         for d in SLANTED + ("N", "S"):
             nb = neighbor(tile, d)
@@ -381,14 +382,14 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
             ek = edge_key(tile, d)
             parts = ("hi", "lo") if T.cuts.get(ek) else ("full",)
             for part in parts:
-                a = channel_face.get((tile, (d, part)))
-                b = channel_face.get((nb, (OPP[d], part)))
-                if a and b:
-                    union(a, b)
+                a = T.channel_face.get((tile, (d, part)))
+                b = T.channel_face.get((nb, (OPP[d], part)))
+                if a is not None and b is not None:
+                    union((tile, a), (nb, b))
 
     # canonical region names via anchors
     def face_of(tile, channel):
-        return find(channel_face[(tile, channel)])
+        return find((tile, T.channel_face[(tile, channel)]))
 
     names: dict = {}
     names[face_of((0, rmax), ("N", "full"))] = "U0"
@@ -418,8 +419,8 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
     for ek, arcname in T.cuts.items():
         ta, tb = ek
         d = next(dd for dd in SLANTED if neighbor(ta, dd) == tb)
-        above = T.face_region[find(channel_face[(ta, (d, "hi"))])]
-        below = T.face_region[find(channel_face[(ta, (d, "lo"))])]
+        above = T.face_region[face_of(ta, (d, "hi"))]
+        below = T.face_region[face_of(ta, (d, "lo"))]
         prev = T.arc_sides.get(arcname)
         if prev is not None and prev != (above, below):
             raise AssertionError(f"arc {arcname} has inconsistent sides")
@@ -436,7 +437,7 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
                 continue
             ek = edge_key(tile, d)
             if ek not in T.edge_info:
-                fi = find(channel_face[(tile, (d, "full"))])
+                fi = face_of(tile, (d, "full"))
                 T.edge_info[ek] = {"arc": None, "region": T.face_region[fi],
                                    "horizontal": d == "N"}
             else:
@@ -463,29 +464,9 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
             else:
                 d = "NW"
                 part = "lo" if T.cuts.get(edge_key(tile, d)) else "full"
-            fi = find(channel_face[(tile, (d, part))])
+            fi = face_of(tile, (d, part))
             T.vertex_region[v] = T.face_region[fi]
 
-    # local channel -> face index lookup, and strata met by each tile
-    T.channel_face_local = {}
-    for tile in T.tiles:
-        for fi, face in enumerate(T.tile_face_lists[tile]):
-            for ch in face:
-                T.channel_face_local[(tile, ch)] = fi
-    for tile in T.tiles:
-        strata = set()
-        for fi in range(len(T.tile_face_lists[tile])):
-            strata.add(("R", T.face_region[(tile, fi)]))
-        for rec in transit_count.get(tile, []):
-            strata.add(("A", rec[0]))
-        cont = T.content.get(tile)
-        if cont and cont[0] == "crossing":
-            strata |= {("A", a) for a in cont[2].values()}
-            strata.add(("V", T.vertex_strata[tile]))
-        if cont and cont[0] == "cusp":
-            strata |= {("A", cont[3]), ("A", cont[4])}
-            strata.add(("V", T.vertex_strata[tile]))
-        T.tile_strata[tile] = sorted(strata)
     T.tile_arcs = {tile: sorted({r[0] for r in recs})
                    for tile, recs in transit_count.items()}
     T.tile_transits = transit_count
@@ -504,24 +485,16 @@ class EyeSheaf:
 def local_data(T: TilingComplex, obj):
     """Per-stratum dimensions and generization maps for an object on T.
 
-    Returns (dims, maps): dims maps stratum id -> dimension; maps maps pairs
-    (small stratum, big stratum) -> matrix of the generization.
+    Returns (dims, maps): dims maps every stratum id -> dimension; maps maps
+    pairs (small stratum, big stratum), both of nonzero dimension, -> matrix
+    of the generization.  A zero stalk has no maps.
     """
     if T.kind == "eye":
         r = obj.rank
         dims = {("R", "U0"): 0, ("R", "I"): r,
                 ("A", "top"): r, ("A", "bot"): 0,
                 ("V", "cl"): 0, ("V", "cr"): 0}
-        maps = {
-            (("A", "top"), ("R", "I")): xa.eye(r),
-            (("A", "top"), ("R", "U0")): np.zeros((0, r), dtype=np.int64),
-            (("A", "bot"), ("R", "I")): np.zeros((r, 0), dtype=np.int64),
-            (("A", "bot"), ("R", "U0")): np.zeros((0, 0), dtype=np.int64),
-        }
-        for v in ("cl", "cr"):
-            for tgt, dim in ((("R", "U0"), 0), (("R", "I"), r), (("A", "top"), r), (("A", "bot"), 0)):
-                maps[(("V", v), tgt)] = np.zeros((dim, 0), dtype=np.int64)
-        return dims, maps
+        return dims, {(("A", "top"), ("R", "I")): xa.eye(r)}
 
     F: SheafObject = obj
     n, p, m = F.n, F.p, T.m
@@ -545,9 +518,7 @@ def local_data(T: TilingComplex, obj):
     def setmap(s, t, mat):
         maps[(s, t)] = np.mod(np.array(mat, dtype=np.int64), p)
 
-    z_up = np.zeros((0, n), dtype=np.int64)
     setmap(("A", "a1"), ("R", "U1"), xa.eye(n))
-    setmap(("A", "a1"), ("R", "U0"), z_up)
     setmap(("A", "a2"), ("R", "U2"), xa.eye(2 * n))
     setmap(("A", "a2"), ("R", "U1"), psi)
     pm_iso = (psi @ F.phi(m + 1)) % p
@@ -556,10 +527,6 @@ def local_data(T: TilingComplex, obj):
         down = xa.eye(n) if i < m else pm_iso
         setmap(("A", f"bt{i}"), ("R", below), down)
         setmap(("A", f"bt{i}"), ("R", "U2"), F.phi(i + 1))
-        # zero-dimensional bottom arcs
-        above_bl = "U1" if i in (0, m) else f"D{i}"
-        setmap(("A", f"bl{i}"), ("R", above_bl), np.zeros((n, 0), dtype=np.int64))
-        setmap(("A", f"bl{i}"), ("R", "U0"), np.zeros((0, 0), dtype=np.int64))
     # cusp vertices
     setmap(("V", "x2"), ("R", "U1"), xa.eye(n))
     setmap(("V", "x2"), ("R", "U2"), F.phi(1))
@@ -569,12 +536,6 @@ def local_data(T: TilingComplex, obj):
     setmap(("V", "x3"), ("R", "U2"), F.phi(m + 1))
     setmap(("V", "x3"), ("A", "a2"), F.phi(m + 1))
     setmap(("V", "x3"), ("A", f"bt{m}"), xa.eye(n))
-    # zero-dimensional feature vertices
-    for tile, vname in T.vertex_strata.items():
-        if dims[("V", vname)] == 0:
-            for s in T.tile_strata[tile]:
-                if s != ("V", vname):
-                    setmap(("V", vname), s, np.zeros((dims[s], 0), dtype=np.int64))
     _check_functor(dims, maps, p)
     return dims, maps
 
@@ -632,8 +593,6 @@ def _section_kernel(blocks, constraints, p):
     rows = []
     for s, t, fmap, gmap in constraints:
         (dfs, dgs), (dft, dgt) = blocks[s], blocks[t]
-        if dgt * dfs == 0:
-            continue
         row = xa.zeros(dgt * dfs, total)
         if dft * dgt:
             row[:, starts[t]:starts[t + 1]] = xa.kron(xa.eye(dgt), fmap.T, p)
@@ -726,13 +685,21 @@ class CechComplex:
     def _rdims(self, region):
         return self.dF[("R", region)], self.dG[("R", region)]
 
+    def _constraints(self, pairs):
+        """(ks, kt, F(s -> t), G(s -> t)) for each (s, kt, t): stratum s, whose
+        block key is s itself, generizes to stratum t, held in block kt.  A pair
+        with dF[s] . dG[t] = 0 constrains nothing and is dropped, so no zero
+        stalk is looked up."""
+        return [(s, kt, self.mF[s, t], self.mG[s, t])
+                for s, kt, t in pairs if self.dF[s] * self.dG[t]]
+
     def _tile_system(self, tile):
         T = self.T
         items = []
         for fi in range(len(T.tile_face_lists[tile])):
             fd, gd = self._rdims(T.face_region[(tile, fi)])
             items.append((("F", fi), fd, gd))
-        constraints = []
+        pairs = []
         for arcname in T.tile_arcs.get(tile, []):
             items.append(((("A", arcname)), self.dF[("A", arcname)], self.dG[("A", arcname)]))
         cont = T.content.get(tile)
@@ -744,8 +711,8 @@ class CechComplex:
             for d in (entry, exit_):
                 if d is None:
                     continue
-                hi = T.channel_face_local[(tile, (d, "hi"))]
-                lo = T.channel_face_local[(tile, (d, "lo"))]
+                hi = T.channel_face[(tile, (d, "hi"))]
+                lo = T.channel_face[(tile, (d, "lo"))]
                 above, below = T.arc_sides[arcname]
                 assert T.face_region[(tile, hi)] == above and T.face_region[(tile, lo)] == below
                 for face, reg in ((hi, above), (lo, below)):
@@ -753,22 +720,14 @@ class CechComplex:
                     if pair in seen_pairs:
                         continue
                     seen_pairs.add(pair)
-                    constraints.append(((("A", arcname)), ("F", face),
-                                        self.mF[(("A", arcname), ("R", reg))],
-                                        self.mG[(("A", arcname), ("R", reg))]))
+                    pairs.append((("A", arcname), ("F", face), ("R", reg)))
         if cont and cont[0] in ("crossing", "cusp"):
-            vname = T.vertex_strata[tile]
-            vkey = ("V", vname)
+            vkey = ("V", T.vertex_strata[tile])
             for arcname in T.tile_arcs.get(tile, []):
-                constraints.append((vkey, ("A", arcname),
-                                    self.mF[(vkey, ("A", arcname))],
-                                    self.mG[(vkey, ("A", arcname))]))
+                pairs.append((vkey, ("A", arcname), ("A", arcname)))
             for fi in range(len(T.tile_face_lists[tile])):
-                reg = T.face_region[(tile, fi)]
-                constraints.append((vkey, ("F", fi),
-                                    self.mF[(vkey, ("R", reg))],
-                                    self.mG[(vkey, ("R", reg))]))
-        return items, constraints
+                pairs.append((vkey, ("F", fi), ("R", T.face_region[(tile, fi)])))
+        return items, self._constraints(pairs)
 
     def _edge_system(self, ek):
         T = self.T
@@ -782,13 +741,8 @@ class CechComplex:
         fu, gu = self._rdims(info["above"])
         fl, gl = self._rdims(info["below"])
         items = [(akey, fa, ga), (("S", "above"), fu, gu), (("S", "below"), fl, gl)]
-        constraints = [
-            (akey, ("S", "above"), self.mF[(akey, ("R", info["above"]))],
-             self.mG[(akey, ("R", info["above"]))]),
-            (akey, ("S", "below"), self.mF[(akey, ("R", info["below"]))],
-             self.mG[(akey, ("R", info["below"]))]),
-        ]
-        return items, constraints
+        return items, self._constraints([(akey, ("S", side), ("R", info[side]))
+                                         for side in ("above", "below")])
 
     def _vertex_system(self, v):
         fd, gd = self._rdims(self.T.vertex_region[v])
@@ -814,13 +768,13 @@ class CechComplex:
                  if neighbor(tile, dd) == other)
         info = T.edge_info[ek]
         if info["arc"] is None:
-            face = T.channel_face_local[(tile, (d, "full"))]
+            face = T.channel_face[(tile, (d, "full"))]
             keymap = {("S", "only"): ("F", face)}
         else:
             keymap = {
                 ("A", info["arc"]): ("A", info["arc"]),
-                ("S", "above"): ("F", T.channel_face_local[(tile, (d, "hi"))]),
-                ("S", "below"): ("F", T.channel_face_local[(tile, (d, "lo"))]),
+                ("S", "above"): ("F", T.channel_face[(tile, (d, "hi"))]),
+                ("S", "below"): ("F", T.channel_face[(tile, (d, "lo"))]),
             }
         return self._project(self.tile_space[tile], self.edge_space[ek], keymap)
 

@@ -199,7 +199,7 @@ def cmd_equiv(args):
 def cmd_verify(args):
     cfg = {"max_m": min(args.m, 3), "max_n": min(args.n, 2),
            "primes": (2, 3) if args.p == 2 else (args.p,),
-           "samples": args.samples, "pairs_per_config": 1}
+           "samples": args.samples}
     clamped = [f"--{flag} {asked} to {used}" for flag, asked, used in
                (("m", args.m, cfg["max_m"]), ("n", args.n, cfg["max_n"])) if asked != used]
     if clamped:
@@ -239,7 +239,7 @@ FLAGS = {
     "seed": {"type": int, "default": 0},
     "samples": {"type": _bounded(0), "default": 9,
                 "help": "ordered pairs to check, 0 for every pair"},
-    "budget": {"type": int, "default": 100_000, "help": "most tuples to enumerate"},
+    "budget": {"type": _bounded(0), "default": 100_000, "help": "most tuples to enumerate"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "resolution": {"type": _bounded(1), "default": 1, "help": "Cech tiling dilation"},
     "copies": {"type": _bounded(1, 10), "default": 1, "help": "k > 1 adds the k-copy DGA"},

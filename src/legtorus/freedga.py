@@ -264,15 +264,11 @@ class DGA:
 # ---------------------------------------------------------------------------
 # P_m / Q_m polynomial families
 
-def pq_polynomial(m: int, kind: str, p: int, letters=None) -> FreePoly:
-    """P_m or Q_m in noncommuting letters (defaults a1..am)."""
+def pq_polynomial(m: int, kind: str, p: int) -> FreePoly:
+    """P_m or Q_m in the noncommuting letters a1..am."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if letters is None:
-        letters = [f"a{j}" for j in range(1, m + 1)]
-    if len(letters) != m:
-        raise ValueError("need one letter per index")
-    return _pq(tuple(letters), kind, p)
+    return _pq(tuple(f"a{j}" for j in range(1, m + 1)), kind, p)
 
 
 def _pq(letters, kind, p) -> FreePoly:

@@ -54,11 +54,12 @@ def check_sylvester(cfg, rng):
     samples = cfg["samples"]
     count = 0
     for _ in range(samples):
-        m = rng.randrange(1, 7)
-        n = rng.randrange(1, 4)
-        mats = [xa.rand_matrix(rng, n, n, 5) for _ in range(m)]
-        if not sylvester_check(mats, 5):
-            return False, f"determinant identity fails: m={m}, n={n}"
+        m = rng.randrange(1, cfg["max_m"] + 1)
+        n = rng.randrange(1, cfg["max_n"] + 1)
+        p = rng.choice(cfg["primes"])
+        mats = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
+        if not sylvester_check(mats, p):
+            return False, f"determinant identity fails: m={m}, n={n}, p={p}"
         count += 1
     return True, f"{count} random tuples"
 
@@ -190,11 +191,9 @@ def check_equivalence(cfg, rng):
     pairs = []
     for m in range(1, cfg["max_m"] + 1):
         for p in cfg["primes"]:
-            T = build_tiling(m)
-            for _ in range(cfg["pairs_per_config"]):
-                r0 = random_rep(m, cfg["max_n"], p, rng)
-                r1 = random_rep(m, cfg["max_n"], p, rng)
-                pairs.append((m, p, T, r0, r1))
+            r0 = random_rep(m, cfg["max_n"], p, rng)
+            r1 = random_rep(m, cfg["max_n"], p, rng)
+            pairs.append((m, p, build_tiling(m), r0, r1))
     for m, p, T, r0, r1 in pairs:
         H = hom_cohomology(r0, r1)
         F, G = functor_obj(r0), functor_obj(r1)

@@ -108,8 +108,6 @@ def test_functor_check_matches_all_pairs_reference():
         composites = {(s, t2) for (s, t) in maps for (s2, t2) in maps
                       if s2 == t and (s, t2) in maps}
         for key in sorted(composites):
-            if maps[key].size == 0:
-                continue
             bad = dict(maps)
             bad[key] = maps[key].copy()
             bad[key].flat[0] = (bad[key].flat[0] + 1) % p
@@ -121,6 +119,21 @@ def test_functor_check_matches_all_pairs_reference():
             assert errors[0] == errors[1]
             corrupted += 1
     assert corrupted > 10
+
+
+def test_zero_stalks_have_dims_but_no_maps():
+    rng = random.Random(37)
+    cases = [(build_tiling(m), functor_obj(random_rep(m, rng.choice([1, 2]), 3, rng)))
+             for m in range(1, 7)]
+    cases += [(eye_tiling(rho), EyeSheaf(2, 3)) for rho in (1, 2)]
+    for T, obj in cases:
+        dims, maps = local_data(T, obj)
+        zero = {s for s, d in dims.items() if d == 0}
+        assert ("R", "U0") in zero
+        assert maps and all(mat.size for mat in maps.values())
+        assert not zero & {s for pair in maps for s in pair}
+        # arcs a1, a2 and bt_i; the two cusp vertices x2, x3 meet four strata each
+        assert len(maps) == (1 if T.kind == "eye" else 3 + 2 * (T.m + 1) + 8)
 
 
 # -- Cech cohomology as an Ext oracle ------------------------------------------------
@@ -470,6 +483,16 @@ def local_systems(cx):
     return ([(cx.tile_space[t], cx._tile_system(t)) for t in cx.T.tiles]
             + [(cx.edge_space[ek], cx._edge_system(ek)) for ek in cx.edges]
             + [(cx.vertex_space[v], cx._vertex_system(v)) for v in cx.T.vertices])
+
+
+def test_constraints_have_nonzero_maps(complexes):
+    for cx in complexes:
+        systems = ([cx._tile_system(t) for t in cx.T.tiles]
+                   + [cx._edge_system(ek) for ek in cx.edges])
+        constraints = [c for _, cons in systems for c in cons]
+        assert constraints
+        for ks, kt, fmap, gmap in constraints:
+            assert fmap.size and gmap.size, (ks, kt)
 
 
 def test_open_spaces_match_reference_solver(complexes):

@@ -24,7 +24,8 @@ def test_usage_errors_exit_2():
     assert run_cli(["bogus"]).returncode == 2
     for argv in (["hom", "--m", "2", "--n", "1", "--p", "3", "--samples", "-1"],
                  ["verify", "--samples", "-1"], ["cech", "--resolution", "0"],
-                 ["dga", "--copies", "-3"], ["dga", "--copies", "11"]):
+                 ["dga", "--copies", "-3"], ["dga", "--copies", "11"],
+                 ["reps", "--budget", "-5"]):
         proc = run_cli(argv)
         assert proc.returncode == 2 and not proc.stdout, argv
         assert "must be at least" in proc.stderr, argv
@@ -279,7 +280,7 @@ def test_every_suite_draws_n_up_to_max_n(monkeypatch):
     monkeypatch.setattr(verify, "random_rep",
                         lambda m, n, p, rng: drawn.append(n) or real(m, n, p, rng))
     for max_n in (1, 2):
-        cfg = {"max_m": 2, "max_n": max_n, "primes": (3,), "samples": 4, "pairs_per_config": 1}
+        cfg = {"max_m": 2, "max_n": max_n, "primes": (3,), "samples": 4}
         for name, check in verify.ALL_CHECKS:
             drawn.clear()
             check(cfg, verify.rng_for(1, name))

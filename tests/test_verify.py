@@ -3,8 +3,7 @@ import pytest
 from legtorus import cech, verify
 from legtorus.verify import ALL_CHECKS, check_graph_game, rng_for, run_suites
 
-SMALL = {"max_m": 2, "max_n": 1, "primes": (2, 3), "samples": 4,
-         "pairs_per_config": 1}
+SMALL = {"max_m": 2, "max_n": 1, "primes": (2, 3), "samples": 4}
 
 
 def test_all_suites_pass_at_small_scale():
@@ -59,3 +58,17 @@ def test_graph_game_suite_checks_the_game_against_the_dense_rank(monkeypatch):
     monkeypatch.setattr(cech, "graph_game", lenient_game)
     ok, detail = check_graph_game(SMALL, rng_for(0, "cech.graph_game"))
     assert not ok and "not surjective" in detail
+
+
+def test_sylvester_suite_draws_m_n_and_p_from_cfg(monkeypatch):
+    calls = []
+    real = verify.sylvester_check
+    monkeypatch.setattr(verify, "sylvester_check",
+                        lambda mats, p: calls.append((len(mats), mats[0].shape, p))
+                        or real(mats, p))
+    cfg = {**SMALL, "max_n": 2, "samples": 40}
+    ok, detail = verify.check_sylvester(cfg, rng_for(0, "torusrep.sylvester"))
+    assert ok and detail == "40 random tuples" and len(calls) == 40
+    assert {m for m, _, _ in calls} == {1, 2}
+    assert {shape for _, shape, _ in calls} == {(1, 1), (2, 2)}
+    assert {p for _, _, p in calls} == {2, 3}
