@@ -163,7 +163,7 @@ class TilingComplex:
     cuts: dict = field(default_factory=dict)       # edge_key -> arc name
     arcs: dict = field(default_factory=dict)       # name -> Arc
     vertex_strata: dict = field(default_factory=dict)  # tile -> stratum id (features)
-    regions: dict = field(default_factory=dict)    # region id -> canonical name
+    regions: tuple = ()                            # region names, sorted
     face_region: dict = field(default_factory=dict)  # (tile, face idx) -> region name
     tile_face_lists: dict = field(default_factory=dict)
     arc_sides: dict = field(default_factory=dict)  # arc -> (above region, below region)
@@ -413,7 +413,7 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
             if root not in names:
                 raise AssertionError(f"unidentified region at {tile} face {fi}")
             T.face_region[(tile, fi)] = names[root]
-    T.regions = {v: v for v in set(names.values())}
+    T.regions = tuple(sorted(set(names.values())))
 
     # arc sides (above/below regions) from the crossed edges
     for ek, arcname in T.cuts.items():

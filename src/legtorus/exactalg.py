@@ -68,9 +68,12 @@ def eye(n: int) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Kronecker product mod p: np.kron's int64 products, without its overhead."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :] % p).reshape(ra * rb, ca * cb)
+    """Kronecker product mod p of the last two axes, broadcast over the
+    leading ones: a stack of m pairs gives the m products in one call.
+    np.kron's int64 products, without its overhead."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :] % p
+    return out.reshape(*out.shape[:-4], ra * rb, ca * cb)
 
 
 def rand_matrix(rng, r: int, c: int, p: int) -> np.ndarray:

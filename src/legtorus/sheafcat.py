@@ -25,13 +25,19 @@ from .torusrep import H0Class, H1Class
 
 
 class SheafObject:
-    """A microlocal rank-n sheaf on the (2,m) torus link front."""
+    """A microlocal rank-n sheaf on the (2,m) torus link front.
+
+    The tuple is held as one read-only int64 array A of shape (m, n, n), so
+    A[j - 1] is A_j and the Ext map reads the stack as is.
+    """
 
     def __init__(self, m: int, n: int, p: int, mats):
         self.m, self.n, self.p = m, n, xa.check_field(p)
-        self.A = tuple(np.mod(np.array(a, dtype=np.int64), p) for a in mats)
-        if len(self.A) != m or any(a.shape != (n, n) for a in self.A):
+        mats = [np.asarray(a, dtype=np.int64) for a in mats]
+        if len(mats) != m or any(a.shape != (n, n) for a in mats):
             raise ValueError("need m matrices of size n x n")
+        self.A = np.mod(np.array(mats, dtype=np.int64).reshape(m, n, n), p)
+        self.A.flags.writeable = False
         if xa.det(pq_matrix("P", self.A, p, n), p) == 0:
             raise ValueError("P_m(A) singular: crossing condition fails")
         self._phi = None
@@ -115,20 +121,21 @@ def _ext_map(F: SheafObject, G: SheafObject) -> np.ndarray:
     """The map (u1, u2) -> (u_hit A_k - A'_k u_other)_k on row-major vecs,
     with A from F, A' from G, and u_hit = u1 for k odd, u2 for k even.
 
-    Ext^0(F, G) is its kernel and Ext^1(F, G) its cokernel.
+    Ext^0(F, G) is its kernel and Ext^1(F, G) its cokernel.  Both Kronecker
+    stacks are built with one call each, and placed with strided slices over
+    the odd and the even k.
     """
     if (F.m, F.n, F.p) != (G.m, G.n, G.p):
         raise ValueError("mismatched objects")
     n, p, m = F.n, F.p, F.m
     n2 = n * n
     ident = xa.eye(n)
+    hit = xa.kron(ident, F.A.transpose(0, 2, 1), p)  # u -> u A_k
+    other = (-xa.kron(G.A, ident, p)) % p            # u -> -A'_k u
     mat = xa.zeros(m * n2, 2 * n2)
-    for k in range(1, m + 1):
-        row = (k - 1) * n2
-        hit, other = (0, 1) if k % 2 == 1 else (1, 0)
-        mat[row:row + n2, hit * n2:(hit + 1) * n2] = xa.kron(ident, F.A[k - 1].T, p)
-        blk = mat[row:row + n2, other * n2:(other + 1) * n2]
-        mat[row:row + n2, other * n2:(other + 1) * n2] = (blk - xa.kron(G.A[k - 1], ident, p)) % p
+    blocks = mat.reshape(m, n2, 2, n2)  # [k - 1, row, u1 or u2, entry of u]
+    blocks[0::2, :, 0], blocks[1::2, :, 1] = hit[0::2], hit[1::2]
+    blocks[0::2, :, 1], blocks[1::2, :, 0] = other[0::2], other[1::2]
     return mat
 
 
@@ -350,7 +357,7 @@ def pullback_check(wprime, u, F: SheafObject, G: SheafObject, H: SheafObject) ->
 
 def functor_obj(rho: Representation) -> SheafObject:
     """Objects: entrywise transpose of the defining tuple."""
-    return SheafObject(rho.m, rho.n, rho.p, [a.T % rho.p for a in rho.A])
+    return SheafObject(rho.m, rho.n, rho.p, rho.A.transpose(0, 2, 1))
 
 
 def functor_h0(cls: H0Class, p: int):

@@ -130,18 +130,21 @@ class H1Class:
 
 
 def reduced_complex_matrix(rho: Representation, rho2: Representation) -> np.ndarray:
-    """(u1, u2) -> (u1 A'_1 - A_1 u2, u2 A'_2 - A_2 u1, ...), vectorized."""
+    """(u1, u2) -> (u1 A'_1 - A_1 u2, u2 A'_2 - A_2 u1, ...), vectorized.
+
+    Row block j is u_src A'_j - A_j u_other, with src = 1 for j odd and 2
+    for j even.  Both Kronecker stacks are built with one call each, and
+    placed with strided slices over the odd and the even j.
+    """
     n, p, m = rho.n, rho.p, rho.m
     n2 = n * n
     ident = xa.eye(n)
+    right = xa.kron(ident, rho2.A.transpose(0, 2, 1), p)  # u -> u A'_j
+    left = (-xa.kron(rho.A, ident, p)) % p                 # u -> -A_j u
     mat = xa.zeros(m * n2, 2 * n2)
-    for j in range(1, m + 1):
-        row = (j - 1) * n2
-        src, other = (0, 1) if j % 2 == 1 else (1, 0)
-        # u_src A'_j - A_j u_other
-        mat[row:row + n2, src * n2:(src + 1) * n2] = xa.kron(ident, rho2.A[j - 1].T, p)
-        blk = mat[row:row + n2, other * n2:(other + 1) * n2]
-        mat[row:row + n2, other * n2:(other + 1) * n2] = (blk - xa.kron(rho.A[j - 1], ident, p)) % p
+    blocks = mat.reshape(m, n2, 2, n2)  # [j - 1, row, u1 or u2, entry of u]
+    blocks[0::2, :, 0], blocks[1::2, :, 1] = right[0::2], right[1::2]
+    blocks[0::2, :, 1], blocks[1::2, :, 0] = left[0::2], left[1::2]
     return mat
 
 

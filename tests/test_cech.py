@@ -54,6 +54,27 @@ def test_tile_contents_m2():
     assert kinds.count("cusp") == 4
     assert kinds.count("crossing") == 2
     assert sorted(T.regions) == ["D1", "U0", "U1", "U2"]
+    assert T.regions == ("D1", "U0", "U1", "U2")
+
+
+PICKLE_TILINGS = """
+import pickle, sys
+from legtorus.cech import build_tiling, eye_tiling
+sys.stdout.buffer.write(pickle.dumps(build_tiling(3)) + b"|" + pickle.dumps(eye_tiling(1)))
+"""
+
+
+def test_tilings_do_not_depend_on_the_hash_seed():
+    """A tiling is the same object whatever order Python's sets iterate in."""
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", PICKLE_TILINGS], capture_output=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_tiling_constraint_audit():

@@ -1,0 +1,163 @@
+"""The Hom routes' matrix assembly against the references in hom_reference.py,
+the broadcasting `kron`, and the read-only tuple arrays of the objects."""
+
+import itertools
+import json
+import random
+
+import numpy as np
+import pytest
+
+import hom_reference as ref
+from legtorus import ainfty
+from legtorus import exactalg as xa
+from legtorus.ainfty import Representation, mu1_matrix, random_rep
+from legtorus.cli import main
+from legtorus.sheafcat import SheafObject, _ext_map, functor_obj
+from legtorus.torusrep import reduced_complex_matrix
+
+PRIMES = [2, 3, 5, 7, 32749]
+
+
+def same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+# -- assembly, new against old --------------------------------------------------
+
+def test_assembly_matches_the_reference_bit_for_bit():
+    rng = random.Random(1601)
+    for case in range(150):
+        m, n, p = rng.randint(1, 7), rng.randint(1, 3), rng.choice(PRIMES)
+        r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
+        for d in (0, 1, 2):
+            assert same(mu1_matrix(r0, r1, d), ref.mu1_matrix(r0, r1, d)), (case, m, n, p, d)
+        assert same(reduced_complex_matrix(r0, r1), ref.reduced_complex_matrix(r0, r1)), case
+        F, G = functor_obj(r0), functor_obj(r1)
+        assert same(_ext_map(F, G), ref._ext_map(F, G)), case
+
+
+# -- the broadcasting kron ------------------------------------------------------
+
+def test_kron_broadcasts_slice_by_slice():
+    rng = np.random.default_rng(1603)
+    for p in PRIMES:
+        for ra, ca, rb, cb in [(1, 1, 1, 1), (2, 3, 3, 2), (1, 1, 3, 3), (3, 3, 1, 1), (2, 2, 2, 2)]:
+            a = rng.integers(0, p, size=(4, ra, ca))
+            b = rng.integers(0, p, size=(4, rb, cb))
+            for x, y in ((a, b), (a, b[0]), (a[0], b)):
+                got = xa.kron(x, y, p)
+                assert got.dtype == np.int64 and got.shape == (4, ra * rb, ca * cb)
+                for k in range(4):
+                    xk = x[k] if x.ndim == 3 else x
+                    yk = y[k] if y.ndim == 3 else y
+                    assert np.array_equal(got[k], np.kron(xk, yk) % p)
+
+
+def test_kron_of_transposed_stacks():
+    """Non-contiguous inputs, as the routes pass A.transpose(0, 2, 1)."""
+    rng = np.random.default_rng(1604)
+    p = 7
+    a = rng.integers(0, p, size=(5, 3, 3))
+    at = a.transpose(0, 2, 1)
+    assert not at.flags.c_contiguous
+    got = xa.kron(np.eye(3, dtype=np.int64), at, p)
+    for k in range(5):
+        assert np.array_equal(got[k], np.kron(np.eye(3, dtype=np.int64), a[k].T) % p)
+    assert np.array_equal(xa.kron(at, at, p), xa.kron(at.copy(), at.copy(), p))
+
+
+def test_kron_on_2d_inputs_is_unchanged():
+    rng = np.random.default_rng(1605)
+    for p in PRIMES:
+        for ra, ca, rb, cb in [(1, 1, 1, 1), (0, 2, 2, 2), (2, 3, 1, 4), (3, 3, 3, 3)]:
+            a = rng.integers(0, p, size=(ra, ca))
+            b = rng.integers(0, p, size=(rb, cb))
+            for x in (a, a.T):
+                assert same(xa.kron(x, b, p), ref.kron2d(x, b, p))
+
+
+# -- read-only objects with the same surface ------------------------------------
+
+def objects():
+    rng = random.Random(1606)
+    rho = random_rep(3, 2, 5, rng)
+    return rho, functor_obj(rho)
+
+
+def test_tuples_are_read_only_stacks():
+    rho, F = objects()
+    for obj in (rho, F):
+        assert obj.A.shape == (3, 2, 2) and obj.A.dtype == np.int64
+        with pytest.raises(ValueError):
+            obj.A[0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            obj.A[1] += 1
+    with pytest.raises(ValueError):
+        rho.value("a2")[0, 0] = 1
+
+
+def test_mu1_frames_are_read_only():
+    rng = random.Random(1607)
+    r0, r1 = random_rep(3, 2, 3, rng), random_rep(3, 2, 3, rng)
+    for d in (0, 1):
+        mu1_matrix(r0, r1, d)
+        frame = ainfty._mu1_frame(3, 2, d)
+        assert frame
+        for arr in frame.values():
+            with pytest.raises(ValueError):
+                arr.flat[0] = 5
+
+
+def test_object_surface_is_unchanged():
+    mats = [[[1, 4], [0, 2]], [[3, 1], [1, 1]], [[0, 1], [1, 0]]]
+    rho = Representation(3, 2, 5, mats)
+    F = SheafObject(3, 2, 5, mats)
+    as_arrays = [np.array(a, dtype=np.int64) for a in mats]
+    old_key = tuple(bytes(a) for a in as_arrays)
+    assert rho.key() == F.key() == old_key
+    assert repr(rho) == f"Representation(m=3, n=2, p=5, A={mats})"
+    assert repr(F) == f"SheafObject(m=3, n=2, p=5, A={mats})"
+    assert rho == Representation(3, 2, 5, [np.array(a) + 5 for a in mats])
+    assert rho != Representation(3, 2, 5, mats[:2] + [[[1, 1], [1, 0]]])
+    assert rho != Representation(3, 2, 7, mats)
+    for j, a in enumerate(as_arrays, start=1):
+        assert np.array_equal(rho.value(f"a{j}"), a)
+    assert type(rho.value("a1")) is np.ndarray and rho.value("a1").shape == (2, 2)
+
+
+@pytest.mark.parametrize("cls", [Representation, SheafObject])
+def test_wrong_count_or_shape_is_refused(cls):
+    good = [[[1, 0], [0, 1]]] * 2
+    for m, n, mats in [(3, 2, good), (2, 2, good[:1]), (2, 3, good), (2, 2, [good[0], [[1, 0]]]),
+                       (1, 1, [[1, 2]]), (1, 2, [[[[1, 0], [0, 1]]]])]:
+        with pytest.raises(ValueError, match="need m matrices of size n x n"):
+            cls(m, n, 3, mats)
+
+
+def test_conjugate_and_functor_build_valid_objects():
+    rng = random.Random(1608)
+    for _ in range(20):
+        m, n, p = rng.randint(1, 5), rng.randint(1, 3), rng.choice([2, 3, 5, 7])
+        rho = random_rep(m, n, p, rng)
+        while True:
+            g = xa.rand_matrix(rng, n, n, p)
+            ginv = xa.inverse(g, p)
+            if ginv is not None:
+                break
+        conj = rho.conjugate(ginv, g)
+        assert ainfty.check_representation(conj)
+        for a, b in zip(rho.A, conj.A):
+            assert np.array_equal(b, (ginv @ a @ g) % p)
+        F = functor_obj(rho)
+        assert F.check_invariants()
+        for a, b in zip(rho.A, F.A):
+            assert np.array_equal(b, a.T)
+
+
+def test_reps_json_tuples_are_unchanged(capsys):
+    assert main(["reps", "--m", "1", "--n", "2", "--p", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    want = [json.dumps([[[a, b], [c, d]]]) for a, b, c, d in itertools.product((0, 1), repeat=4)
+            if (a * d - b * c) % 2]
+    assert [r["tuple"] for r in rows] == want
