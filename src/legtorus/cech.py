@@ -23,11 +23,22 @@ surjectivity of d^1, i.e. the vanishing of H^2.
 The differentials are held as blocks, d^0 keyed (edge, tile) and d^1 keyed
 (vertex, edge), each block a +- restriction map.  d^1 . d^0 = 0 is checked
 block by block, once per (vertex, tile), and ranks come from one forward
-elimination pass on sparse rows read straight from the blocks.  The dense
-`d0`/`d1` are views assembled on first read, for tests and tracing only.
-The leaf/Y-removal game replays the combinatorial surjectivity proof with a
-rank check at every step; when it succeeds it is the certificate for rank
-d^1, and d^1 is eliminated globally only when it fails.
+elimination pass on sparse rows read straight from the blocks, along the
+short side: d^0 has more rows than columns, so its pass runs over the rows
+of its transpose.  The dense `d0`/`d1` are views assembled on first read,
+for tests and tracing only.  The leaf/Y-removal game replays the
+combinatorial surjectivity proof with a rank check at every step; when it
+succeeds it is the certificate for rank d^1, and d^1 is eliminated globally
+only when it fails.
+
+Most of a complex depends only on the tiling and the stalk dimensions of F
+and G: the layout and constraint positions of every open, the identity
+spaces, the restriction blocks between unconstrained opens, how the other
+blocks gather rows, and the game's moves.  The first complex on a tiling
+builds these as a frame (`_Frame`), which the tiling keeps for the next
+complexes with the same dimensions; each complex still solves its own
+constrained systems, checks d^1 . d^0 = 0 and plays the game's rank checks
+on its own blocks.
 """
 
 from __future__ import annotations
@@ -173,6 +184,9 @@ class TilingComplex:
     channel_face: dict = field(default_factory=dict)  # (tile, channel) -> face idx
     tile_arcs: dict = field(default_factory=dict)
     tile_transits: dict = field(default_factory=dict)
+    # the Cech complexes' frames on this tiling, keyed by (p, stalk dimensions
+    # of F, stalk dimensions of G); see `_Frame`
+    frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def in_box(self, tile):
         cmax, rmin, rmax = self.box
@@ -562,13 +576,13 @@ def _check_functor(dims, maps, p):
 # echelon form: column i is the unit vector at row free[i] plus entries at the
 # pivot rows above it, so a section's coordinates are its entries at `free`.
 
-@dataclass
+@dataclass(frozen=True)
 class OpenSpace:
     keys: list             # component keys, in order
     dims: dict             # key -> Hom dimension block length
     offsets: dict
     total: int
-    basis: np.ndarray      # total x dim
+    basis: np.ndarray      # total x dim; None in a frame's layout of a constrained open
     free: np.ndarray       # dim row indices: the last nonzero row of each basis column
 
     @property
@@ -606,43 +620,203 @@ def _section_kernel(blocks, constraints, p):
     return _frozen(ker), _frozen(free)
 
 
-def _section_solver(p):
-    """The section space of an open from its (items, constraints), for one complex.
+# -- local systems: (items, pairs) of an open -----------------------------------
+#
+# items: (key, fdim, gdim) for each unknown block lambda_key (gdim x fdim).
+# pairs: (s, kt, t) for each generization of stratum s, whose block key is s
+# itself, to stratum t, held in block kt; it constrains
+# lambda_kt . F(s -> t) = G(s -> t) . lambda_s.
 
-    items: list of (key, fdim, gdim) unknown blocks lambda_key (gdim x fdim).
-    constraints: list of (key_s, key_t, fmap, gmap) meaning
-    lambda_t . fmap = gmap . lambda_s.  With no constraints the kernel is the
-    identity, with no elimination.  Otherwise the system depends only on its
-    positional signature, the (fdim, gdim) of each block and each constraint's
-    block positions and map contents, so each distinct signature is
-    eliminated once.  Bases and free rows are read-only and shared by every
-    open of the same size or signature.
+def _tile_system(T, dF, dG, tile):
+    items = []
+    for fi in range(len(T.tile_face_lists[tile])):
+        reg = ("R", T.face_region[(tile, fi)])
+        items.append((("F", fi), dF[reg], dG[reg]))
+    pairs = []
+    for arcname in T.tile_arcs.get(tile, []):
+        items.append((("A", arcname), dF[("A", arcname)], dG[("A", arcname)]))
+    cont = T.content.get(tile)
+    if cont and cont[0] in ("crossing", "cusp"):
+        vname = T.vertex_strata[tile]
+        items.append((("V", vname), dF[("V", vname)], dG[("V", vname)]))
+    seen_pairs = set()
+    for arcname, entry, exit_ in T.tile_transits.get(tile, []):
+        for d in (entry, exit_):
+            if d is None:
+                continue
+            hi = T.channel_face[(tile, (d, "hi"))]
+            lo = T.channel_face[(tile, (d, "lo"))]
+            above, below = T.arc_sides[arcname]
+            assert T.face_region[(tile, hi)] == above and T.face_region[(tile, lo)] == below
+            for face, reg in ((hi, above), (lo, below)):
+                pair = (arcname, face)
+                if pair in seen_pairs:
+                    continue
+                seen_pairs.add(pair)
+                pairs.append((("A", arcname), ("F", face), ("R", reg)))
+    if cont and cont[0] in ("crossing", "cusp"):
+        vkey = ("V", T.vertex_strata[tile])
+        for arcname in T.tile_arcs.get(tile, []):
+            pairs.append((vkey, ("A", arcname), ("A", arcname)))
+        for fi in range(len(T.tile_face_lists[tile])):
+            pairs.append((vkey, ("F", fi), ("R", T.face_region[(tile, fi)])))
+    return items, pairs
+
+
+def _edge_system(T, dF, dG, ek):
+    info = T.edge_info[ek]
+    if info["arc"] is None:
+        reg = ("R", info["region"])
+        return [(("S", "only"), dF[reg], dG[reg])], []
+    akey = ("A", info["arc"])
+    above, below = ("R", info["above"]), ("R", info["below"])
+    items = [(akey, dF[akey], dG[akey]), (("S", "above"), dF[above], dG[above]),
+             (("S", "below"), dF[below], dG[below])]
+    return items, [(akey, ("S", "above"), above), (akey, ("S", "below"), below)]
+
+
+def _open_entry(items, pairs, dF, dG, eyes):
+    """(layout, system) of an open.  A pair with dF[s] . dG[t] = 0 constrains
+    nothing and is dropped, so no zero stalk is looked up.  With no pairs
+    left the layout is the open's `OpenSpace`, its identity kernel shared by
+    every open of its size, and system is None.  Otherwise the layout has no
+    basis, and system is (blocks, [(position of s, position of kt, (s, t))]),
+    from which each complex solves the kernel with its maps at (s, t)."""
+    keys = [k for k, _, _ in items]
+    blocks = tuple((fd, gd) for _, fd, gd in items)
+    sizes = [fd * gd for fd, gd in blocks]
+    offsets = dict(zip(keys, itertools.accumulate(sizes, initial=0)))
+    total = sum(sizes)
+    dims = dict(zip(keys, sizes))
+    pairs = [(s, kt, t) for s, kt, t in pairs if dF[s] * dG[t]]
+    if not pairs:
+        if total not in eyes:
+            eyes[total] = _frozen(xa.eye(total)), _frozen(np.arange(total, dtype=np.int64))
+        return OpenSpace(keys, dims, offsets, total, *eyes[total]), None
+    pos = {k: i for i, k in enumerate(keys)}
+    return (OpenSpace(keys, dims, offsets, total, None, None),
+            (blocks, [(pos[s], pos[kt], (s, t)) for s, kt, t in pairs]))
+
+
+def _restriction(big, small, keymap, sign, p):
+    """How a complex reads one restriction block from `big` to `small`, both
+    (layout, system), times `sign`: block kb of a section on big is block ks
+    on small, so its coordinates there are the rows small.free + shift of
+    big.basis.  Returns (block, rows, shift, sign): the read-only block when
+    neither open is constrained, the rows when small is not, and the shift
+    (indexed by small's rows) when it is."""
+    (bl, bsys), (sl, ssys) = big, small
+    assert len(keymap) == len(sl.keys)
+    shift = np.zeros(sl.total, dtype=np.int64)
+    for ks, kb in keymap.items():
+        ln = sl.dims[ks]
+        assert ln == bl.dims[kb], (ks, kb)
+        shift[sl.offsets[ks]:sl.offsets[ks] + ln] = bl.offsets[kb] - sl.offsets[ks]
+    if ssys is not None:
+        return None, None, _frozen(shift), sign
+    rows = _frozen(sl.free + shift)
+    if bsys is not None:
+        return None, rows, None, sign
+    block = bl.basis[rows]
+    return _frozen(block if sign > 0 else (-block) % p), rows, None, sign
+
+
+class _Frame:
+    """What a Cech complex takes from its tiling T and the stalk dimensions
+    of F and G alone, and from p for the residues of negated blocks.
+    tiles/edge_entries hold each open's (layout, system) (`_open_entry`),
+    vertex_space every vertex's space; d0/d1 hold (key, block, rows, shift,
+    sign) for each block in block order (`_restriction`), selections the
+    (rows, sign) of each d^1 block that is a signed selection, and game the
+    leaf/Y moves (`_game_moves`).  Its arrays are read-only.
     """
-    solved = {}
 
-    def solve(items, constraints) -> OpenSpace:
-        keys = [k for k, _, _ in items]
-        blocks = [(fd, gd) for _, fd, gd in items]
-        sizes = [fd * gd for fd, gd in blocks]
-        offsets = dict(zip(keys, itertools.accumulate(sizes, initial=0)))
-        total = sum(sizes)
-        if not constraints:
-            sig = total
-            if sig not in solved:
-                solved[sig] = _frozen(xa.eye(total)), _frozen(np.arange(total, dtype=np.int64))
-        else:
-            pos = {k: i for i, k in enumerate(keys)}
-            cons = [(pos[ks], pos[kt], fmap, gmap) for ks, kt, fmap, gmap in constraints]
-            sig = (tuple(blocks), tuple((s, t, f.shape, f.tobytes(), g.shape, g.tobytes())
-                                        for s, t, f, g in cons))
-            if sig not in solved:
-                solved[sig] = _section_kernel(blocks, cons, p)
-        return OpenSpace(keys, dict(zip(keys, sizes)), offsets, total, *solved[sig])
+    def __init__(self, T: TilingComplex, dF, dG, p):
+        eyes = {}
+        self.tiles = {t: _open_entry(*_tile_system(T, dF, dG, t), dF, dG, eyes) for t in T.tiles}
+        self.edges = sorted(T.edge_info)
+        self.edge_entries = {ek: _open_entry(*_edge_system(T, dF, dG, ek), dF, dG, eyes)
+                             for ek in self.edges}
+        self.vertex_space = {}
+        for v in T.vertices:
+            reg = ("R", T.vertex_region[v])
+            self.vertex_space[v] = _open_entry([(("S", "only"), dF[reg], dG[reg])], [],
+                                               dF, dG, eyes)[0]
+        self.c2_dim = sum(s.dim for s in self.vertex_space.values())
+        self.vert_off = _offsets(T.vertices, self.vertex_space)
 
-    return solve
+        # d^0 on the edge between tiles ta < tb: the restriction from tb minus
+        # the restriction from ta.  An edge with no sections has no blocks.
+        self.d0 = []
+        for ek in self.edges:
+            edge = self.edge_entries[ek]
+            if edge[1] is None and edge[0].total == 0:
+                continue
+            ta, tb = ek
+            for tile, sign in ((tb, 1), (ta, -1)):
+                other = ta if tile == tb else tb
+                d = next(dd for dd in _EDGE_CYCLE if neighbor(tile, dd) == other)
+                info = T.edge_info[ek]
+                if info["arc"] is None:
+                    keymap = {("S", "only"): ("F", T.channel_face[(tile, (d, "full"))])}
+                else:
+                    keymap = {("A", info["arc"]): ("A", info["arc"]),
+                              ("S", "above"): ("F", T.channel_face[(tile, (d, "hi"))]),
+                              ("S", "below"): ("F", T.channel_face[(tile, (d, "lo"))])}
+                self.d0.append(((ek, tile),
+                                *_restriction(self.tiles[tile], edge, keymap, sign, p)))
+
+        # d^1: the alternating restrictions to each vertex from its three
+        # edges.  A vertex with no sections has no blocks.
+        self.d1 = []
+        for v in T.vertices:
+            if self.vertex_space[v].dim == 0:
+                continue
+            tiles = sorted(vertex_tiles(v))
+            for ek, sign in (((tiles[1], tiles[2]), 1), ((tiles[0], tiles[2]), -1),
+                             ((tiles[0], tiles[1]), 1)):  # each sorted like `tiles`
+                info = T.edge_info[ek]
+                side = "only"
+                if info["arc"] is not None:
+                    side = "above" if info["upper_vertex"] == v else "below"
+                    assert info[side] == T.vertex_region[v], (ek, v)
+                self.d1.append(((v, ek), *_restriction(
+                    self.edge_entries[ek], (self.vertex_space[v], None),
+                    {("S", "only"): ("S", side)}, sign, p)))
+        self.selections = {key: (rows, sign) for key, block, rows, _, sign in self.d1
+                           if block is not None}
+        self.game = _game_moves(T, self.edges, {v: s.dim for v, s in self.vertex_space.items()})
+
+
+def _assemble(plan, small_spaces, big_spaces, p):
+    """{key: block} from a frame's d0 or d1 plan: frame blocks as they are,
+    and the rest gathered from this complex's bases."""
+    blocks = {}
+    for key, block, rows, shift, sign in plan:
+        if block is None:
+            if rows is None:
+                small = small_spaces[key[0]]
+                if not small.dim:
+                    continue
+                rows = small.free + shift[small.free]
+            block = big_spaces[key[1]].basis[rows]
+            if sign < 0:
+                block = (-block) % p
+        blocks[key] = block
+    return blocks
 
 
 class CechComplex:
+    """The Cech complex of Hom(F, G) on the tiling T.
+
+    Its parts fixed by T, the stalk dimensions of F and G and p come from a
+    `_Frame` in `T.frames`, which the first complex with these builds.  A
+    complex builds only what the maps of F and G change: the section spaces
+    of the constrained opens (each distinct system eliminated once), the
+    blocks that read their bases, the d^1 . d^0 = 0 check, the game's rank
+    checks and the ranks.  None of those results is shared between complexes.
+    """
+
     def __init__(self, T: TilingComplex, F, G):
         self.T = T
         p = F.p
@@ -653,171 +827,59 @@ class CechComplex:
         self.p = p
         self.dF, self.mF = local_data(T, F)
         self.dG, self.mG = local_data(T, G)
+        key = (p, tuple(self.dF.items()), tuple(self.dG.items()))
+        frame = T.frames.get(key)
+        if frame is None:
+            frame = T.frames[key] = _Frame(T, self.dF, self.dG, p)
+        self._frame = frame
 
-        solve = _section_solver(p)
-        self.tile_space = {t: solve(*self._tile_system(t)) for t in T.tiles}
-        self.edges = sorted(T.edge_info)
-        self.edge_space = {ek: solve(*self._edge_system(ek)) for ek in self.edges}
-        self.vertex_space = {v: solve(*self._vertex_system(v)) for v in T.vertices}
+        solved = {}
+        self.tile_space = {t: self._space(e, solved) for t, e in frame.tiles.items()}
+        self.edges = frame.edges
+        self.edge_space = {ek: self._space(e, solved) for ek, e in frame.edge_entries.items()}
+        self.vertex_space = dict(frame.vertex_space)
 
         self.c0_dim = sum(s.dim for s in self.tile_space.values())
         self.c1_dim = sum(s.dim for s in self.edge_space.values())
-        self.c2_dim = sum(s.dim for s in self.vertex_space.values())
+        self.c2_dim = frame.c2_dim
         self._tile_off = _offsets(T.tiles, self.tile_space)
         self._edge_off = _offsets(self.edges, self.edge_space)
-        self._vert_off = _offsets(T.vertices, self.vertex_space)
-        self.d0_blocks = self._build_d0()
-        self.d1_blocks = self._build_d1()
+        self._vert_off = frame.vert_off
+        self.d0_blocks = _assemble(frame.d0, self.edge_space, self.tile_space, p)
+        self.d1_blocks = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
         # d1 . d0 = 0, block by block: block (v, t) of the product is the sum
-        # over the edges e at v that contain t of d1[v, e] @ d0[e, t]
+        # over the edges e at v that contain t of d1[v, e] @ d0[e, t], a signed
+        # row gather of d0[e, t] where d1[v, e] is a signed selection
         product = {}
         for (v, ek), b1 in self.d1_blocks.items():
+            sel = frame.selections.get((v, ek))
             for t in ek:
                 b0 = self.d0_blocks.get((ek, t))
-                if b0 is not None:
+                if b0 is None:
+                    continue
+                if sel is None:
                     term = b1 @ b0 % p
-                    product[v, t] = (product[v, t] + term) % p if (v, t) in product else term
+                else:
+                    term = b0[sel[0]] if sel[1] > 0 else -b0[sel[0]] % p
+                product[v, t] = (product[v, t] + term) % p if (v, t) in product else term
         if any(b.any() for b in product.values()):
             raise AssertionError("d1 . d0 != 0")
 
-    # -- local constraint systems: (items, constraints) for `_section_solver` --
-
-    def _rdims(self, region):
-        return self.dF[("R", region)], self.dG[("R", region)]
-
-    def _constraints(self, pairs):
-        """(ks, kt, F(s -> t), G(s -> t)) for each (s, kt, t): stratum s, whose
-        block key is s itself, generizes to stratum t, held in block kt.  A pair
-        with dF[s] . dG[t] = 0 constrains nothing and is dropped, so no zero
-        stalk is looked up."""
-        return [(s, kt, self.mF[s, t], self.mG[s, t])
-                for s, kt, t in pairs if self.dF[s] * self.dG[t]]
-
-    def _tile_system(self, tile):
-        T = self.T
-        items = []
-        for fi in range(len(T.tile_face_lists[tile])):
-            fd, gd = self._rdims(T.face_region[(tile, fi)])
-            items.append((("F", fi), fd, gd))
-        pairs = []
-        for arcname in T.tile_arcs.get(tile, []):
-            items.append(((("A", arcname)), self.dF[("A", arcname)], self.dG[("A", arcname)]))
-        cont = T.content.get(tile)
-        if cont and cont[0] in ("crossing", "cusp"):
-            vname = T.vertex_strata[tile]
-            items.append((("V", vname), self.dF[("V", vname)], self.dG[("V", vname)]))
-        seen_pairs = set()
-        for arcname, entry, exit_ in T.tile_transits.get(tile, []):
-            for d in (entry, exit_):
-                if d is None:
-                    continue
-                hi = T.channel_face[(tile, (d, "hi"))]
-                lo = T.channel_face[(tile, (d, "lo"))]
-                above, below = T.arc_sides[arcname]
-                assert T.face_region[(tile, hi)] == above and T.face_region[(tile, lo)] == below
-                for face, reg in ((hi, above), (lo, below)):
-                    pair = (arcname, face)
-                    if pair in seen_pairs:
-                        continue
-                    seen_pairs.add(pair)
-                    pairs.append((("A", arcname), ("F", face), ("R", reg)))
-        if cont and cont[0] in ("crossing", "cusp"):
-            vkey = ("V", T.vertex_strata[tile])
-            for arcname in T.tile_arcs.get(tile, []):
-                pairs.append((vkey, ("A", arcname), ("A", arcname)))
-            for fi in range(len(T.tile_face_lists[tile])):
-                pairs.append((vkey, ("F", fi), ("R", T.face_region[(tile, fi)])))
-        return items, self._constraints(pairs)
-
-    def _edge_system(self, ek):
-        T = self.T
-        info = T.edge_info[ek]
-        if info["arc"] is None:
-            fd, gd = self._rdims(info["region"])
-            return [(("S", "only"), fd, gd)], []
-        arc = info["arc"]
-        akey = ("A", arc)
-        fa, ga = self.dF[akey], self.dG[akey]
-        fu, gu = self._rdims(info["above"])
-        fl, gl = self._rdims(info["below"])
-        items = [(akey, fa, ga), (("S", "above"), fu, gu), (("S", "below"), fl, gl)]
-        return items, self._constraints([(akey, ("S", side), ("R", info[side]))
-                                         for side in ("above", "below")])
-
-    def _vertex_system(self, v):
-        fd, gd = self._rdims(self.T.vertex_region[v])
-        return [(("S", "only"), fd, gd)], []
-
-    # -- restriction maps ----------------------------------------------------
-
-    def _project(self, big: OpenSpace, small: OpenSpace, keymap) -> np.ndarray:
-        """The restriction map: block kb of a section on `big` is block ks on
-        `small`, so its coordinates there are rows of big.basis."""
-        assert len(keymap) == len(small.keys)
-        shift = np.zeros(small.total, dtype=np.int64)
-        for ks, kb in keymap.items():
-            ln = small.dims[ks]
-            assert ln == big.dims[kb], (ks, kb)
-            shift[small.offsets[ks]:small.offsets[ks] + ln] = big.offsets[kb] - small.offsets[ks]
-        return big.basis[small.free + shift[small.free]]
-
-    def _tile_to_edge(self, tile, ek) -> np.ndarray:
-        T = self.T
-        other = ek[0] if ek[1] == tile else ek[1]
-        d = next(dd for dd in ("N", "NE", "SE", "S", "SW", "NW")
-                 if neighbor(tile, dd) == other)
-        info = T.edge_info[ek]
-        if info["arc"] is None:
-            face = T.channel_face[(tile, (d, "full"))]
-            keymap = {("S", "only"): ("F", face)}
-        else:
-            keymap = {
-                ("A", info["arc"]): ("A", info["arc"]),
-                ("S", "above"): ("F", T.channel_face[(tile, (d, "hi"))]),
-                ("S", "below"): ("F", T.channel_face[(tile, (d, "lo"))]),
-            }
-        return self._project(self.tile_space[tile], self.edge_space[ek], keymap)
-
-    def _edge_to_vertex(self, ek, v) -> np.ndarray:
-        info = self.T.edge_info[ek]
-        side = "only"
-        if info["arc"] is not None:
-            side = "above" if info["upper_vertex"] == v else "below"
-            assert info[side] == self.T.vertex_region[v], (ek, v)
-        return self._project(self.edge_space[ek], self.vertex_space[v],
-                             {("S", "only"): ("S", side)})
-
-    # -- differentials ---------------------------------------------------------
-
-    def _build_d0(self):
-        """d^0 as {(edge, tile): block}: on the edge between tiles ta < tb,
-        the restriction from tb minus the restriction from ta.  An edge with
-        no sections has no blocks."""
-        p = self.p
-        blocks = {}
-        for ek in self.edges:
-            if self.edge_space[ek].dim == 0:
-                continue
-            ta, tb = ek  # sorted: ta < tb
-            blocks[ek, tb] = self._tile_to_edge(tb, ek)
-            blocks[ek, ta] = (-self._tile_to_edge(ta, ek)) % p
-        return blocks
-
-    def _build_d1(self):
-        """d^1 as {(vertex, edge): block}, the alternating restrictions to
-        each vertex from its three edges.  A vertex with no sections has no
-        blocks."""
-        p = self.p
-        blocks = {}
-        for v in self.T.vertices:
-            if self.vertex_space[v].dim == 0:
-                continue
-            tiles = sorted(vertex_tiles(v))
-            pairs = [((tiles[1], tiles[2]), 1), ((tiles[0], tiles[2]), -1),
-                     ((tiles[0], tiles[1]), 1)]
-            for ek, sgn in pairs:  # three distinct edges, each sorted like `tiles`
-                blocks[v, ek] = (sgn * self._edge_to_vertex(ek, v)) % p
-        return blocks
+    def _space(self, entry, solved) -> OpenSpace:
+        """The section space of an open from its frame entry.  A constrained
+        system depends only on its signature, the (fdim, gdim) of each block
+        and each constraint's block positions and map contents, so each
+        distinct signature is eliminated once per complex."""
+        layout, system = entry
+        if system is None:
+            return layout
+        blocks, cons = system
+        maps = [(s, t, self.mF[st], self.mG[st]) for s, t, st in cons]
+        sig = (blocks, tuple((s, t, f.shape, f.tobytes(), g.shape, g.tobytes())
+                             for s, t, f, g in maps))
+        if sig not in solved:
+            solved[sig] = _section_kernel(blocks, maps, self.p)
+        return OpenSpace(layout.keys, layout.dims, layout.offsets, layout.total, *solved[sig])
 
     @functools.cached_property
     def d0(self) -> np.ndarray:
@@ -832,7 +894,8 @@ class CechComplex:
 
     def cohomology_dims(self):
         """(dim H^0, dim H^1, dim H^2) of the Cech complex of Hom(F, G)."""
-        rank_d0 = _block_rank(self.d0_blocks, self._edge_off, self._tile_off, self.p)
+        rank_d0 = _block_rank(self.d0_blocks, self._edge_off, self._tile_off,
+                              (self.c1_dim, self.c0_dim), self.p)
         rank_d1 = self.rank_d1()
         h0 = self.c0_dim - rank_d0
         h1 = (self.c1_dim - rank_d1) - rank_d0
@@ -860,7 +923,8 @@ class CechComplex:
     def eliminated_rank_d1(self) -> int:
         """rank d^1 from one forward pass on the sparse rows of its blocks,
         independent of the game."""
-        return _block_rank(self.d1_blocks, self._vert_off, self._edge_off, self.p)
+        return _block_rank(self.d1_blocks, self._vert_off, self._edge_off,
+                           (self.c2_dim, self.c1_dim), self.p)
 
     def h2_certificate(self):
         """True iff d^1 is surjective; returns (flag, certificate).
@@ -884,16 +948,20 @@ def _offsets(keys, spaces):
     return out
 
 
-def _block_rank(blocks, row_off, col_off, p) -> int:
-    """Rank of the block matrix {(row key, col key): block}, by `xa.rank_rows`
-    on its {col: residue} rows, read straight from the blocks."""
-    rows = {}
+def _block_rank(blocks, row_off, col_off, shape, p) -> int:
+    """Rank of the block matrix {(row key, col key): block} of the given
+    shape, by one `xa.rank_rows` forward pass along its short side: on its
+    {col: residue} rows, or on the rows of its transpose, one per column,
+    when it has more rows than columns (d^0).  The rows are read straight
+    from the blocks."""
+    tall = shape[0] > shape[1]
+    lines = {}
     for (rk, ck), b in blocks.items():
         i, j = np.nonzero(b)
-        r0, c0 = row_off[rk], col_off[ck]
-        for r, c, v in zip((i + r0).tolist(), (j + c0).tolist(), b[i, j].tolist()):
-            rows.setdefault(r, {})[c] = v
-    return xa.rank_rows((rows[r] for r in sorted(rows)), p)
+        r, c = (i + row_off[rk]).tolist(), (j + col_off[ck]).tolist()
+        for a, k, v in zip(*((c, r) if tall else (r, c)), b[i, j].tolist()):
+            lines.setdefault(a, {})[k] = v
+    return xa.rank_rows((lines[a] for a in sorted(lines)), p)
 
 
 def _dense(blocks, row_off, col_off, shape) -> np.ndarray:
@@ -907,29 +975,29 @@ def _dense(blocks, row_off, col_off, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The leaf / Y-removal game
 
-def graph_game(cx: CechComplex):
-    """Play the leaf/Y-removal game on an assembled complex; returns a trace dict.
+def _game_moves(T, edges, red_dim):
+    """The leaf/Y game's moves on T, which depend only on T and the vertex
+    dimensions: (moves, end).  Each move is (red, the d^1 blocks its rank
+    check reads, (rule, removed blues)), after its leaf check passed.  end is
+    None when the moves remove every red, else (stuck reds, failed rule or
+    None).
 
-    Blue nodes are the edges of the tiling and red nodes its vertices.  Each
-    edge-to-vertex map is its block of d^1, which is +- the restriction map;
-    every step tests a rank, which a sign does not change.
-    The torus/eye graphs succeed by removing the Y of each horizontal edge
-    from left to right.  If no rule applies the report lists what is stuck.
+    Blue nodes are the edges of the tiling and red nodes its vertices.  The
+    torus/eye graphs succeed by removing the Y of each horizontal edge from
+    left to right.
     """
-    T, p = cx.T, cx.p
-    red_dim = {v: cx.vertex_space[v].dim for v in T.vertices}
-    reds_of = {ek: [] for ek in cx.edges}
+    reds_of = {ek: [] for ek in edges}
     for v in T.vertices:
         for ek, _ in vertex_edges(v):
             reds_of[ek].append(v)
     alive_red = set(T.vertices)
-    alive_blue = set(cx.edges)
-    steps = []
+    alive_blue = set(edges)
+    moves = []
 
     def leaf(b):
         return [v for v in reds_of[b] if v in alive_red]
 
-    horizontals = sorted((ek for ek in cx.edges if T.edge_info[ek]["horizontal"]),
+    horizontals = sorted((ek for ek in edges if T.edge_info[ek]["horizontal"]),
                          key=lambda ek: (ek[0][0], min(ek[0][1], ek[1][1])))
     for h in horizontals:
         # the left endpoint of the horizontal edge is the E-corner vertex
@@ -939,8 +1007,7 @@ def graph_game(cx: CechComplex):
             d0 = (vL[1], vL[2])
             ne, se = edge_key(d0, "NE"), edge_key(d0, "SE")
             if any(b not in alive_blue or leaf(b) != [vL] for b in (ne, se)):
-                return {"success": False, "stuck": [str(vL)], "steps": steps,
-                        "failed_rule": "leaf"}
+                return moves, ([str(vL)], "leaf")
             if red_dim[vL] == 0:
                 rule = "zero-stalk"
             elif T.edge_info[ne]["arc"] is None or T.edge_info[se]["arc"] is None:
@@ -948,30 +1015,44 @@ def graph_game(cx: CechComplex):
             else:
                 cont = T.content.get(d0, ("empty",))
                 rule = {"crossing": "crossing-surjective", "cusp": "cusp-lemma"}[cont[0]]
-            ok = red_dim[vL] == 0 or \
-                xa.rank(np.hstack([cx.d1_blocks[vL, ne], cx.d1_blocks[vL, se]]), p) == red_dim[vL]
-            if not ok:
-                return {"success": False, "stuck": [str(vL)], "steps": steps,
-                        "failed_rule": rule}
-            steps.append({"rule": rule, "removed_blues": [str(ne), str(se)],
-                          "removed_red": str(vL), "rank_checked": True})
+            moves.append((vL, ((vL, ne), (vL, se)), (rule, (str(ne), str(se)))))
             alive_blue -= {ne, se}
             alive_red.discard(vL)
         if vR is not None and vR in alive_red:
             if h not in alive_blue or leaf(h) != [vR]:
-                return {"success": False, "stuck": [str(vR)], "steps": steps,
-                        "failed_rule": "leaf"}
-            ok = red_dim[vR] == 0 or xa.rank(cx.d1_blocks[vR, h], p) == red_dim[vR]
-            if not ok:
-                return {"success": False, "stuck": [str(vR)], "steps": steps,
-                        "failed_rule": "horizontal-iso"}
-            steps.append({"rule": "horizontal-iso" if red_dim[vR] else "zero-stalk",
-                          "removed_blues": [str(h)], "removed_red": str(vR),
-                          "rank_checked": True})
+                return moves, ([str(vR)], "leaf")
+            rule = "horizontal-iso" if red_dim[vR] else "zero-stalk"
+            moves.append((vR, ((vR, h),), (rule, (str(h),))))
         alive_blue.discard(h)
         if vR is not None:
             alive_red.discard(vR)
     if alive_red:
-        return {"success": False, "stuck": sorted(str(v) for v in alive_red),
-                "steps": steps}
-    return {"success": True, "steps": steps, "removed": len(steps)}
+        return moves, (sorted(str(v) for v in alive_red), None)
+    return moves, None
+
+
+def graph_game(cx: CechComplex):
+    """Play the leaf/Y-removal game on an assembled complex; returns a trace dict.
+
+    The moves, with their leaf checks, come from the complex's frame
+    (`_game_moves`).  Each move's red is then rank-checked on this complex's
+    own d^1 blocks: each edge-to-vertex map is its block of d^1, which is
+    +- the restriction map, and a sign does not change a rank.  A red with
+    a zero stalk needs no check.  If no rule applies the report lists what
+    is stuck.
+    """
+    moves, end = cx._frame.game
+    steps = []
+    for v, keys, (rule, blues) in moves:
+        dim = cx.vertex_space[v].dim
+        if dim and xa.rank(np.hstack([cx.d1_blocks[k] for k in keys]), cx.p) != dim:
+            return {"success": False, "stuck": [str(v)], "steps": steps, "failed_rule": rule}
+        steps.append({"rule": rule, "removed_blues": list(blues), "removed_red": str(v),
+                      "rank_checked": True})
+    if end is None:
+        return {"success": True, "steps": steps, "removed": len(steps)}
+    stuck, rule = end
+    out = {"success": False, "stuck": list(stuck), "steps": steps}
+    if rule:
+        out["failed_rule"] = rule
+    return out

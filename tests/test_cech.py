@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cech_reference
+from legtorus import cech
 from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
 from legtorus.cech import (CechComplex, EyeSheaf, OpenSpace, SLANTED,
@@ -196,27 +198,54 @@ def test_d1_after_d0_is_zero(complexes):
 
 
 def test_corrupted_d0_is_rejected(monkeypatch):
+    """One changed entry of one d0 block fails the d1 . d0 check, whether the
+    frame supplies the block or the pair's bases give it, and whether the d1
+    block beside it is a signed selection (a row gather in the check) or not
+    (a product)."""
     rng = random.Random(28)
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
     cx = CechComplex(T, F, G)
+    frame = cx._frame
+    from_frame = {key for key, block, *_ in frame.d0 if block is not None}
     # a nonzero entry of a d0 block in a row whose column of d1 is nonzero:
     # changing it changes block (v, t) of d1 . d0
-    ek, t, i = next((ek, t, i) for (v, ek), b1 in cx.d1_blocks.items()
-                    for t in ek if (ek, t) in cx.d0_blocks
-                    for i in range(b1.shape[1])
-                    if b1[:, i].any() and cx.d0_blocks[ek, t][i].any())
-    j = np.flatnonzero(cx.d0_blocks[ek, t][i])[0]
-    build_d0 = CechComplex._build_d0
+    targets = {}
+    for (v, ek), b1 in cx.d1_blocks.items():
+        for t in ek:
+            b0 = cx.d0_blocks.get((ek, t))
+            for i in range(b1.shape[1]) if b0 is not None else ():
+                if b1[:, i].any() and b0[i].any():
+                    kind = ((ek, t) in from_frame, (v, ek) in frame.selections)
+                    targets.setdefault(kind, ((ek, t), i, np.flatnonzero(b0[i])[0]))
+    assert {(True, True), (False, True), (False, False)} <= set(targets)
+    assemble = cech._assemble
+    for key, i, j in targets.values():
+        def corrupted(plan, small_spaces, big_spaces, p, key=key, i=i, j=j):
+            blocks = assemble(plan, small_spaces, big_spaces, p)
+            if key in blocks:
+                bad = blocks[key].copy()
+                bad[i, j] = (bad[i, j] + 1) % p
+                blocks[key] = bad
+            return blocks
 
-    def corrupted(self):
-        blocks = build_d0(self)
-        blocks[ek, t][i, j] = (blocks[ek, t][i, j] + 1) % self.p
-        return blocks
-
-    monkeypatch.setattr(CechComplex, "_build_d0", corrupted)
-    with pytest.raises(AssertionError, match="d1 . d0 != 0"):
-        CechComplex(T, F, G)
+        monkeypatch.setattr(cech, "_assemble", corrupted)
+        with pytest.raises(AssertionError, match="d1 . d0 != 0"):
+            CechComplex(T, F, G)
+    monkeypatch.undo()
+    # the frame's own block: the next complex on T reads it as it is
+    key, i, j = targets[True, True]
+    k = next(k for k, entry in enumerate(frame.d0) if entry[0] == key)
+    entry = frame.d0[k]
+    bad = entry[1].copy()
+    bad[i, j] = (bad[i, j] + 1) % cx.p
+    frame.d0[k] = (key, bad, *entry[2:])
+    try:
+        with pytest.raises(AssertionError, match="d1 . d0 != 0"):
+            CechComplex(T, F, G)
+    finally:
+        frame.d0[k] = entry
+    assert CechComplex(T, F, G).cohomology_dims() == cx.cohomology_dims()
 
 
 def test_check_h2_certificate():
@@ -282,8 +311,9 @@ def test_graph_game_stuck_on_a_vertex_with_zero_rows():
         cx = CechComplex(T, F, G)
         v = next(v for v in T.vertices if str(v) == step["removed_red"])
         assert cx.vertex_space[v].dim > 0
+        # the frame's blocks are read-only: each block is replaced, not written
         for ek, _ in vertex_edges(v):
-            cx.d1_blocks[v, ek][:] = 0
+            cx.d1_blocks[v, ek] = np.zeros_like(cx.d1_blocks[v, ek])
         # zeroed before the first rank_d1(): the game fails, so the rank is
         # the eliminated one; the dense view is built after the zeroing
         ok, cert = cx.h2_certificate()
@@ -316,41 +346,63 @@ def reference_project(big, small, keymap, p):
 
 
 @pytest.fixture(scope="module")
-def complexes():
+def complex_pairs():
+    """(complex, reference complex of tests/cech_reference.py) on the same
+    tiling and objects."""
     rng = random.Random(26)
-    out = []
+    cases = []
     for m, n, p in [(1, 1, 2), (1, 2, 5), (2, 1, 3), (2, 2, 2), (3, 1, 5), (3, 2, 3)]:
         F, G = rand_pair(m, n, p, rng)
-        out.append(CechComplex(build_tiling(m), F, G))
-    out.append(CechComplex(eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3)))
-    out.append(CechComplex(eye_tiling(2), EyeSheaf(2, 5), EyeSheaf(2, 5)))
-    return out
+        cases.append((build_tiling(m), F, G))
+    cases.append((eye_tiling(1), EyeSheaf(2, 3), EyeSheaf(1, 3)))
+    cases.append((eye_tiling(2), EyeSheaf(2, 5), EyeSheaf(2, 5)))
+    return [(CechComplex(*case), cech_reference.CechComplex(*case)) for case in cases]
 
 
-def test_restriction_maps_match_left_inverse_reference(complexes):
-    for cx in complexes:
-        calls = []
-        project = cx._project
+@pytest.fixture(scope="module")
+def complexes(complex_pairs):
+    return [cx for cx, _ in complex_pairs]
+
+
+def test_restriction_maps_match_left_inverse_reference(complex_pairs):
+    """Every block of d^0 and d^1 is the signed restriction map that the
+    left-inverse formula gives on the complex's own spaces.  Which block of
+    the bigger open each block of the smaller one is (the keymap) is read
+    from the reference complex's calls."""
+    for cx, rcx in complex_pairs:
+        keymaps, current = {}, []
+        project = rcx._project
 
         def recording(big, small, keymap):
-            out = project(big, small, keymap)
-            calls.append((big, small, keymap, out))
-            return out
+            keymaps[current[-1]] = keymap
+            return project(big, small, keymap)
 
-        cx._project = recording
+        rcx._project = recording
         try:
-            for ek in cx.edges:
+            for ek in rcx.edges:
                 for tile in ek:
-                    cx._tile_to_edge(tile, ek)
-            for v in cx.T.vertices:
+                    current.append((ek, tile))
+                    rcx._tile_to_edge(tile, ek)
+            for v in rcx.T.vertices:
                 for ek, _ in vertex_edges(v):
-                    cx._edge_to_vertex(ek, v)
+                    current.append((v, ek))
+                    rcx._edge_to_vertex(ek, v)
         finally:
-            del cx._project
-        assert len(calls) == 2 * len(cx.edges) + 3 * len(cx.T.vertices)
-        for big, small, keymap, out in calls:
-            assert out.dtype == np.int64
-            assert np.array_equal(out, reference_project(big, small, keymap, cx.p))
+            del rcx._project
+        assert len(keymaps) == 2 * len(cx.edges) + 3 * len(cx.T.vertices)
+        d0 = {(ek, t): (cx.tile_space[t], cx.edge_space[ek], 1 if t == ek[1] else -1)
+              for ek in cx.edges for t in ek}
+        d1 = {}
+        for v in cx.T.vertices:
+            t0, t1, t2 = sorted(vertex_tiles(v))
+            for ek, sign in (((t1, t2), 1), ((t0, t2), -1), ((t0, t1), 1)):
+                d1[v, ek] = (cx.edge_space[ek], cx.vertex_space[v], sign)
+        for blocks, maps in ((cx.d0_blocks, d0), (cx.d1_blocks, d1)):
+            assert set(blocks) == {key for key, (_, small, _) in maps.items() if small.dim}
+            for key, block in blocks.items():
+                big, small, sign = maps[key]
+                want = sign * reference_project(big, small, keymaps[key], cx.p) % cx.p
+                assert block.dtype == np.int64 and np.array_equal(block, want), key
 
 
 def test_section_basis_is_identity_at_free_rows(complexes):
@@ -362,16 +414,16 @@ def test_section_basis_is_identity_at_free_rows(complexes):
             assert np.array_equal(s.basis[s.free], xa.eye(s.dim))
 
 
-def test_red_blue_maps_are_restriction_maps_up_to_sign(complexes):
-    for cx in complexes:
+def test_red_blue_maps_are_restriction_maps_up_to_sign(complex_pairs):
+    for cx, rcx in complex_pairs:
         checked = 0
         for v in cx.T.vertices:
             r = cx._vert_off[v]
             for ek, _ in vertex_edges(v):
                 c = cx._edge_off[ek]
                 mat = cx.d1[r:r + cx.vertex_space[v].dim, c:c + cx.edge_space[ek].dim]
-                ref = cx._edge_to_vertex(ek, v)
-                assert np.array_equal(mat, ref) or np.array_equal(mat, (-ref) % cx.p)
+                res = rcx._edge_to_vertex(ek, v)
+                assert np.array_equal(mat, res) or np.array_equal(mat, (-res) % cx.p)
                 checked += mat.size
         assert checked > 0
 
@@ -406,11 +458,17 @@ def test_block_ranks_match_dense_rref(complexes, seeded_complexes):
     for cx in [*complexes, *seeded_complexes]:
         for b in [*cx.d0_blocks.values(), *cx.d1_blocks.values()]:
             assert b.dtype == np.int64 and (b.size == 0 or 0 <= b.min() <= b.max() < cx.p)
-        rank_d0 = _block_rank(cx.d0_blocks, cx._edge_off, cx._tile_off, cx.p)
+        d0_shape, d1_shape = (cx.c1_dim, cx.c0_dim), (cx.c2_dim, cx.c1_dim)
+        rank_d0 = _block_rank(cx.d0_blocks, cx._edge_off, cx._tile_off, d0_shape, cx.p)
         assert rank_d0 == len(gauss_jordan_rref(cx.d0, cx.p)[1])
+        # the long side, one row per C^1 coordinate, as the reference eliminates
+        assert rank_d0 == cech_reference._block_rank(cx.d0_blocks, cx._edge_off, cx._tile_off, cx.p)
         assert cx.cohomology_dims()[0] == cx.c0_dim - rank_d0
-        rank_d1 = _block_rank(cx.d1_blocks, cx._vert_off, cx._edge_off, cx.p)
+        rank_d1 = _block_rank(cx.d1_blocks, cx._vert_off, cx._edge_off, d1_shape, cx.p)
         assert rank_d1 == cx.eliminated_rank_d1() == len(gauss_jordan_rref(cx.d1, cx.p)[1])
+        # the transposed pass, which d^1's rows already are the short side of
+        transposed = {(ck, rk): b.T for (rk, ck), b in cx.d1_blocks.items()}
+        assert rank_d1 == _block_rank(transposed, cx._edge_off, cx._vert_off, d1_shape[::-1], cx.p)
 
 
 def test_scale_pair_is_certified_without_dense_differentials():
@@ -440,7 +498,8 @@ other = next(v for v in T.vertices if str(v) == steps[-1]["removed_red"])
 edges_of = cech.vertex_edges
 # a second live red on the slanted blue of step k, so that blue is not a leaf
 cech.vertex_edges = lambda v: edges_of(v) + [(blue, False)] if v == other else edges_of(v)
-cx = cech.CechComplex(T, F, G)
+# a fresh tiling: the game's moves on T were fixed when T's frame was built
+cx = cech.CechComplex(cech.build_tiling(2), F, G)
 ok, cert = cx.h2_certificate()
 print(json.dumps({"debug": __debug__, "ok": ok, "cert": cert, "game": cx.game,
                   "red": steps[k]["removed_red"], "before": steps[:k],
@@ -499,29 +558,34 @@ def reference_solve_sections(items, constraints, p) -> OpenSpace:
     return OpenSpace([k for k, _, _ in items], dims, offsets, total, ker, free)
 
 
-def local_systems(cx):
-    """(open space, its (items, constraints)) for every tile, edge and vertex."""
-    return ([(cx.tile_space[t], cx._tile_system(t)) for t in cx.T.tiles]
-            + [(cx.edge_space[ek], cx._edge_system(ek)) for ek in cx.edges]
-            + [(cx.vertex_space[v], cx._vertex_system(v)) for v in cx.T.vertices])
+def local_systems(cx, rcx):
+    """(open space of cx, its (items, constraints) as the reference complex
+    rcx builds them) for every tile, edge and vertex."""
+    return ([(cx.tile_space[t], rcx._tile_system(t)) for t in cx.T.tiles]
+            + [(cx.edge_space[ek], rcx._edge_system(ek)) for ek in cx.edges]
+            + [(cx.vertex_space[v], rcx._vertex_system(v)) for v in cx.T.vertices])
 
 
 def test_constraints_have_nonzero_maps(complexes):
+    """Every constraint a frame names reads two maps of nonzero size: a
+    zero stalk adds none."""
     for cx in complexes:
-        systems = ([cx._tile_system(t) for t in cx.T.tiles]
-                   + [cx._edge_system(ek) for ek in cx.edges])
-        constraints = [c for _, cons in systems for c in cons]
+        frame = cx._frame
+        systems = [sys for _, sys in [*frame.tiles.values(), *frame.edge_entries.values()]
+                   if sys is not None]
+        constraints = [st for _, cons in systems for _, _, st in cons]
         assert constraints
-        for ks, kt, fmap, gmap in constraints:
-            assert fmap.size and gmap.size, (ks, kt)
+        for st in constraints:
+            assert cx.mF[st].size and cx.mG[st].size, st
 
 
-def test_open_spaces_match_reference_solver(complexes):
+def test_open_spaces_match_reference_solver(complex_pairs):
     rng = random.Random(33)
-    cases = [*complexes, CechComplex(build_tiling(4), *rand_pair(4, 2, 3, rng)),
-             CechComplex(build_tiling(2, 3), *rand_pair(2, 2, 2, rng))]
-    for cx in cases:
-        for space, (items, constraints) in local_systems(cx):
+    extra = [(build_tiling(4), *rand_pair(4, 2, 3, rng)),
+             (build_tiling(2, 3), *rand_pair(2, 2, 2, rng))]
+    cases = [*complex_pairs, *[(CechComplex(*c), cech_reference.CechComplex(*c)) for c in extra]]
+    for cx, rcx in cases:
+        for space, (items, constraints) in local_systems(cx, rcx):
             ref = reference_solve_sections(items, constraints, cx.p)
             assert space.keys == ref.keys and space.total == ref.total
             assert space.dims == ref.dims and space.offsets == ref.offsets
@@ -548,7 +612,7 @@ def test_one_elimination_per_distinct_system(monkeypatch):
         cx = CechComplex(T, F, G)
         solved = len(built)
         shared = {}
-        for space, (items, constraints) in local_systems(cx):
+        for space, (items, constraints) in local_systems(cx, cech_reference.CechComplex(T, F, G)):
             if not constraints:
                 assert np.array_equal(space.basis, xa.eye(space.total))
                 continue

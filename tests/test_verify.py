@@ -1,7 +1,9 @@
 import pytest
 
 from legtorus import cech, verify
-from legtorus.verify import ALL_CHECKS, check_graph_game, rng_for, run_suites
+from legtorus.ainfty import HomElement
+from legtorus.verify import (ALL_CHECKS, check_a_infinity, check_graph_game, rng_for,
+                             run_suites)
 
 SMALL = {"max_m": 2, "max_n": 1, "primes": (2, 3), "samples": 4}
 
@@ -24,6 +26,30 @@ def test_corrupt_sign_is_caught():
     assert "relation violated" in detail
 
 
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_relations_suite_catches_a_flipped_sign_on_every_seed(max_n):
+    """Degrees drawn as permutations of (0, 1, 1): on seeds 0-39 a flipped
+    composition sign breaks a relation every time, and the correct signs
+    pass every time.  Drawn uniformly from {0, 1, 2}, the degrees let the
+    flipped sign through on 20 (max_n 1) and 8 (max_n 2) of these seeds."""
+    cfg = {"max_m": 2, "max_n": max_n, "primes": (2, 3, 5), "samples": 6}
+    corrupt = [check_a_infinity(cfg, rng_for(s, "ainfty.relations"), corrupt_sign=True)
+               for s in range(40)]
+    assert sum(not ok for ok, _ in corrupt) == 40
+    assert all("relation violated" in detail for _, detail in corrupt)
+    correct = [check_a_infinity(cfg, rng_for(s, "ainfty.relations")) for s in range(40)]
+    assert correct == [(True, "6 random homogeneous triples")] * 40
+
+
+def test_relations_suite_refuses_to_pass_vacuously(monkeypatch):
+    """With every argument zero each relation holds term by term, whatever
+    the signs, so every draw checks nothing: the suite fails and says why."""
+    monkeypatch.setattr(verify, "rand_homog", lambda m, n, p, deg, rng: HomElement(n, p, deg))
+    for corrupt_sign in (False, True):
+        ok, detail = check_a_infinity(SMALL, rng_for(0, "ainfty.relations"), corrupt_sign)
+        assert not ok and detail == "no sampled relation had a nonzero term in 10 draws"
+
+
 def test_zero_samples_is_refused():
     with pytest.raises(ValueError, match="vacuously"):
         run_suites({**SMALL, "samples": 0}, seed=0)
@@ -42,13 +68,13 @@ def test_graph_game_suite_checks_the_game_against_the_dense_rank(monkeypatch):
     certificate the game feeds."""
 
     class ZeroedRow(cech.CechComplex):
-        def _build_d1(self):
-            blocks = super()._build_d1()
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks = self.d1_blocks
             v = next(iter(blocks))[0]  # the vertex whose rows come first in d^1
-            for (w, _), b in blocks.items():
-                if w == v:
-                    b[0] = 0  # row 0 of d^1
-            return blocks
+            for key in [key for key in blocks if key[0] == v]:
+                blocks[key] = blocks[key].copy()  # frame blocks are read-only
+                blocks[key][0] = 0  # row 0 of d^1
 
     def lenient_game(cx):
         return {"success": True, "steps": [], "removed": 0}
