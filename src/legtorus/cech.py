@@ -16,7 +16,7 @@ bot and the cusps on the eye) adds no sections and no equations: it keeps its
 dimension and an empty unknown block, but has no generization maps and no
 constraints.  An open with no constraints (every vertex, and every edge the
 front does not cross) has the identity kernel, and each distinct constrained
-system is eliminated once per complex.  The three-term complex
+system is eliminated at most once per complex.  The three-term complex
 C^0 -> C^1 -> C^2 then gives H^0/H^1 (checked against Ext^0/Ext^1) and the
 surjectivity of d^1, i.e. the vanishing of H^2.
 
@@ -36,9 +36,14 @@ and G: the layout and constraint positions of every open, the identity
 spaces, the restriction blocks between unconstrained opens, how the other
 blocks gather rows, and the game's moves.  The first complex on a tiling
 builds these as a frame (`_Frame`), which the tiling keeps for the next
-complexes with the same dimensions; each complex still solves its own
-constrained systems, checks d^1 . d^0 = 0 and plays the game's rank checks
-on its own blocks.
+complexes with the same dimensions.  The frame also settles once what its
+own blocks decide: the game's rank checks on moves that read frame d^1
+blocks only, and the cells of d^1 . d^0 whose every term pairs two frame
+blocks.  It keeps the local systems that the first two complexes both
+solved, such as those at the left cusp, whose maps are the same for every
+object.  A complex reuses a frame result only when the arrays it would read
+are the very (read-only) arrays the result came from, so a block swapped in
+is checked again; its other systems and checks, and both ranks, are its own.
 """
 
 from __future__ import annotations
@@ -616,7 +621,7 @@ def _section_kernel(blocks, constraints, p):
         rows.append(row)
     sys = np.vstack(rows) if rows else xa.zeros(0, total)
     _, ker = xa.rank_kernel(sys, p)
-    free = np.array([np.flatnonzero(col)[-1] for col in ker.T], dtype=np.int64)
+    free = np.where(ker != 0, np.arange(total)[:, None], -1).max(axis=0, initial=-1)
     return _frozen(ker), _frozen(free)
 
 
@@ -728,7 +733,10 @@ class _Frame:
     vertex_space every vertex's space; d0/d1 hold (key, block, rows, shift,
     sign) for each block in block order (`_restriction`), selections the
     (rows, sign) of each d^1 block that is a signed selection, and game the
-    leaf/Y moves (`_game_moves`).  Its arrays are read-only.
+    leaf/Y moves (`_game_moves`).  Its arrays are read-only.  game_passed and
+    zero_cells hold the checks that pass on frame blocks alone, with the
+    blocks they read; kernels holds solved systems by signature
+    (`keep_kernels`).
     """
 
     def __init__(self, T: TilingComplex, dF, dG, p):
@@ -787,6 +795,46 @@ class _Frame:
                            if block is not None}
         self.game = _game_moves(T, self.edges, {v: s.dim for v, s in self.vertex_space.items()})
 
+        # the checks that frame blocks alone decide, kept only when they pass
+        # and with the blocks they read: each move's rank check when it reads
+        # frame d^1 blocks only, and each cell (v, t) of d^1 . d^0 whose terms
+        # all pair frame blocks, as [(d1 key, d1 block, d0 key, d0 block)]
+        d0_fixed = {key: block for key, block, *_ in self.d0 if block is not None}
+        d1_fixed = {key: block for key, block, *_ in self.d1 if block is not None}
+        self.game_passed = {}
+        for v, keys, _ in self.game[0]:
+            dim = self.vertex_space[v].dim
+            if dim and all(k in d1_fixed for k in keys):
+                blocks = [d1_fixed[k] for k in keys]
+                if xa.rank(np.hstack(blocks), p) == dim:
+                    self.game_passed[v] = dim, blocks
+        d0_keys = {key for key, *_ in self.d0}
+        terms, mixed = {}, set()
+        for (v, ek), *_ in self.d1:
+            for t in ek:
+                if (ek, t) in d0_keys:
+                    terms.setdefault((v, t), []).append(((v, ek), (ek, t)))
+                    if (v, ek) not in d1_fixed or (ek, t) not in d0_fixed:
+                        mixed.add((v, t))
+        self.zero_cells = {
+            cell: [(k1, d1_fixed[k1], k0, d0_fixed[k0]) for k1, k0 in terms[cell]]
+            for cell, b in _d1d0_cells(d1_fixed, d0_fixed, self.selections, p, mixed).items()
+            if not b.any()}
+
+        # solved local systems by signature: the first complex's, then those
+        # of them the second complex solved too; later complexes only read them
+        self.kernels, self.built = {}, 0
+
+    def keep_kernels(self, solved):
+        """Update the store from one complex's {signature: kernel}: at most
+        one complex's systems, and after the second complex only those both
+        solved."""
+        self.built += 1
+        if self.built == 1:
+            self.kernels = solved
+        elif self.built == 2:
+            self.kernels = {sig: k for sig, k in self.kernels.items() if sig in solved}
+
 
 def _assemble(plan, small_spaces, big_spaces, p):
     """{key: block} from a frame's d0 or d1 plan: frame blocks as they are,
@@ -812,9 +860,11 @@ class CechComplex:
     Its parts fixed by T, the stalk dimensions of F and G and p come from a
     `_Frame` in `T.frames`, which the first complex with these builds.  A
     complex builds only what the maps of F and G change: the section spaces
-    of the constrained opens (each distinct system eliminated once), the
-    blocks that read their bases, the d^1 . d^0 = 0 check, the game's rank
-    checks and the ranks.  None of those results is shared between complexes.
+    of the constrained opens (each distinct system not in the frame's store
+    eliminated once), the blocks that read their bases, the d^1 . d^0 = 0
+    cells and game rank checks that read such blocks, and the ranks.  The
+    frame's checks stand in for the rest only while the complex holds the
+    very blocks they read.
     """
 
     def __init__(self, T: TilingComplex, F, G):
@@ -845,31 +895,21 @@ class CechComplex:
         self._tile_off = _offsets(T.tiles, self.tile_space)
         self._edge_off = _offsets(self.edges, self.edge_space)
         self._vert_off = frame.vert_off
-        self.d0_blocks = _assemble(frame.d0, self.edge_space, self.tile_space, p)
-        self.d1_blocks = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
-        # d1 . d0 = 0, block by block: block (v, t) of the product is the sum
-        # over the edges e at v that contain t of d1[v, e] @ d0[e, t], a signed
-        # row gather of d0[e, t] where d1[v, e] is a signed selection
-        product = {}
-        for (v, ek), b1 in self.d1_blocks.items():
-            sel = frame.selections.get((v, ek))
-            for t in ek:
-                b0 = self.d0_blocks.get((ek, t))
-                if b0 is None:
-                    continue
-                if sel is None:
-                    term = b1 @ b0 % p
-                else:
-                    term = b0[sel[0]] if sel[1] > 0 else -b0[sel[0]] % p
-                product[v, t] = (product[v, t] + term) % p if (v, t) in product else term
-        if any(b.any() for b in product.values()):
+        frame.keep_kernels(solved)
+        self.d0_blocks = d0 = _assemble(frame.d0, self.edge_space, self.tile_space, p)
+        self.d1_blocks = d1 = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
+        # d1 . d0 = 0, but for the frame's zero cells whose blocks are here
+        done = {cell for cell, terms in frame.zero_cells.items()
+                if all(d1.get(k1) is b1 and d0.get(k0) is b0 for k1, b1, k0, b0 in terms)}
+        if any(b.any() for b in _d1d0_cells(d1, d0, frame.selections, p, done).values()):
             raise AssertionError("d1 . d0 != 0")
 
     def _space(self, entry, solved) -> OpenSpace:
         """The section space of an open from its frame entry.  A constrained
         system depends only on its signature, the (fdim, gdim) of each block
         and each constraint's block positions and map contents, so each
-        distinct signature is eliminated once per complex."""
+        distinct signature is eliminated at most once per complex, and not at
+        all when the frame's store holds it."""
         layout, system = entry
         if system is None:
             return layout
@@ -878,7 +918,7 @@ class CechComplex:
         sig = (blocks, tuple((s, t, f.shape, f.tobytes(), g.shape, g.tobytes())
                              for s, t, f, g in maps))
         if sig not in solved:
-            solved[sig] = _section_kernel(blocks, maps, self.p)
+            solved[sig] = self._frame.kernels.get(sig) or _section_kernel(blocks, maps, self.p)
         return OpenSpace(layout.keys, layout.dims, layout.offsets, layout.total, *solved[sig])
 
     @functools.cached_property
@@ -964,6 +1004,25 @@ def _block_rank(blocks, row_off, col_off, shape, p) -> int:
     return xa.rank_rows((lines[a] for a in sorted(lines)), p)
 
 
+def _d1d0_cells(d1_blocks, d0_blocks, selections, p, skip):
+    """The blocks (v, t) of d^1 . d^0 but those in skip: each is the sum over
+    the edges e at v that contain t of d1[v, e] @ d0[e, t], a signed row
+    gather of d0[e, t] where d1[v, e] is a signed selection."""
+    product = {}
+    for (v, ek), b1 in d1_blocks.items():
+        sel = selections.get((v, ek))
+        for t in ek:
+            b0 = d0_blocks.get((ek, t))
+            if b0 is None or (v, t) in skip:
+                continue
+            if sel is None:
+                term = b1 @ b0 % p
+            else:
+                term = b0[sel[0]] if sel[1] > 0 else -b0[sel[0]] % p
+            product[v, t] = (product[v, t] + term) % p if (v, t) in product else term
+    return product
+
+
 def _dense(blocks, row_off, col_off, shape) -> np.ndarray:
     out = xa.zeros(*shape)
     for (rk, ck), b in blocks.items():
@@ -1042,11 +1101,17 @@ def graph_game(cx: CechComplex):
     is stuck.
     """
     moves, end = cx._frame.game
+    passed = cx._frame.game_passed
     steps = []
     for v, keys, (rule, blues) in moves:
         dim = cx.vertex_space[v].dim
-        if dim and xa.rank(np.hstack([cx.d1_blocks[k] for k in keys]), cx.p) != dim:
-            return {"success": False, "stuck": [str(v)], "steps": steps, "failed_rule": rule}
+        if dim:
+            blocks = [cx.d1_blocks[k] for k in keys]
+            known = passed.get(v, (None, ()))
+            reused = known[0] == dim and all(a is b for a, b in zip(blocks, known[1]))
+            if not reused and xa.rank(np.hstack(blocks), cx.p) != dim:
+                return {"success": False, "stuck": [str(v)], "steps": steps,
+                        "failed_rule": rule}
         steps.append({"rule": rule, "removed_blues": list(blues), "removed_red": str(v),
                       "rank_checked": True})
     if end is None:

@@ -42,10 +42,11 @@ def _emit(payload: dict, fmt: str = "json"):
         sys.stdout.write(buf.getvalue())
 
 
-def _sample_pairs(reps, samples, rng):
+def _sample_pairs(reps, samples, budget, rng):
     """Ordered index pairs: all of them when `samples` is 0 or reaches their
     number, otherwise `samples` draws without duplicates (stderr says when
-    repeated draws leave fewer pairs than requested)."""
+    repeated draws leave fewer pairs than requested).  All pairs, when there
+    are more of them than `budget`, are refused before any is listed."""
     n = len(reps)
     if samples and samples < n * n:
         pairs = sorted({divmod(rng.randrange(n * n), n) for _ in range(samples)})
@@ -53,6 +54,9 @@ def _sample_pairs(reps, samples, rng):
             print(f"sampled {len(pairs)} distinct pairs of {samples} requested",
                   file=sys.stderr)
         return pairs
+    if n * n > budget:
+        raise BudgetExceeded(f"every pair of {n} objects is {n * n} pairs (budget {budget})",
+                             required=n * n)
     return [divmod(k, n) for k in range(n * n)]
 
 
@@ -106,7 +110,7 @@ def cmd_hom(args):
     rng = rng_for(args.seed, "hom")
     reps, complete = _objects(args, rng)
     rows = []
-    for i, j in _sample_pairs(reps, args.samples, rng):
+    for i, j in _sample_pairs(reps, args.samples, args.budget, rng):
         H = hom_cohomology(reps[i], reps[j])
         C = cohomology_closed(reps[i], reps[j])
         rows.append({"source": i, "target": j,
@@ -123,7 +127,7 @@ def cmd_hom(args):
 def cmd_ext(args):
     rng = rng_for(args.seed, "ext")
     reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples, rng)
+    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
     objs = _sheaf_objects(reps, pairs)
     rows = []
     for i, j in pairs:
@@ -141,7 +145,7 @@ def cmd_ext(args):
 def cmd_cech(args):
     rng = rng_for(args.seed, "cech")
     reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples, rng)
+    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
     objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
     rows = []
@@ -168,7 +172,7 @@ def cmd_cech(args):
 def cmd_equiv(args):
     rng = rng_for(args.seed, "equiv")
     reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples, rng)
+    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
     objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
     rows = []
@@ -239,7 +243,8 @@ FLAGS = {
     "seed": {"type": int, "default": 0},
     "samples": {"type": _bounded(0), "default": 9,
                 "help": "ordered pairs to check, 0 for every pair"},
-    "budget": {"type": _bounded(0), "default": 100_000, "help": "most tuples to enumerate"},
+    "budget": {"type": _bounded(0), "default": 100_000,
+               "help": "most tuples to enumerate, and most pairs to check"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "resolution": {"type": _bounded(1), "default": 1, "help": "Cech tiling dilation"},
     "copies": {"type": _bounded(1, 10), "default": 1, "help": "k > 1 adds the k-copy DGA"},

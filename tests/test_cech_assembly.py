@@ -10,6 +10,7 @@ import cech_reference
 from legtorus.ainfty import random_rep
 from legtorus.cech import CechComplex, EyeSheaf, build_tiling, eye_tiling, graph_game
 from legtorus.sheafcat import extension_from_class, functor_obj
+from legtorus import cech
 from legtorus import exactalg as xa
 
 PRIMES = [2, 3, 5, 32749]
@@ -160,7 +161,135 @@ def test_frame_arrays_are_shared_and_read_only():
         if space.total:
             with pytest.raises(ValueError):
                 space.basis[0, 0] = 2
-    # a constrained open shares its layout but not its kernel's arrays
+    # a constrained open shares its layout, and its kernel is read-only
     t = next(t for t, (_, sys) in frame.tiles.items() if sys is not None)
     assert a.tile_space[t].keys is b.tile_space[t].keys
     assert not a.tile_space[t].basis.flags.writeable
+
+
+# -- what the frame computes once ----------------------------------------------------
+
+def test_self_swapped_and_repeated_pairs_share_one_tiling():
+    """(F, G), (F, F), (G, F), (F, G) again, a fresh pair and an (n, 2n)
+    pair with an extension middle, in this order on one tiling: each equals
+    the reference and a complex built on a fresh tiling."""
+    rng = random.Random(1708)
+    for m, n, p in [(2, 1, 3), (3, 2, 5), (4, 2, 3), (5, 1, 2)]:
+        T = build_tiling(m)
+        F, G, H, K = (rand_obj(m, n, p, rng) for _ in range(4))
+        w = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
+        w[0][0, 0] = 1
+        mid, _, _ = extension_from_class(w, G, H)
+        for a, b in [(F, G), (F, F), (G, F), (F, G), (H, K), (F, mid)]:
+            cx = CechComplex(T, a, b)
+            assert_same_complex(cx, cech_reference.CechComplex(T, a, b))
+            assert_same_complex(cx, CechComplex(build_tiling(m), a, b))
+        assert len(T.frames) == 2
+
+
+def test_game_rechecks_a_swapped_frame_block(monkeypatch):
+    """Later complexes skip the rank checks the frame ran on its own blocks,
+    but a complex whose d^1 blocks for such a move are swapped for zeroed
+    copies gets stuck there, and the next complex on the tiling does not."""
+    rng = random.Random(1709)
+    T = build_tiling(3)
+    frame = CechComplex(T, rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng))._frame
+    reds = [v for v, _, _ in frame.game[0] if frame.vertex_space[v].dim]
+    assert 0 < len(frame.game_passed) < len(reds)
+    ranks = []
+    monkeypatch.setattr(xa, "rank", lambda a, p, rank=xa.rank: ranks.append(a) or rank(a, p))
+    F, G = rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng)
+    trace = CechComplex(T, F, G).game
+    assert trace["success"] and len(ranks) == len(reds) - len(frame.game_passed)
+    monkeypatch.undo()
+    fixed = {key: block for key, block, *_ in frame.d1 if block is not None}
+    checked = [(v, keys, rule) for v, keys, (rule, _) in frame.game[0] if v in frame.game_passed]
+    assert {rule for _, _, rule in checked} >= {"horizontal-iso", "isomorphism-edge"}
+    for v, keys, rule in checked[:: max(1, len(checked) // 4)]:
+        cx = CechComplex(T, F, G)
+        for key in keys:
+            assert cx.d1_blocks[key] is fixed[key]
+            cx.d1_blocks[key] = np.zeros_like(fixed[key])
+        for game in (cx.game, graph_game(cx), cech_reference.graph_game(cx)):
+            assert not game["success"]
+            assert game["stuck"] == [str(v)] and game["failed_rule"] == rule
+        # the move's own edges no longer reach v, but d^1 may through others
+        _, cert = cx.h2_certificate()
+        assert cert["certified_by"] == "rank" and cert["rank_d1"] == xa.rank(cx.d1, cx.p)
+        assert CechComplex(T, F, G).game == trace
+
+
+def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
+    """Later complexes skip the d^1 . d^0 cells whose terms all pair frame
+    blocks, but a corrupted copy of a d^0 block that only such cells read,
+    handed out by `_assemble`, fails the check."""
+    rng = random.Random(1710)
+    T = build_tiling(3)
+    F, G = rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng)
+    frame = CechComplex(T, F, G)._frame
+    skipped = []
+    cells = cech._d1d0_cells
+    monkeypatch.setattr(cech, "_d1d0_cells", lambda *a: skipped.append(a[-1]) or cells(*a))
+    CechComplex(T, F, G)
+    assert skipped == [set(frame.zero_cells)] and skipped[0]
+    monkeypatch.undo()
+
+    cells_of = {}
+    for (v, ek), *_ in frame.d1:
+        for t in ek:
+            cells_of.setdefault((ek, t), set()).add((v, t))
+    targets = {}  # d0 key -> a row that a selection in one of its cells reads
+    for terms in frame.zero_cells.values():
+        for k1, _, k0, b0 in terms:
+            if cells_of[k0] <= set(frame.zero_cells) and b0.shape[1]:
+                targets.setdefault(k0, frame.selections[k1][0][0])
+    assert targets
+    assemble = cech._assemble
+    for key, i in list(targets.items())[:: max(1, len(targets) // 5)]:
+        def corrupted(plan, *args, key=key, i=i):
+            blocks = assemble(plan, *args)
+            if key in blocks:
+                bad = blocks[key].copy()
+                bad[i, 0] = (bad[i, 0] + 1) % 3
+                blocks[key] = bad
+            return blocks
+
+        monkeypatch.setattr(cech, "_assemble", corrupted)
+        with pytest.raises(AssertionError, match="d1 . d0 != 0"):
+            CechComplex(T, F, G)
+    monkeypatch.undo()
+    assert_same_complex(CechComplex(T, F, G), cech_reference.CechComplex(T, F, G))
+
+
+def test_kernel_store_keeps_what_the_first_two_complexes_both_solved(monkeypatch):
+    """The frame keeps the first complex's solved systems, then only those
+    the second complex solved too; later complexes eliminate only the rest
+    and leave the store as it is."""
+    rng = random.Random(1711)
+    T = build_tiling(4)
+    solved, stores, solves = [], [], []
+    keep, section_kernel = cech._Frame.keep_kernels, cech._section_kernel
+
+    def spy(frame, kernels):
+        solved.append(set(kernels))
+        keep(frame, kernels)
+        stores.append(dict(frame.kernels))
+
+    monkeypatch.setattr(cech._Frame, "keep_kernels", spy)
+    monkeypatch.setattr(cech, "_section_kernel", lambda *a: solves.append(a) or section_kernel(*a))
+    objs = [rand_obj(4, 2, 3, rng) for _ in range(6)]
+    pairs = [(objs[0], objs[1]), (objs[2], objs[3]), (objs[1], objs[0]), (objs[4], objs[5]),
+             (objs[0], objs[0])]
+    for k, (a, b) in enumerate(pairs):
+        before = len(solves)
+        assert_same_complex(CechComplex(T, a, b), cech_reference.CechComplex(T, a, b))
+        assert len(solves) - before == len(solved[k] - set(stores[k - 1] if k else ()))
+        assert len(stores[k]) <= len(solved[0])
+    assert set(stores[0]) == solved[0]
+    shared = solved[0] & solved[1]
+    assert shared and shared != solved[0]
+    for store in stores[1:]:
+        assert set(store) == shared
+        assert all(store[sig] is stores[0][sig] for sig in shared)
+    # what the first two random pairs share, the later pairs solve too
+    assert all(shared <= s for s in solved)

@@ -118,6 +118,29 @@ def test_cech_zero_samples_checks_every_pair():
     assert doc["all_agree"]
 
 
+def test_every_pair_past_the_budget_is_refused(capsys):
+    """4113 objects over F_3 at m = n = 2 are 16.9 M ordered pairs: --samples
+    0 is refused before any pair is listed, with nothing on stdout."""
+    argv = ["--m", "2", "--n", "2", "--p", "3", "--samples", "0"]
+    proc = subprocess.run([sys.executable, "-m", "legtorus.cli", "cech", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr == ("budget exceeded: every pair of 4113 objects is 16916769 "
+                           "pairs (budget 100000)\n")
+    for command in ("hom", "ext", "equiv"):
+        assert main([command, *argv]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("budget exceeded: every pair of 4113")
+    # two objects over F_3 at m = n = 1: their three tuples fit a budget of
+    # 3, their four pairs do not
+    small = ["cech", "--m", "1", "--n", "1", "--p", "3", "--samples", "0", "--budget"]
+    assert main(small + ["3"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "budget exceeded: every pair of 2 objects is 4 pairs (budget 3)\n"
+    assert main(small + ["4"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+
+
 def test_cech_trace_and_certificates():
     doc = json.loads(run_cli(["cech", "--m", "1", "--n", "1", "--p", "2",
                               "--samples", "2"]).stdout)
