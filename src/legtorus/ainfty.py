@@ -13,11 +13,11 @@ Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
 
 `mu_k`, `mu1` and `mu2` twist the symbolic (k+1)-copy DGA (`TwistedCopy`).
 The mu_1 matrix behind HomCohomology (`mu1_matrix`) builds no copy DGA: it
-evaluates the 2-copy differential on 2x2 block upper-triangular matrices and
-reads the (1,2) corner, so its cost is polynomial in m.  The blocks of that
-evaluation that do not depend on the pair are built once per (m, n, degree)
-(`_mu1_frame`), so a Hom sweep pays per pair only for the diagonal blocks
-r0 and r1 fill in.  The copy route is that matrix's test oracle.
+evaluates the 2-copy differential on 2x2 block upper-triangular matrices
+blockwise.  Their diagonal blocks are r0's and r1's own values, so only the
+(1,2) corners are computed, one per unit coefficient, by a recursion that
+carries one n x n continuant of r0 along; its cost is polynomial in m.  The
+copy route is that matrix's test oracle.
 
 A `Representation` holds its tuple as one read-only int64 array of shape
 (m, n, n).
@@ -25,7 +25,6 @@ A `Representation` holds its tuple as one read-only int64 array of shape
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -370,106 +369,71 @@ def _unvec(v: np.ndarray, order: list[str], n: int, p: int, degree: int) -> HomE
     return HomElement(n, p, degree, coeffs)
 
 
-@functools.lru_cache(maxsize=8)
-def _mu1_frame(m: int, n: int, degree: int) -> dict:
-    """The blocks of `mu1_matrix`'s evaluation that depend only on (m, n, degree),
-    as read-only arrays over the stack of N = len(src) * n^2 unit coefficients
-    (row-major, as `_vec` flattens).  Z_z is the unit coefficient of z where
-    z is a source base and 0 elsewhere.
-
-    Degree 0 (sources y1, y2): Y (2, N, 2n, 2n) with Y_l = [[0, Z_y], [0, 0]],
-    and the Y indices r - 1, c - 1 of the chords and of t1, t2 from
-    `link_grading`.  Degree 1 (sources a_1..a_m, x1, x2): `units`, the n^2
-    unit matrices that fill the chord corners, X2 = [[1, Z_x2], [0, 1]] and
-    X1^-1 = [[1, -Z_x1], [0, 1]], as X - 1 squares to 0.  The entries are 0
-    and +-1, so one frame serves every p.
-    """
-    src = hom_basis_order(m, degree)
-    nn = n * n
-    N = len(src) * nn
-    units = np.eye(nn, dtype=np.int64).reshape(nn, n, n)
-
-    def block(base, diag, sign=1):
-        out = np.zeros((N, 2 * n, 2 * n), dtype=np.int64)
-        if diag:
-            out[:, :n, :n] = out[:, n:, n:] = xa.eye(n)
-        s = src.index(base) * nn
-        out[s:s + nn, :n, n:] = sign * units
-        return out
-
-    if degree == 0:
-        lg = link_grading(m)
-        chords, ts = [f"a{j}" for j in range(1, m + 1)], ["t1", "t2"]
-        frame = {"Y": np.stack([block(f"y{l}", False) for l in (1, 2)])}
-        for key, gens in (("chord", chords), ("t", ts)):
-            frame[key + "_r"] = np.array([lg[g][0] - 1 for g in gens], dtype=np.intp)
-            frame[key + "_c"] = np.array([lg[g][1] - 1 for g in gens], dtype=np.intp)
-    else:
-        frame = {"units": units, "X2": block("x2", True), "X1inv": block("x1", True, -1)}
-    for arr in frame.values():
-        arr.flags.writeable = False
-    return frame
-
-
 def mu1_matrix(r0, r1, degree: int) -> np.ndarray:
     """Matrix of mu_1 from degree to degree+1 in the canonical dual basis.
 
     mu_1(z^) is the (1,2) corner of the 2-copy differential evaluated on
     2x2 block upper-triangular matrices: copy 1 carries r0, copy 2 carries
     r1, and the off-diagonal generator z^{12} carries the argument's
-    coefficient.  Two corner-only factors multiply to zero, so the corner is
-    linear in the argument, and one batched evaluation over the stack of
-    unit coefficients (one per source entry, row-major as `_vec` flattens)
-    gives every column at once.  The blocks that do not depend on the pair
-    come from `_mu1_frame`; per pair only the diagonal blocks are filled in:
-    r0.A_j and r1.A_j in the chord stack, and Delta_l = diag(r0.T_l, r1.T_l).
+    coefficient Z_z (0 on the other bases).  Two corner-only factors multiply
+    to zero, so the corner is linear in the argument, and column s*n^2 + k is
+    its value at the k-th unit coefficient of source s (row-major, as `_vec`
+    flattens).  Only corners are computed: the diagonal blocks are r0's and
+    r1's own values, A_j and B_j for a_j, T_l and T'_l in Delta_l.
 
-    Degree 0 evaluates d(a_j) = Y_r a_j - a_j Y_c for all j in one batched
-    product, and d(x_l) = Delta_l^-1 Y_r Delta_l X_l - X_l Y_c for both l,
-    where X_l is the identity (x is no source).  Degree 1 evaluates
-    d(b1) = X1^-1 Delta1^-1 + P_m and d(b2) = Delta2 X2 + Q_m, where the terms
-    Y_r B + B Y_c vanish (y is no source).  The (r, c) of each generator come
-    from `link_grading`.  Every corner is read out with one reshape and
-    transpose.
+    Degree 0 (sources y1, y2): d(a_j) = Y_r a_j - a_j Y_c and
+    d(x_l) = Delta_l^-1 Y_r Delta_l X_l - X_l Y_c, with X_l = 1 and
+    Y_l = [[0, Z_yl], [0, 0]], have the corners Z_yr B_j - A_j Z_yc and
+    T_l^-1 Z_yr T'_l - Z_yc, where (r, c) come from `link_grading`.
+
+    Degree 1 (sources a_1..a_m, x1, x2): d(b1) = X1^-1 Delta1^-1 + P_m and
+    d(b2) = Delta2 X2 + Q_m, as the terms Y_r B + B Y_c have no source.  With
+    X_l = [[1, Z_xl], [0, 1]] the first terms have the corners -Z_x1 T'_1^-1
+    and T_2 Z_x2.  P_j = P_{j-1} M_j + P_{j-2} on the chords
+    M_j = [[A_j, Z_j], [0, B_j]] has the diagonal blocks P_j(A) and P_j(B),
+    so its corner C_j follows the recursion
+
+        C_j = P_{j-1}(A) Z_j + C_{j-1} B_j + C_{j-2},   C_0 = C_{-1} = 0,
+
+    so beside the corner stack only the n x n continuants P_j(A) are carried
+    along; Q_m runs the same recursion from the right with M_j negated, as
+    `pq_matrix` does.  Every product is reduced mod p before it is
+    accumulated again.
     """
     if (r0.m, r0.n, r0.p) != (r1.m, r1.n, r1.p):
         raise ValueError("mismatched representations")
     m, n, p = r0.m, r0.n, r0.p
-    nn, n2 = n * n, 2 * n
-    N = len(hom_basis_order(m, degree)) * nn
-    dst = hom_basis_order(m, degree + 1)
-    if not (N and dst):
-        return xa.zeros(len(dst) * nn, N)
-    fr = _mu1_frame(m, n, degree)
-
-    def diag(tops, bottoms):
-        out = np.zeros((len(tops), n2, n2), dtype=np.int64)
-        out[:, :n, :n], out[:, n:, n:] = tops, bottoms
-        return out
-
-    chords = diag(r0.A, r1.A)  # (m, 2n, 2n): the diagonal blocks of every a_j
-    diffs = np.empty((len(dst), N, n2, n2), dtype=np.int64)
-    if degree == 0:  # no chord is a source: each a_j is its diagonal blocks
-        Y = fr["Y"]
-        diffs[:m] = Y[fr["chord_r"]] @ chords[:, None] - chords[:, None] @ Y[fr["chord_c"]]
-        delta = diag((r0.T1, r0.T2), (r1.T1, r1.T2))[:, None]
-        delta_inv = diag((r0.T1_inv, r0.T2_inv), (r1.T1_inv, r1.T2_inv))[:, None]
-        diffs[m:] = ((delta_inv @ Y[fr["t_r"]] % p) @ delta) % p - Y[fr["t_c"]]
-    else:
-        # one (N, 2n, 2n) stack per chord, its corner set on the rows of a_j's
-        # unit coefficients.  Not one (m, N, 2n, 2n) array: freeing a block of
-        # several MB raises glibc's mmap threshold, and at m = 24, n = 4 that
-        # left the Cech route's later arrays on the heap and `equiv`'s peak
-        # RSS 9 % higher.
-        stacks = []
-        for j, blocks in enumerate(chords):
-            stack = np.repeat(blocks[None], N, axis=0)
-            stack[j * nn:(j + 1) * nn, :n, n:] = fr["units"]
-            stacks.append(stack)
-        delta1_inv, delta2 = diag((r0.T1_inv, r0.T2), (r1.T1_inv, r1.T2))
-        diffs[0] = (fr["X1inv"] @ delta1_inv) % p + pq_matrix("P", stacks, p, n2)
-        diffs[1] = (delta2 @ fr["X2"]) % p + pq_matrix("Q", stacks, p, n2)
-    mat = diffs[:, :, :n, n:].transpose(0, 2, 3, 1).reshape(len(dst) * nn, N)
+    nn = n * n
+    src, dst = hom_basis_order(m, degree), hom_basis_order(m, degree + 1)
+    units = np.eye(nn, dtype=np.int64).reshape(nn, n, n)
+    # corners[d, s, k]: the corner of d(dst[d]) at the k-th unit coefficient of src[s]
+    corners = np.zeros((len(dst), len(src), nn, n, n), dtype=np.int64)
+    if degree == 0:
+        lg = link_grading(m)
+        for d, z in enumerate(dst):
+            if z.startswith("a"):
+                r, c = lg[z]
+                j = int(z[1:]) - 1
+                corners[d, r - 1] += units @ r1.A[j]
+                corners[d, c - 1] -= r0.A[j] @ units
+            else:
+                t = "t" + z[1:]
+                r, c = lg[t]
+                corners[d, r - 1] += (r0.value(t, -1) @ units % p) @ r1.value(t)
+                corners[d, c - 1] -= units
+    elif degree == 1:
+        for d, sign, order in ((0, 1, range(m)), (1, -1, range(m - 1, -1, -1))):
+            top, top_prev = xa.eye(n), xa.zeros(n, n)
+            corner = corner_prev = np.zeros((m, nn, n, n), dtype=np.int64)
+            for j in order:
+                step = corner @ r1.A[j]
+                step[j] += top @ units
+                corner, corner_prev = (sign * step + corner_prev) % p, corner
+                top, top_prev = (sign * top @ r0.A[j] + top_prev) % p, top
+            corners[d, :m] = corner
+        corners[0, m] = -(units @ r1.T1_inv)
+        corners[1, m + 1] = r0.T2 @ units
+    mat = corners.transpose(0, 3, 4, 1, 2).reshape(len(dst) * nn, len(src) * nn)
     mat %= p
     return mat
 

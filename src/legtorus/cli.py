@@ -67,7 +67,11 @@ def _sheaf_objects(reps, pairs):
 
 def _objects(args, rng):
     """Enumerate when feasible within budget, otherwise sample
-    max(2, --samples or 4) distinct tuples."""
+    max(2, --samples or 4) distinct tuples.  A run that asks for more sampled
+    pairs than --budget is refused before any tuple is drawn."""
+    if args.samples > args.budget:
+        raise BudgetExceeded(f"--samples asks for {args.samples} pairs (budget {args.budget})",
+                             required=args.samples)
     total = args.p ** (args.n * args.n * args.m)
     if total <= args.budget:
         return enumerate_reps(args.m, args.n, args.p, budget=args.budget), True
@@ -244,7 +248,8 @@ FLAGS = {
     "samples": {"type": _bounded(0), "default": 9,
                 "help": "ordered pairs to check, 0 for every pair"},
     "budget": {"type": _bounded(0), "default": 100_000,
-               "help": "most tuples to enumerate, and most pairs to check"},
+               "help": "most tuples to enumerate, and most pairs to check, "
+                       "sampled or all"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "resolution": {"type": _bounded(1), "default": 1, "help": "Cech tiling dilation"},
     "copies": {"type": _bounded(1, 10), "default": 1, "help": "k > 1 adds the k-copy DGA"},

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from legtorus import verify
+from legtorus import cli, verify
 from legtorus.cech import CechComplex
 from legtorus.cli import main, make_parser
 
@@ -141,6 +141,26 @@ def test_every_pair_past_the_budget_is_refused(capsys):
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
 
 
+def test_sampled_pairs_past_the_budget_are_refused(monkeypatch, capsys):
+    """--samples N above --budget is refused before any object is drawn or
+    enumerated, with nothing on stdout; N equal to the budget runs."""
+    def no_objects(*args, **kwargs):
+        raise AssertionError("an object was drawn")
+
+    argv = ["--m", "3", "--n", "2", "--p", "5", "--samples", "500", "--budget", "100"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "random_rep", no_objects)
+        patch.setattr(cli, "enumerate_reps", no_objects)
+        for command in ("hom", "ext", "cech", "equiv"):
+            assert main([command, *argv]) == 1
+            out, err = capsys.readouterr()
+            assert not out
+            assert err == "budget exceeded: --samples asks for 500 pairs (budget 100)\n"
+    argv = ["hom", "--m", "3", "--n", "2", "--p", "5", "--samples", "3", "--budget", "3"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
+
+
 def test_cech_trace_and_certificates():
     doc = json.loads(run_cli(["cech", "--m", "1", "--n", "1", "--p", "2",
                               "--samples", "2"]).stdout)
@@ -166,11 +186,14 @@ GOLDEN = Path(__file__).parent / "golden"
     ("equiv", ["equiv", "--m", "2", "--n", "2", "--p", "3", "--samples", "3", "--seed", "5"]),
     ("verify", ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]),
     ("dga", ["dga", "--m", "3", "--p", "3", "--copies", "3"]),
+    ("hom-m24", ["hom", "--m", "24", "--n", "4", "--p", "32749", "--samples", "2", "--seed", "1"]),
 ])
 def test_stdout_matches_golden(name, args):
     # golden files hold the stdout of earlier versions of the program (the
     # dense elimination kernel, two Ext maps per pair, copy DGAs built with a
-    # full word reduction per product); RREF bases are canonical, the pair
+    # full word reduction per product, the mu_1 matrix evaluated on 2n x 2n
+    # block stacks; p = 32749 at m = 24 reaches the int64 bound of the mod-p
+    # products); RREF bases are canonical, the pair
     # sampling draws the same numbers and polynomial terms print sorted, so
     # not a byte may move
     proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
@@ -209,9 +232,9 @@ def test_sampling_without_duplicates_prints_nothing(capsys):
 
 
 def test_samples_past_8_draw_as_many_objects(capsys):
-    # 5^2 tuples exceed --budget 5, so objects are sampled: max(2, --samples)
+    # 5^2 tuples exceed --budget 12, so objects are sampled: max(2, --samples)
     # of them, with no cap at 8
-    args = ["equiv", "--m", "2", "--n", "1", "--p", "5", "--budget", "5", "--seed", "3"]
+    args = ["equiv", "--m", "2", "--n", "1", "--p", "5", "--budget", "12", "--seed", "3"]
     assert main(args + ["--samples", "12"]) == 0
     out, err = capsys.readouterr()
     doc = json.loads(out)
@@ -222,8 +245,9 @@ def test_samples_past_8_draw_as_many_objects(capsys):
 
 def test_short_object_sample_is_reported_on_stderr_only(capsys):
     # only 7 of the 9 tuples over F_3 have P_2 invertible, so --samples 8
-    # aims for 8 objects and gets 7; --samples 4 gets all it aims for
-    args = ["hom", "--m", "2", "--n", "1", "--p", "3", "--budget", "5", "--seed", "3"]
+    # aims for 8 objects and gets 7 (the 9 tuples exceed --budget 8, so they
+    # are sampled); --samples 4 gets all it aims for
+    args = ["hom", "--m", "2", "--n", "1", "--p", "3", "--budget", "8", "--seed", "3"]
     assert main(args + ["--samples", "8"]) == 0
     out8, err = capsys.readouterr()
     assert "drew 7 distinct objects of 8 aimed for in 32 draws" in err

@@ -1,9 +1,11 @@
 """The Hom routes' matrix assembly against the references in hom_reference.py,
-the broadcasting `kron`, and the read-only tuple arrays of the objects."""
+the memory of the mu_1 evaluation, the broadcasting `kron`, and the read-only
+tuple arrays of the objects."""
 
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,16 +27,40 @@ def same(got, want):
 
 # -- assembly, new against old --------------------------------------------------
 
-def test_assembly_matches_the_reference_bit_for_bit():
+def assembly_cases():
+    """150 random sizes, then the ROADMAP's target sizes at every prime."""
     rng = random.Random(1601)
-    for case in range(150):
-        m, n, p = rng.randint(1, 7), rng.randint(1, 3), rng.choice(PRIMES)
+    for _ in range(150):
+        yield rng.randint(1, 7), rng.randint(1, 3), rng.choice(PRIMES), rng
+    for m, n, p in itertools.product((12, 24), (2, 4), PRIMES):
+        yield m, n, p, rng
+
+
+def test_assembly_matches_the_reference_bit_for_bit():
+    for case, (m, n, p, rng) in enumerate(assembly_cases()):
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
-        for d in (0, 1, 2):
+        for d in (-1, 0, 1, 2):
             assert same(mu1_matrix(r0, r1, d), ref.mu1_matrix(r0, r1, d)), (case, m, n, p, d)
         assert same(reduced_complex_matrix(r0, r1), ref.reduced_complex_matrix(r0, r1)), case
         F, G = functor_obj(r0), functor_obj(r1)
         assert same(_ext_map(F, G), ref._ext_map(F, G)), case
+
+
+def test_mu1_matrix_peak_memory_stays_near_its_result():
+    """At m=48, n=4 the degree-1 matrix is 32 x 800 (0.2 MB); its evaluation
+    carries one corner stack per continuant, not 2n x 2n blocks per unit
+    coefficient, so its traced peak stays below 8 times the result."""
+    rng = random.Random(1602)
+    r0, r1 = random_rep(48, 4, 3, rng), random_rep(48, 4, 3, rng)
+    mu1_matrix(r0, r1, 1)
+    tracemalloc.start()
+    try:
+        out = mu1_matrix(r0, r1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (32, 800)
+    assert peak < 8 * out.nbytes, (peak, out.nbytes)
 
 
 # -- the broadcasting kron ------------------------------------------------------
@@ -95,18 +121,6 @@ def test_tuples_are_read_only_stacks():
             obj.A[1] += 1
     with pytest.raises(ValueError):
         rho.value("a2")[0, 0] = 1
-
-
-def test_mu1_frames_are_read_only():
-    rng = random.Random(1607)
-    r0, r1 = random_rep(3, 2, 3, rng), random_rep(3, 2, 3, rng)
-    for d in (0, 1):
-        mu1_matrix(r0, r1, d)
-        frame = ainfty._mu1_frame(3, 2, d)
-        assert frame
-        for arr in frame.values():
-            with pytest.raises(ValueError):
-                arr.flat[0] = 5
 
 
 def test_object_surface_is_unchanged():
