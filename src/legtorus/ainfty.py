@@ -15,12 +15,15 @@ Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
 The mu_1 matrix behind HomCohomology (`mu1_matrix`) builds no copy DGA: it
 evaluates the 2-copy differential on 2x2 block upper-triangular matrices
 blockwise.  Their diagonal blocks are r0's and r1's own values, so only the
-(1,2) corners are computed, one per unit coefficient, by a recursion that
-carries one n x n continuant of r0 along; its cost is polynomial in m.  The
-copy route is that matrix's test oracle.
+(1,2) corners are computed, one per unit coefficient.  In degree 1 the
+continuant's deletion expansion gives them in closed form: the corner of
+P_m at a_j is P(A_1..A_{j-1}) Z_j P(B_{j+1}..B_m), and Q_m's is the same
+expansion over the reversed, negated letters.  Each factor depends on one
+object only.  The copy route is that matrix's test oracle.
 
 A `Representation` holds its tuple as one read-only int64 array of shape
-(m, n, n).
+(m, n, n), and the continuant stacks of its two roles in a Hom space
+(`source_stacks`, `target_stacks`), built on first use and read-only.
 """
 
 from __future__ import annotations
@@ -57,9 +60,14 @@ class Representation:
 
     The tuple is held as one read-only int64 array A of shape (m, n, n), so
     A[j - 1] is the matrix of a_j and every Hom route reads the stack as is.
+    The continuant stacks `mu1_matrix` reads (`source_stacks` when the object
+    is the source of a Hom space, `target_stacks` when it is the target) are
+    built on first use and kept, read-only, on the object.
     """
 
     def __init__(self, m: int, n: int, p: int, mats):
+        if m < 1 or n < 1:
+            raise ValueError(f"{'m' if m < 1 else 'n'} must be at least 1")
         self.m, self.n, self.p = m, n, xa.check_field(p)
         mats = [np.asarray(a, dtype=np.int64) for a in mats]
         if len(mats) != m or any(a.shape != (n, n) for a in mats):
@@ -74,6 +82,34 @@ class Representation:
         self.T1_inv = (-pm) % p
         self.T2 = (-pq_matrix("Q", self.A, p)) % p
         self.T2_inv = xa.inverse(self.T2, p)  # invertible by the determinant identity
+        self._source = self._target = None
+
+    @property
+    def source_stacks(self) -> np.ndarray:
+        """Layer (0, j-1) is P(A_1..A_{j-1}), layer (1, j-1) is P(-A_m..-A_{j+1}).
+
+        Shape (2, m, n, n), read-only: the left factors of the degree-1
+        corners of mu_1 on a Hom space with this object as its source.
+        """
+        if self._source is None:
+            self._source = np.stack([_continuants(self.A, self.p, left=False),
+                                     _continuants(-self.A[::-1], self.p, left=False)[::-1]])
+            self._source.flags.writeable = False
+        return self._source
+
+    @property
+    def target_stacks(self) -> np.ndarray:
+        """Layer (0, j-1) is P(B_{j+1}..B_m), layer (1, j-1) is P(-B_{j-1}..-B_1),
+        with B this object's tuple.
+
+        Shape (2, m, n, n), read-only: the right factors of the degree-1
+        corners of mu_1 on a Hom space with this object as its target.
+        """
+        if self._target is None:
+            self._target = np.stack([_continuants(self.A[::-1], self.p, left=True)[::-1],
+                                     _continuants(-self.A, self.p, left=True)])
+            self._target.flags.writeable = False
+        return self._target
 
     def key(self):
         return tuple(bytes(a.astype(np.int64)) for a in self.A)
@@ -106,6 +142,23 @@ class Representation:
 
     def conjugate(self, minv, mmat) -> "Representation":
         return Representation(self.m, self.n, self.p, (minv @ self.A @ mmat) % self.p)
+
+
+def _continuants(letters: np.ndarray, p: int, left: bool) -> np.ndarray:
+    """Layer k is the continuant of letters[:k], k = 0..len - 1.
+
+    Each new letter multiplies on the right, P_k = P_{k-1} L_k + P_{k-2}, or
+    on the left, P_k = L_k P_{k-1} + P_{k-2}, which builds the continuant of
+    the reversed word (L_k, ..., L_1).
+    """
+    m, n = len(letters), letters.shape[-1]
+    out = np.empty((m, n, n), dtype=np.int64)
+    out[0], prev = xa.eye(n), xa.zeros(n, n)
+    for k in range(1, m):
+        a = letters[k - 1]
+        out[k] = ((a @ out[k - 1] if left else out[k - 1] @ a) + prev) % p
+        prev = out[k - 1]
+    return out
 
 
 def check_representation(rho: Representation) -> bool:
@@ -389,16 +442,28 @@ def mu1_matrix(r0, r1, degree: int) -> np.ndarray:
     Degree 1 (sources a_1..a_m, x1, x2): d(b1) = X1^-1 Delta1^-1 + P_m and
     d(b2) = Delta2 X2 + Q_m, as the terms Y_r B + B Y_c have no source.  With
     X_l = [[1, Z_xl], [0, 1]] the first terms have the corners -Z_x1 T'_1^-1
-    and T_2 Z_x2.  P_j = P_{j-1} M_j + P_{j-2} on the chords
-    M_j = [[A_j, Z_j], [0, B_j]] has the diagonal blocks P_j(A) and P_j(B),
-    so its corner C_j follows the recursion
+    and T_2 Z_x2.  On the chords M_j = [[A_j, Z_j], [0, B_j]], P_m(M) is the
+    top-left block of the transfer product T_1 ... T_m with
+    T_j = [[M_j, 1], [1, 0]], and the top-left block of any run T_i ... T_k
+    is P(M_i..M_k).  The corner is linear in the Z_j, so it is the sum over j
+    of the corner of that product with T_j replaced by [[E_j, 0], [0, 0]],
+    E_j = [[0, Z_j], [0, 0]], and every other M_i by diag(A_i, B_i).  That
+    middle factor reads only the top-left blocks of the runs on either side,
+    copy 1's P(A_1..A_{j-1}) on its left and copy 2's P(B_{j+1}..B_m) on its
+    right, which gives the deletion expansion
 
-        C_j = P_{j-1}(A) Z_j + C_{j-1} B_j + C_{j-2},   C_0 = C_{-1} = 0,
+        corner of P_m = sum_j P(A_1..A_{j-1}) Z_j P(B_{j+1}..B_m).
 
-    so beside the corner stack only the n x n continuants P_j(A) are carried
-    along; Q_m runs the same recursion from the right with M_j negated, as
-    `pq_matrix` does.  Every product is reduced mod p before it is
-    accumulated again.
+    Q_m is P over the reversed, negated letters, P(-M_m, ..., -M_1) (as
+    `pq_matrix` computes it from the right), so its corner is
+
+        corner of Q_m = -sum_j P(-A_m..-A_{j+1}) Z_j P(-B_{j-1}..-B_1).
+
+    The left factors belong to r0 alone and the right factors to r1 alone:
+    they are `r0.source_stacks` (pre) and `r1.target_stacks` (suf), built
+    once per object, and a pair pays one batched product over both
+    families, (pre @ units % p) @ suf.  Every product is reduced mod p
+    before it is accumulated again.
     """
     if (r0.m, r0.n, r0.p) != (r1.m, r1.n, r1.p):
         raise ValueError("mismatched representations")
@@ -409,28 +474,19 @@ def mu1_matrix(r0, r1, degree: int) -> np.ndarray:
     # corners[d, s, k]: the corner of d(dst[d]) at the k-th unit coefficient of src[s]
     corners = np.zeros((len(dst), len(src), nn, n, n), dtype=np.int64)
     if degree == 0:
+        # chords: a_j has (r, c) = (1, 2) for odd j and (2, 1) for even j
+        zb, az = units @ r1.A[:, None], r0.A[:, None] @ units
+        corners[0:m:2, 0], corners[0:m:2, 1] = zb[0::2], -az[0::2]
+        corners[1:m:2, 1], corners[1:m:2, 0] = zb[1::2], -az[1::2]
         lg = link_grading(m)
-        for d, z in enumerate(dst):
-            if z.startswith("a"):
-                r, c = lg[z]
-                j = int(z[1:]) - 1
-                corners[d, r - 1] += units @ r1.A[j]
-                corners[d, c - 1] -= r0.A[j] @ units
-            else:
-                t = "t" + z[1:]
-                r, c = lg[t]
-                corners[d, r - 1] += (r0.value(t, -1) @ units % p) @ r1.value(t)
-                corners[d, c - 1] -= units
+        for d, t in ((m, "t1"), (m + 1, "t2")):
+            r, c = lg[t]
+            corners[d, r - 1] += (r0.value(t, -1) @ units % p) @ r1.value(t)
+            corners[d, c - 1] -= units
     elif degree == 1:
-        for d, sign, order in ((0, 1, range(m)), (1, -1, range(m - 1, -1, -1))):
-            top, top_prev = xa.eye(n), xa.zeros(n, n)
-            corner = corner_prev = np.zeros((m, nn, n, n), dtype=np.int64)
-            for j in order:
-                step = corner @ r1.A[j]
-                step[j] += top @ units
-                corner, corner_prev = (sign * step + corner_prev) % p, corner
-                top, top_prev = (sign * top @ r0.A[j] + top_prev) % p, top
-            corners[d, :m] = corner
+        pre, suf = r0.source_stacks[:, :, None], r1.target_stacks[:, :, None]
+        corners[:, :m] = (pre @ units % p) @ suf
+        corners[1, :m] *= -1
         corners[0, m] = -(units @ r1.T1_inv)
         corners[1, m + 1] = r0.T2 @ units
     mat = corners.transpose(0, 3, 4, 1, 2).reshape(len(dst) * nn, len(src) * nn)

@@ -14,12 +14,11 @@ The equivalence functor transposes tuples, sends an H^0 class (u1,u2) to
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from . import exactalg as xa
-from .ainfty import BudgetExceeded, Representation
+from .ainfty import Representation
 from .freedga import pq_matrix
 from .torusrep import H0Class, H1Class
 
@@ -32,6 +31,8 @@ class SheafObject:
     """
 
     def __init__(self, m: int, n: int, p: int, mats):
+        if m < 1 or n < 1:
+            raise ValueError(f"{'m' if m < 1 else 'n'} must be at least 1")
         self.m, self.n, self.p = m, n, xa.check_field(p)
         mats = [np.asarray(a, dtype=np.int64) for a in mats]
         if len(mats) != m or any(a.shape != (n, n) for a in mats):
@@ -96,22 +97,6 @@ def build_sheaf_object(mats, p: int) -> SheafObject:
     mats = [np.array(a, dtype=np.int64) for a in mats]
     n = mats[0].shape[0]
     return SheafObject(len(mats), n, p, mats)
-
-
-def enumerate_sheaf_objects(m: int, n: int, p: int, budget: int = 2_000_000):
-    """All sheaf objects with P_m(A) invertible, built directly on the sheaf
-    side so that tests can compare the functor's image against it."""
-    total = p ** (n * n * m)
-    if total > budget:
-        raise BudgetExceeded(f"enumeration needs {total} tuples (budget {budget})",
-                             required=total)
-    out = []
-    for flat in itertools.product(range(p), repeat=n * n * m):
-        mats = [np.array(flat[i * n * n:(i + 1) * n * n], dtype=np.int64).reshape(n, n)
-                for i in range(m)]
-        if xa.det(pq_matrix("P", mats, p, n), p) != 0:
-            out.append(SheafObject(m, n, p, mats))
-    return out
 
 
 # ---------------------------------------------------------------------------

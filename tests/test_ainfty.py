@@ -407,7 +407,7 @@ def test_mu1_matrix_matches_copy_route():
         assert mu1_matrix(r0, r1, -1).shape == (2 * n * n, 0)
 
 
-@pytest.mark.parametrize("m", [12, 24])
+@pytest.mark.parametrize("m", [12, 24, 48])
 def test_hom_cohomology_builds_no_copy_dga(m):
     rng = random.Random(20 + m)
     r0, r1 = random_rep(m, 3, 3, rng), random_rep(m, 3, 3, rng)

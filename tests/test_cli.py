@@ -187,15 +187,18 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify", ["verify", "--m", "2", "--n", "1", "--samples", "3", "--seed", "1"]),
     ("dga", ["dga", "--m", "3", "--p", "3", "--copies", "3"]),
     ("hom-m24", ["hom", "--m", "24", "--n", "4", "--p", "32749", "--samples", "2", "--seed", "1"]),
+    ("hom-sweep", ["hom", "--m", "3", "--n", "1", "--p", "3", "--samples", "0", "--seed", "1"]),
 ])
 def test_stdout_matches_golden(name, args):
     # golden files hold the stdout of earlier versions of the program (the
     # dense elimination kernel, two Ext maps per pair, copy DGAs built with a
     # full word reduction per product, the mu_1 matrix evaluated on 2n x 2n
-    # block stacks; p = 32749 at m = 24 reaches the int64 bound of the mod-p
-    # products); RREF bases are canonical, the pair
-    # sampling draws the same numbers and polynomial terms print sorted, so
-    # not a byte may move
+    # block stacks or by a corner recursion per pair; p = 32749 at m = 24
+    # reaches the int64 bound of the mod-p products, and the all-pairs sweep
+    # puts each of its 20 objects in 39 of its 400 Hom spaces, so an object's
+    # continuant stacks are read in both roles and many times over); RREF
+    # bases are canonical, the pair sampling draws the same numbers and
+    # polynomial terms print sorted, so not a byte may move
     proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()

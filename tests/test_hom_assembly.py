@@ -1,6 +1,7 @@
 """The Hom routes' matrix assembly against the references in hom_reference.py,
-the memory of the mu_1 evaluation, the broadcasting `kron`, and the read-only
-tuple arrays of the objects."""
+also on objects that recur in several Hom spaces, the memory of the mu_1
+evaluation, the broadcasting `kron`, and the read-only tuple and continuant
+arrays of the objects."""
 
 import itertools
 import json
@@ -15,6 +16,7 @@ from legtorus import ainfty
 from legtorus import exactalg as xa
 from legtorus.ainfty import Representation, mu1_matrix, random_rep
 from legtorus.cli import main
+from legtorus.freedga import pq_matrix
 from legtorus.sheafcat import SheafObject, _ext_map, functor_obj
 from legtorus.torusrep import reduced_complex_matrix
 
@@ -28,28 +30,78 @@ def same(got, want):
 # -- assembly, new against old --------------------------------------------------
 
 def assembly_cases():
-    """150 random sizes, then the ROADMAP's target sizes at every prime."""
+    """150 random sizes, then the ROADMAP's target sizes at every prime, then
+    objects that recur: in a self pair, in both orders, in several pairs and
+    beside a conjugate of themselves."""
     rng = random.Random(1601)
     for _ in range(150):
-        yield rng.randint(1, 7), rng.randint(1, 3), rng.choice(PRIMES), rng
-    for m, n, p in itertools.product((12, 24), (2, 4), PRIMES):
-        yield m, n, p, rng
+        m, n, p = rng.randint(1, 7), rng.randint(1, 3), rng.choice(PRIMES)
+        yield random_rep(m, n, p, rng), random_rep(m, n, p, rng)
+    for m, n, p in itertools.product((12, 24, 48), (2, 4), PRIMES):
+        yield random_rep(m, n, p, rng), random_rep(m, n, p, rng)
+    for m, n, p in [(1, 1, 2), (3, 2, 5), (5, 3, 7), (7, 2, 32749), (48, 4, 3)]:
+        a, b, c = (random_rep(m, n, p, rng) for _ in range(3))
+        conj = a.conjugate(*invertible_pair(n, p, rng))
+        yield from [(a, a), (a, b), (b, a), (a, c), (c, a), (b, c),
+                    (conj, a), (a, conj), (conj, conj), (a, b), (b, b)]
+
+
+def invertible_pair(n, p, rng):
+    while True:
+        g = xa.rand_matrix(rng, n, n, p)
+        ginv = xa.inverse(g, p)
+        if ginv is not None:
+            return ginv, g
 
 
 def test_assembly_matches_the_reference_bit_for_bit():
-    for case, (m, n, p, rng) in enumerate(assembly_cases()):
-        r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
+    for case, (r0, r1) in enumerate(assembly_cases()):
         for d in (-1, 0, 1, 2):
-            assert same(mu1_matrix(r0, r1, d), ref.mu1_matrix(r0, r1, d)), (case, m, n, p, d)
+            assert same(mu1_matrix(r0, r1, d), ref.mu1_matrix(r0, r1, d)), (case, r0.m, r0.n, r0.p, d)
         assert same(reduced_complex_matrix(r0, r1), ref.reduced_complex_matrix(r0, r1)), case
         F, G = functor_obj(r0), functor_obj(r1)
         assert same(_ext_map(F, G), ref._ext_map(F, G)), case
 
 
+def test_continuant_stacks_are_built_once_and_read_only(monkeypatch):
+    """Layer j-1 of the source stacks is P(A_1..A_{j-1}) and P(-A_m..-A_{j+1}),
+    of the target stacks P(A_{j+1}..A_m) and P(-A_{j-1}..-A_1) (here each by
+    `pq_matrix` on its own slice); building them calls no `pq_matrix`, and a
+    later Hom space reads the very arrays the first one built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stacks called pq_matrix")
+
+    rng = random.Random(1610)
+    for m, n, p in [(1, 1, 3), (4, 2, 5), (6, 3, 32749), (48, 4, 3)]:
+        rho, other = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
+        with monkeypatch.context() as mp:
+            mp.setattr(ainfty, "pq_matrix", refuse)
+            mu1_matrix(rho, other, 1)
+            mu1_matrix(other, rho, 1)
+        source, target = rho.source_stacks, rho.target_stacks
+        for stacks in (source, target):
+            assert stacks.shape == (2, m, n, n) and stacks.dtype == np.int64
+            with pytest.raises(ValueError):
+                stacks[0, 0, 0, 0] = 1
+            with pytest.raises(ValueError):
+                stacks[1] += 1
+        mu1_matrix(rho, rho, 1)
+        mu1_matrix(other, rho, 0)
+        assert rho.source_stacks is source and rho.target_stacks is target
+        A = rho.A
+        for j in range(1, m + 1):
+            want = [pq_matrix("P", A[:j - 1], p, n), pq_matrix("Q", A[j:], p, n),
+                    pq_matrix("P", A[j:], p, n), pq_matrix("Q", A[:j - 1], p, n)]
+            got = [source[0, j - 1], source[1, j - 1], target[0, j - 1], target[1, j - 1]]
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (m, n, p, j)
+
+
 def test_mu1_matrix_peak_memory_stays_near_its_result():
     """At m=48, n=4 the degree-1 matrix is 32 x 800 (0.2 MB); its evaluation
-    carries one corner stack per continuant, not 2n x 2n blocks per unit
-    coefficient, so its traced peak stays below 8 times the result."""
+    carries one batch of corners per continuant family, not 2n x 2n blocks
+    per unit coefficient, so its traced peak stays below 8 times the
+    result."""
     rng = random.Random(1602)
     r0, r1 = random_rep(48, 4, 3, rng), random_rep(48, 4, 3, rng)
     mu1_matrix(r0, r1, 1)
@@ -143,9 +195,15 @@ def test_object_surface_is_unchanged():
 @pytest.mark.parametrize("cls", [Representation, SheafObject])
 def test_wrong_count_or_shape_is_refused(cls):
     good = [[[1, 0], [0, 1]]] * 2
-    for m, n, mats in [(3, 2, good), (2, 2, good[:1]), (2, 3, good), (2, 2, [good[0], [[1, 0]]]),
-                       (1, 1, [[1, 2]]), (1, 2, [[[[1, 0], [0, 1]]]])]:
-        with pytest.raises(ValueError, match="need m matrices of size n x n"):
+    shape = "need m matrices of size n x n"
+    empty = np.zeros((0, 0), dtype=np.int64)
+    for m, n, mats, message in [(3, 2, good, shape), (2, 2, good[:1], shape), (2, 3, good, shape),
+                                (2, 2, [good[0], [[1, 0]]], shape), (1, 1, [[1, 2]], shape),
+                                (1, 2, [[[[1, 0], [0, 1]]]], shape),
+                                (0, 1, [], "m must be at least 1"), (-1, 1, [], "m must be at least 1"),
+                                (0, 0, [], "m must be at least 1"), (1, 0, [empty], "n must be at least 1"),
+                                (2, 0, [empty] * 2, "n must be at least 1")]:
+        with pytest.raises(ValueError, match=message):
             cls(m, n, 3, mats)
 
 
@@ -154,11 +212,7 @@ def test_conjugate_and_functor_build_valid_objects():
     for _ in range(20):
         m, n, p = rng.randint(1, 5), rng.randint(1, 3), rng.choice([2, 3, 5, 7])
         rho = random_rep(m, n, p, rng)
-        while True:
-            g = xa.rand_matrix(rng, n, n, p)
-            ginv = xa.inverse(g, p)
-            if ginv is not None:
-                break
+        ginv, g = invertible_pair(n, p, rng)
         conj = rho.conjugate(ginv, g)
         assert ainfty.check_representation(conj)
         for a, b in zip(rho.A, conj.A):

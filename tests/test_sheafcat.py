@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,12 +10,28 @@ from legtorus.freedga import pq_matrix
 from legtorus.sheafcat import (Ext1Space, SheafObject, _ext_map, build_sheaf_object,
                                check_extension_exact, check_morphism,
                                compose00, compose01, compose10,
-                               enumerate_sheaf_objects, ext0, ext0_dim, ext1,
+                               ext0, ext0_dim, ext1,
                                ext1_dim, extension_from_class, functor_h0,
                                functor_h1, functor_obj, morphism_data,
                                pullback_check)
 from legtorus.torusrep import (H0Class, H1Class, cohomology_closed,
                                mu2_closed)
+
+
+def enumerate_sheaf_objects(m: int, n: int, p: int, budget: int = 2_000_000):
+    """All sheaf objects with P_m(A) invertible, built directly on the sheaf
+    side: the reference the functor's image is compared against."""
+    total = p ** (n * n * m)
+    if total > budget:
+        raise BudgetExceeded(f"enumeration needs {total} tuples (budget {budget})",
+                             required=total)
+    out = []
+    for flat in itertools.product(range(p), repeat=n * n * m):
+        mats = [np.array(flat[i * n * n:(i + 1) * n * n], dtype=np.int64).reshape(n, n)
+                for i in range(m)]
+        if xa.det(pq_matrix("P", mats, p, n), p) != 0:
+            out.append(SheafObject(m, n, p, mats))
+    return out
 
 
 def rand_object(m, n, p, rng):
