@@ -27,23 +27,22 @@ elimination pass on sparse rows read straight from the blocks, along the
 short side: d^0 has more rows than columns, so its pass runs over the rows
 of its transpose.  The dense `d0`/`d1` are views assembled on first read,
 for tests and tracing only.  The leaf/Y-removal game replays the
-combinatorial surjectivity proof with a rank check at every step; when it
-succeeds it is the certificate for rank d^1, and d^1 is eliminated globally
-only when it fails.
+combinatorial surjectivity proof with a rank certificate at every step; when
+it succeeds it is the certificate for rank d^1, and d^1 is eliminated
+globally only when it fails.
 
 Most of a complex depends only on the tiling and the stalk dimensions of F
 and G: the layout and constraint positions of every open, the identity
 spaces, the restriction blocks between unconstrained opens, how the other
 blocks gather rows, and the game's moves.  The first complex on a tiling
 builds these as a frame (`_Frame`), which the tiling keeps for the next
-complexes with the same dimensions.  The frame also settles once what its
-own blocks decide: the game's rank checks on moves that read frame d^1
-blocks only, and the cells of d^1 . d^0 whose every term pairs two frame
-blocks.  It keeps the local systems that the first two complexes both
-solved, such as those at the left cusp, whose maps are the same for every
-object.  A complex reuses a frame result only when the arrays it would read
-are the very (read-only) arrays the result came from, so a block swapped in
-is checked again; its other systems and checks, and both ranks, are its own.
+complexes with the same dimensions, with the local systems that the first
+two complexes both solved.  One rule says what a complex takes on trust: a
+block that is the very array of the frame's read-only snapshot.  Each such
+d^1 block is +- distinct identity rows, checked as the frame is built, so it
+has full row rank and certifies its game move alone, and d^1 . d^0 reads it
+as a row gather.  A d^1 . d^0 cell the frame found zero is skipped when the
+complex trusts every block it reads.  A block swapped in is checked again.
 """
 
 from __future__ import annotations
@@ -707,9 +706,9 @@ def _restriction(big, small, keymap, sign, p):
     """How a complex reads one restriction block from `big` to `small`, both
     (layout, system), times `sign`: block kb of a section on big is block ks
     on small, so its coordinates there are the rows small.free + shift of
-    big.basis.  Returns (block, rows, shift, sign): the read-only block when
-    neither open is constrained, the rows when small is not, and the shift
-    (indexed by small's rows) when it is."""
+    big.basis, with shift indexed by small's rows.  Returns (block, None),
+    the read-only block, when neither open is constrained, and else
+    (None, shift), from which `_assemble` gathers the block."""
     (bl, bsys), (sl, ssys) = big, small
     assert len(keymap) == len(sl.keys)
     shift = np.zeros(sl.total, dtype=np.int64)
@@ -717,26 +716,34 @@ def _restriction(big, small, keymap, sign, p):
         ln = sl.dims[ks]
         assert ln == bl.dims[kb], (ks, kb)
         shift[sl.offsets[ks]:sl.offsets[ks] + ln] = bl.offsets[kb] - sl.offsets[ks]
-    if ssys is not None:
-        return None, None, _frozen(shift), sign
-    rows = _frozen(sl.free + shift)
-    if bsys is not None:
-        return None, rows, None, sign
-    block = bl.basis[rows]
-    return _frozen(block if sign > 0 else (-block) % p), rows, None, sign
+    if bsys is not None or ssys is not None:
+        return None, _frozen(shift)
+    block = bl.basis[sl.free + shift]
+    return _frozen(block if sign > 0 else (-block) % p), None
+
+
+def _selection(block, sign, p):
+    """The columns of a block that is `sign` times distinct rows of an
+    identity matrix, so of full row rank; any other block raises."""
+    cols = block.argmax(axis=1)
+    want = sign % p * xa.eye(block.shape[1])[cols]
+    if len(set(cols.tolist())) < len(cols) or not np.array_equal(block, want):
+        raise AssertionError("a frame d1 block is not a signed selection")
+    return _frozen(cols)
 
 
 class _Frame:
     """What a Cech complex takes from its tiling T and the stalk dimensions
     of F and G alone, and from p for the residues of negated blocks.
     tiles/edge_entries hold each open's (layout, system) (`_open_entry`),
-    vertex_space every vertex's space; d0/d1 hold (key, block, rows, shift,
-    sign) for each block in block order (`_restriction`), selections the
-    (rows, sign) of each d^1 block that is a signed selection, and game the
-    leaf/Y moves (`_game_moves`).  Its arrays are read-only.  game_passed and
-    zero_cells hold the checks that pass on frame blocks alone, with the
-    blocks they read; kernels holds solved systems by signature
-    (`keep_kernels`).
+    vertex_space every vertex's space, d0/d1 (key, block, shift, sign) for
+    each block in block order (`_restriction`), game the leaf/Y moves
+    (`_game_moves`) and kernels solved systems by signature (`keep_kernels`).
+    Its arrays are read-only.  blocks is the snapshot {key: block} of its own
+    blocks; a complex trusts a block only when it is that array (`trusts`).
+    selections holds (columns, sign) of each d^1 block there, checked to be
+    +- distinct identity rows.  zero_cells maps each cell of d^1 . d^0 that
+    is zero on frame blocks alone to the keys of its terms.
     """
 
     def __init__(self, T: TilingComplex, dF, dG, p):
@@ -772,7 +779,7 @@ class _Frame:
                               ("S", "above"): ("F", T.channel_face[(tile, (d, "hi"))]),
                               ("S", "below"): ("F", T.channel_face[(tile, (d, "lo"))])}
                 self.d0.append(((ek, tile),
-                                *_restriction(self.tiles[tile], edge, keymap, sign, p)))
+                                *_restriction(self.tiles[tile], edge, keymap, sign, p), sign))
 
         # d^1: the alternating restrictions to each vertex from its three
         # edges.  A vertex with no sections has no blocks.
@@ -790,40 +797,31 @@ class _Frame:
                     assert info[side] == T.vertex_region[v], (ek, v)
                 self.d1.append(((v, ek), *_restriction(
                     self.edge_entries[ek], (self.vertex_space[v], None),
-                    {("S", "only"): ("S", side)}, sign, p)))
-        self.selections = {key: (rows, sign) for key, block, rows, _, sign in self.d1
-                           if block is not None}
+                    {("S", "only"): ("S", side)}, sign, p), sign))
+        d0_fixed, d1_fixed = ({key: block for key, block, *_ in plan if block is not None}
+                              for plan in (self.d0, self.d1))
+        self.blocks = {**d0_fixed, **d1_fixed}
+        self.selections = {key: (_selection(block, sign, p), sign)
+                           for key, block, _, sign in self.d1 if block is not None}
         self.game = _game_moves(T, self.edges, {v: s.dim for v, s in self.vertex_space.items()})
 
-        # the checks that frame blocks alone decide, kept only when they pass
-        # and with the blocks they read: each move's rank check when it reads
-        # frame d^1 blocks only, and each cell (v, t) of d^1 . d^0 whose terms
-        # all pair frame blocks, as [(d1 key, d1 block, d0 key, d0 block)]
-        d0_fixed = {key: block for key, block, *_ in self.d0 if block is not None}
-        d1_fixed = {key: block for key, block, *_ in self.d1 if block is not None}
-        self.game_passed = {}
-        for v, keys, _ in self.game[0]:
-            dim = self.vertex_space[v].dim
-            if dim and all(k in d1_fixed for k in keys):
-                blocks = [d1_fixed[k] for k in keys]
-                if xa.rank(np.hstack(blocks), p) == dim:
-                    self.game_passed[v] = dim, blocks
         d0_keys = {key for key, *_ in self.d0}
-        terms, mixed = {}, set()
+        terms = {}
         for (v, ek), *_ in self.d1:
             for t in ek:
                 if (ek, t) in d0_keys:
                     terms.setdefault((v, t), []).append(((v, ek), (ek, t)))
-                    if (v, ek) not in d1_fixed or (ek, t) not in d0_fixed:
-                        mixed.add((v, t))
         self.zero_cells = {
-            cell: [(k1, d1_fixed[k1], k0, d0_fixed[k0]) for k1, k0 in terms[cell]]
-            for cell, b in _d1d0_cells(d1_fixed, d0_fixed, self.selections, p, mixed).items()
-            if not b.any()}
+            cell: terms[cell] for cell, b in _d1d0_cells(d1_fixed, d0_fixed, self, p, ()).items()
+            if not b.any() and self.blocks.keys() >= set(itertools.chain(*terms[cell]))}
 
         # solved local systems by signature: the first complex's, then those
         # of them the second complex solved too; later complexes only read them
         self.kernels, self.built = {}, 0
+
+    def trusts(self, blocks, key):
+        """True when blocks[key] is the very array of the frame's snapshot."""
+        return key in self.blocks and blocks.get(key) is self.blocks[key]
 
     def keep_kernels(self, solved):
         """Update the store from one complex's {signature: kernel}: at most
@@ -838,16 +836,15 @@ class _Frame:
 
 def _assemble(plan, small_spaces, big_spaces, p):
     """{key: block} from a frame's d0 or d1 plan: frame blocks as they are,
-    and the rest gathered from this complex's bases."""
+    and the rest gathered from this complex's bases at the rows
+    small.free + shift[small.free]."""
     blocks = {}
-    for key, block, rows, shift, sign in plan:
+    for key, block, shift, sign in plan:
         if block is None:
-            if rows is None:
-                small = small_spaces[key[0]]
-                if not small.dim:
-                    continue
-                rows = small.free + shift[small.free]
-            block = big_spaces[key[1]].basis[rows]
+            small = small_spaces[key[0]]
+            if not small.dim:
+                continue
+            block = big_spaces[key[1]].basis[small.free + shift[small.free]]
             if sign < 0:
                 block = (-block) % p
         blocks[key] = block
@@ -862,9 +859,9 @@ class CechComplex:
     complex builds only what the maps of F and G change: the section spaces
     of the constrained opens (each distinct system not in the frame's store
     eliminated once), the blocks that read their bases, the d^1 . d^0 = 0
-    cells and game rank checks that read such blocks, and the ranks.  The
-    frame's checks stand in for the rest only while the complex holds the
-    very blocks they read.
+    cells that read such blocks, the rank checks of game moves that hold no
+    frame block, and the ranks.  It trusts a frame block only while it holds
+    the frame's very array (`_Frame.trusts`).
     """
 
     def __init__(self, T: TilingComplex, F, G):
@@ -898,10 +895,10 @@ class CechComplex:
         frame.keep_kernels(solved)
         self.d0_blocks = d0 = _assemble(frame.d0, self.edge_space, self.tile_space, p)
         self.d1_blocks = d1 = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
-        # d1 . d0 = 0, but for the frame's zero cells whose blocks are here
+        # d1 . d0 = 0, but for the frame's zero cells whose blocks it trusts
         done = {cell for cell, terms in frame.zero_cells.items()
-                if all(d1.get(k1) is b1 and d0.get(k0) is b0 for k1, b1, k0, b0 in terms)}
-        if any(b.any() for b in _d1d0_cells(d1, d0, frame.selections, p, done).values()):
+                if all(frame.trusts(d1, k1) and frame.trusts(d0, k0) for k1, k0 in terms)}
+        if any(b.any() for b in _d1d0_cells(d1, d0, frame, p, done).values()):
             raise AssertionError("d1 . d0 != 0")
 
     def _space(self, entry, solved) -> OpenSpace:
@@ -1004,13 +1001,14 @@ def _block_rank(blocks, row_off, col_off, shape, p) -> int:
     return xa.rank_rows((lines[a] for a in sorted(lines)), p)
 
 
-def _d1d0_cells(d1_blocks, d0_blocks, selections, p, skip):
+def _d1d0_cells(d1_blocks, d0_blocks, frame, p, skip):
     """The blocks (v, t) of d^1 . d^0 but those in skip: each is the sum over
     the edges e at v that contain t of d1[v, e] @ d0[e, t], a signed row
-    gather of d0[e, t] where d1[v, e] is a signed selection."""
+    gather of d0[e, t] where the frame trusts d1[v, e] (a signed
+    selection)."""
     product = {}
     for (v, ek), b1 in d1_blocks.items():
-        sel = selections.get((v, ek))
+        sel = frame.selections[v, ek] if frame.trusts(d1_blocks, (v, ek)) else None
         for t in ek:
             b0 = d0_blocks.get((ek, t))
             if b0 is None or (v, t) in skip:
@@ -1096,20 +1094,19 @@ def graph_game(cx: CechComplex):
     The moves, with their leaf checks, come from the complex's frame
     (`_game_moves`).  Each move's red is then rank-checked on this complex's
     own d^1 blocks: each edge-to-vertex map is its block of d^1, which is
-    +- the restriction map, and a sign does not change a rank.  A red with
-    a zero stalk needs no check.  If no rule applies the report lists what
-    is stuck.
+    +- the restriction map, and a sign does not change a rank.  A d^1 block
+    the frame trusts is +- distinct identity rows, so it alone has full row
+    rank and certifies its move; only a move holding no such block is
+    eliminated.  A red with a zero stalk needs no check.  If no rule applies
+    the report lists what is stuck.
     """
-    moves, end = cx._frame.game
-    passed = cx._frame.game_passed
+    frame = cx._frame
+    moves, end = frame.game
     steps = []
     for v, keys, (rule, blues) in moves:
         dim = cx.vertex_space[v].dim
-        if dim:
-            blocks = [cx.d1_blocks[k] for k in keys]
-            known = passed.get(v, (None, ()))
-            reused = known[0] == dim and all(a is b for a, b in zip(blocks, known[1]))
-            if not reused and xa.rank(np.hstack(blocks), cx.p) != dim:
+        if dim and not any(frame.trusts(cx.d1_blocks, k) for k in keys):
+            if xa.rank(np.hstack([cx.d1_blocks[k] for k in keys]), cx.p) != dim:
                 return {"success": False, "stuck": [str(v)], "steps": steps,
                         "failed_rule": rule}
         steps.append({"rule": rule, "removed_blues": list(blues), "removed_red": str(v),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import sys
 
@@ -28,18 +28,21 @@ SCHEMA = 1
 
 
 def _emit(payload: dict, fmt: str = "json"):
+    """Write the report to stdout as it is encoded: JSON in batches of 2^16
+    encoder chunks, so no copy of the whole text is ever held, or CSV rows
+    one by one."""
     payload = {"schema": SCHEMA, **payload}
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    else:
-        rows = payload.get("rows", [])
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=sorted(rows[0]))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload)
+        while batch := "".join(itertools.islice(chunks, 1 << 16)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
+        return
+    rows = payload.get("rows", [])
+    if rows:
+        writer = csv.DictWriter(sys.stdout, fieldnames=sorted(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _sample_pairs(reps, samples, budget, rng):

@@ -248,6 +248,85 @@ def test_corrupted_d0_is_rejected(monkeypatch):
     assert CechComplex(T, F, G).cohomology_dims() == cx.cohomology_dims()
 
 
+def test_corrupted_d1_is_rejected(monkeypatch):
+    """One changed entry of a copy of one d1 block, handed out by
+    `_assemble`, fails the d1 . d0 check, on a fresh tiling and on one whose
+    frame is built: a copy of a frame selection block is not trusted, so
+    the check multiplies it instead of gathering the frame's rows, and a
+    block built for the pair is multiplied anyway."""
+    rng = random.Random(28)
+    T = build_tiling(2)
+    F, G = rand_pair(2, 2, 3, rng)
+    cx = CechComplex(T, F, G)
+    frame = cx._frame
+    # an entry (0, c) of a d1 block whose row c of a d0 block beside it is
+    # nonzero: changing it changes block (v, t) of d1 . d0
+    targets = {}
+    for (v, ek), b1 in cx.d1_blocks.items():
+        for t in ek:
+            b0 = cx.d0_blocks.get((ek, t))
+            for c in range(b1.shape[1]) if b0 is not None else ():
+                if b0[c].any():
+                    targets.setdefault((v, ek) in frame.selections, ((v, ek), c))
+    assert set(targets) == {True, False}
+    assert targets[True][0] == (("E", 1, 1), ((2, 1), (2, 2)))
+    assemble = cech._assemble
+    for key, c in targets.values():
+        def corrupted(plan, small_spaces, big_spaces, p, key=key, c=c):
+            blocks = assemble(plan, small_spaces, big_spaces, p)
+            if key in blocks:
+                bad = blocks[key].copy()
+                bad[0, c] = (bad[0, c] + 1) % p
+                blocks[key] = bad
+            return blocks
+
+        for tiling in (build_tiling(2), T):
+            monkeypatch.setattr(cech, "_assemble", corrupted)
+            with pytest.raises(AssertionError, match="d1 . d0 != 0"):
+                CechComplex(tiling, F, G)
+            monkeypatch.undo()
+    assert CechComplex(T, F, G).cohomology_dims() == cx.cohomology_dims()
+
+
+def test_frame_d1_blocks_are_checked_signed_selections(monkeypatch, complexes):
+    """Every frame d1 block is +- distinct rows of an identity matrix, at
+    the columns its selection names; a frame whose d1 block is anything
+    else (a scaled entry, a repeated row, a zero row) is refused as it is
+    built."""
+    checked = 0
+    for cx in complexes:
+        frame = cx._frame
+        for key, (cols, sign) in frame.selections.items():
+            block = frame.blocks[key]
+            want = np.zeros_like(block)
+            want[np.arange(len(cols)), cols] = sign % cx.p
+            assert np.array_equal(block, want) and len(set(cols.tolist())) == len(cols)
+            checked += 1
+    assert checked > 0
+    # over F_5, where 2 is no sign, the first frame d1 block (a restriction
+    # from an edge to a vertex, whose keymap names the edge's "S" blocks)
+    rng = random.Random(29)
+    F, G = rand_pair(1, 2, 5, rng)
+    restriction = cech._restriction
+    tampers = (lambda b: b * 2 % 5, lambda b: b[[0, 0]],
+               lambda b: b * (np.arange(len(b)) > 0)[:, None])
+    for tamper in tampers:
+        seen = []
+
+        def tampered(big, small, keymap, *args, tamper=tamper):
+            block, shift = restriction(big, small, keymap, *args)
+            if block is not None and not seen and {kb[0] for kb in keymap.values()} == {"S"}:
+                seen.append(block)
+                block = tamper(block)
+            return block, shift
+
+        monkeypatch.setattr(cech, "_restriction", tampered)
+        with pytest.raises(AssertionError, match="not a signed selection"):
+            CechComplex(build_tiling(1), F, G)
+        monkeypatch.undo()
+        assert seen and len(seen[0]) >= 2
+
+
 def test_check_h2_certificate():
     rng = random.Random(22)
     for m in (1, 2, 3):

@@ -143,18 +143,20 @@ def test_frame_arrays_are_shared_and_read_only():
     shared = 0
     for plan, blocks_a, blocks_b in ((frame.d0, a.d0_blocks, b.d0_blocks),
                                      (frame.d1, a.d1_blocks, b.d1_blocks)):
-        for key, block, rows, shift, _ in plan:
-            for arr in (block, rows, shift):
-                if arr is not None:
-                    assert not arr.flags.writeable
+        for key, block, shift, _ in plan:
+            assert (block is None) != (shift is None)
+            assert not (shift if block is None else block).flags.writeable
             if block is not None:
-                assert blocks_a[key] is blocks_b[key] is block
+                assert blocks_a[key] is blocks_b[key] is block is frame.blocks[key]
+                assert frame.trusts(blocks_a, key) and frame.trusts(blocks_b, key)
                 with pytest.raises(ValueError):
                     blocks_a[key][0, 0] = 1
                 shared += 1
             elif key in blocks_a:
                 assert blocks_a[key].flags.writeable  # built for the pair
-    assert shared > 0
+                assert key not in frame.blocks and not frame.trusts(blocks_a, key)
+    assert shared == len(frame.blocks) > 0
+    assert all(not cols.flags.writeable for cols, _ in frame.selections.values())
     for v, space in a.vertex_space.items():
         assert b.vertex_space[v] is space
         assert not space.basis.flags.writeable and not space.free.flags.writeable
@@ -188,28 +190,35 @@ def test_self_swapped_and_repeated_pairs_share_one_tiling():
 
 
 def test_game_rechecks_a_swapped_frame_block(monkeypatch):
-    """Later complexes skip the rank checks the frame ran on its own blocks,
-    but a complex whose d^1 blocks for such a move are swapped for zeroed
-    copies gets stuck there, and the next complex on the tiling does not."""
+    """A move holding a d^1 block the frame trusts needs no rank check, so a
+    later complex eliminates exactly the moves holding none: 1 at m = 4,
+    n = 2.  A complex whose d^1 blocks for such a move are all swapped for
+    zeroed copies trusts none of them and gets stuck there, and the next
+    complex on the tiling does not."""
     rng = random.Random(1709)
-    T = build_tiling(3)
-    frame = CechComplex(T, rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng))._frame
-    reds = [v for v, _, _ in frame.game[0] if frame.vertex_space[v].dim]
-    assert 0 < len(frame.game_passed) < len(reds)
+    T = build_tiling(4)
+    frame = CechComplex(T, rand_obj(4, 2, 3, rng), rand_obj(4, 2, 3, rng))._frame
+    moves = [(v, keys, rule) for v, keys, (rule, _) in frame.game[0] if frame.vertex_space[v].dim]
+    untrusted = [keys for _, keys, _ in moves if not any(k in frame.blocks for k in keys)]
+    assert len(untrusted) == 1 and len(moves) > 20
     ranks = []
     monkeypatch.setattr(xa, "rank", lambda a, p, rank=xa.rank: ranks.append(a) or rank(a, p))
-    F, G = rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng)
-    trace = CechComplex(T, F, G).game
-    assert trace["success"] and len(ranks) == len(reds) - len(frame.game_passed)
+    F, G = rand_obj(4, 2, 3, rng), rand_obj(4, 2, 3, rng)
+    cx = CechComplex(T, F, G)
+    trace = cx.game
+    assert trace["success"] and len(ranks) == len(untrusted)
+    for a, keys in zip(ranks, untrusted):
+        assert np.array_equal(a, np.hstack([cx.d1_blocks[k] for k in keys]))
     monkeypatch.undo()
-    fixed = {key: block for key, block, *_ in frame.d1 if block is not None}
-    checked = [(v, keys, rule) for v, keys, (rule, _) in frame.game[0] if v in frame.game_passed]
-    assert {rule for _, _, rule in checked} >= {"horizontal-iso", "isomorphism-edge"}
-    for v, keys, rule in checked[:: max(1, len(checked) // 4)]:
+    trusted = [(v, keys, rule) for v, keys, rule in moves
+               if any(frame.trusts(cx.d1_blocks, k) for k in keys)]
+    assert len(trusted) == len(moves) - len(untrusted)
+    assert {rule for _, _, rule in trusted} >= {"horizontal-iso", "isomorphism-edge",
+                                                "crossing-surjective", "cusp-lemma"}
+    for v, keys, rule in trusted[:: max(1, len(trusted) // 4)]:
         cx = CechComplex(T, F, G)
         for key in keys:
-            assert cx.d1_blocks[key] is fixed[key]
-            cx.d1_blocks[key] = np.zeros_like(fixed[key])
+            cx.d1_blocks[key] = np.zeros_like(cx.d1_blocks[key])
         for game in (cx.game, graph_game(cx), cech_reference.graph_game(cx)):
             assert not game["success"]
             assert game["stuck"] == [str(v)] and game["failed_rule"] == rule
@@ -219,10 +228,36 @@ def test_game_rechecks_a_swapped_frame_block(monkeypatch):
         assert CechComplex(T, F, G).game == trace
 
 
+def test_tampered_moves_play_as_the_reference():
+    """With one block of a two-block move swapped for a zeroed copy, or with
+    every block of a move swapped, the game's trace equals the reference
+    game's, which rank-checks every move: a trusted block left in place
+    certifies its move alone, and a move with none left is eliminated."""
+    rng = random.Random(1712)
+    outcomes = set()
+    for m, n, p in [(2, 2, 3), (3, 1, 5), (4, 2, 3)]:
+        T = build_tiling(m)
+        F, G = rand_obj(m, n, p, rng), rand_obj(m, n, p, rng)
+        frame = CechComplex(T, F, G)._frame
+        moves = [keys for v, keys, _ in frame.game[0] if frame.vertex_space[v].dim]
+        tampers = [keys[i:i + 1] for keys in moves if len(keys) == 2 for i in (0, 1)]
+        tampers += moves
+        for swapped in tampers:
+            cx = CechComplex(T, F, G)
+            for key in swapped:
+                cx.d1_blocks[key] = np.zeros_like(cx.d1_blocks[key])
+            trace = graph_game(cx)
+            assert trace == cech_reference.graph_game(cx), (m, swapped)
+            outcomes.add((len(swapped), trace["success"]))
+    # a one-block swap beside a trusted block passes, a whole move fails
+    assert {(1, True), (1, False), (2, False)} <= outcomes
+
+
 def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
     """Later complexes skip the d^1 . d^0 cells whose terms all pair frame
-    blocks, but a corrupted copy of a d^0 block that only such cells read,
-    handed out by `_assemble`, fails the check."""
+    blocks, each of which the frame keeps with the keys of its terms only,
+    but a corrupted copy of a d^0 block that only such cells read, handed
+    out by `_assemble`, is not trusted and fails the check."""
     rng = random.Random(1710)
     T = build_tiling(3)
     F, G = rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng)
@@ -233,6 +268,8 @@ def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
     CechComplex(T, F, G)
     assert skipped == [set(frame.zero_cells)] and skipped[0]
     monkeypatch.undo()
+    terms = [term for terms in frame.zero_cells.values() for term in terms]
+    assert all(len(term) == 2 and set(term) <= set(frame.blocks) for term in terms)
 
     cells_of = {}
     for (v, ek), *_ in frame.d1:
@@ -240,8 +277,8 @@ def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
             cells_of.setdefault((ek, t), set()).add((v, t))
     targets = {}  # d0 key -> a row that a selection in one of its cells reads
     for terms in frame.zero_cells.values():
-        for k1, _, k0, b0 in terms:
-            if cells_of[k0] <= set(frame.zero_cells) and b0.shape[1]:
+        for k1, k0 in terms:
+            if cells_of[k0] <= set(frame.zero_cells) and frame.blocks[k0].shape[1]:
                 targets.setdefault(k0, frame.selections[k1][0][0])
     assert targets
     assemble = cech._assemble

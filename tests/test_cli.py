@@ -1,8 +1,10 @@
 import argparse
+import hashlib
 import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("dga", ["dga", "--m", "3", "--p", "3", "--copies", "3"]),
     ("hom-m24", ["hom", "--m", "24", "--n", "4", "--p", "32749", "--samples", "2", "--seed", "1"]),
     ("hom-sweep", ["hom", "--m", "3", "--n", "1", "--p", "3", "--samples", "0", "--seed", "1"]),
+    ("cech.csv", ["cech", "--m", "2", "--n", "2", "--p", "3", "--samples", "2", "--seed", "5",
+                  "--format", "csv"]),
+    ("reps.csv", ["reps", "--m", "1", "--n", "2", "--p", "2", "--format", "csv"]),
 ])
 def test_stdout_matches_golden(name, args):
     # golden files hold the stdout of earlier versions of the program (the
@@ -196,12 +201,14 @@ def test_stdout_matches_golden(name, args):
     # block stacks or by a corner recursion per pair; p = 32749 at m = 24
     # reaches the int64 bound of the mod-p products, and the all-pairs sweep
     # puts each of its 20 objects in 39 of its 400 Hom spaces, so an object's
-    # continuant stacks are read in both roles and many times over); RREF
+    # continuant stacks are read in both roles and many times over; the .csv
+    # files, from before reports were written to stdout as they are encoded,
+    # end rows in CRLF and quote the reps tuples, which hold commas); RREF
     # bases are canonical, the pair sampling draws the same numbers and
     # polynomial terms print sorted, so not a byte may move
     proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
     assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+    assert proc.stdout == (GOLDEN / (name if "." in name else f"{name}.json")).read_bytes()
 
 
 def test_cech_builds_one_complex_per_sampled_pair(monkeypatch, capsys):
@@ -258,6 +265,49 @@ def test_short_object_sample_is_reported_on_stderr_only(capsys):
     assert main(args + ["--samples", "4"]) == 0
     _, err = capsys.readouterr()
     assert "aimed" not in err
+
+
+class DigestSink:
+    """A stdout that keeps only a digest and a length of what it is sent."""
+
+    def __init__(self):
+        self.digest, self.size = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.size += len(text)
+
+
+def emit_peak(rows, monkeypatch):
+    """(tracemalloc peak of `cli._emit` on a hom report with these rows,
+    its stdout as a DigestSink); the rows are built before tracing."""
+    payload = {"command": "hom", "m": 4, "n": 1, "p": 5, "complete_enumeration": True,
+               "rows": rows, "all_agree": True}
+    sink = DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    want = (json.dumps({"schema": cli.SCHEMA, **payload}, sort_keys=True, indent=1) + "\n").encode()
+    assert sink.digest.hexdigest() == hashlib.sha256(want).hexdigest() and sink.size == len(want)
+    return peak, sink
+
+
+def test_json_report_is_written_without_a_whole_copy(monkeypatch):
+    """_emit writes the encoder's chunks in batches, so its memory peak does
+    not grow with the report: 4x the rows (4.2 MB of JSON) leave the peak
+    where it was and below the size of the text, where one `json.dumps`
+    of the report peaks near ten times that size."""
+    rows = [{"source": i // 521, "target": i % 521, "h0": 1, "h1": 2, "h2": 0,
+             "closed_agrees": True} for i in range(40000)]
+    small, _ = emit_peak(rows[:10000], monkeypatch)
+    large, sink = emit_peak(rows, monkeypatch)
+    assert sink.size > 4_000_000
+    assert large < 1.5 * small and large < sink.size, (small, large, sink.size)
 
 
 def test_csv_format():
