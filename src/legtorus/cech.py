@@ -605,23 +605,45 @@ def _section_kernel(blocks, constraints, p):
     blocks: list of (fdim, gdim), the unknown blocks lambda_i (gdim x fdim) in
     order.  constraints: list of (s, t, fmap, gmap), block positions, meaning
     lambda_t . fmap = gmap . lambda_s.
+
+    Each constraint is written straight as sparse {col: residue} rows, one per
+    entry (r, c) of its dgt x dfs product: F[k, c] at lambda_t[r, k] and
+    -G[r, k] at lambda_s[k, c] (blocks flattened row-major), entries on the
+    same column adding up.  The rows are sorted stably by length, sparsest
+    first, so the short rows become pivots before the long ones are reduced,
+    and eliminated by one forward pass.  The RREF is unique, so the order
+    changes no basis.  A local system has at most a few hundred rows; rank
+    d^0 (`_block_rank`) keeps its order, as sorting its lines costs far more
+    than it saves.
     """
     starts = list(itertools.accumulate((fd * gd for fd, gd in blocks), initial=0))
-    total = starts[-1]
     rows = []
     for s, t, fmap, gmap in constraints:
-        (dfs, dgs), (dft, dgt) = blocks[s], blocks[t]
-        row = xa.zeros(dgt * dfs, total)
-        if dft * dgt:
-            row[:, starts[t]:starts[t + 1]] = xa.kron(xa.eye(dgt), fmap.T, p)
-        if dfs * dgs:
-            blk = row[:, starts[s]:starts[s + 1]]
-            row[:, starts[s]:starts[s + 1]] = (blk - xa.kron(gmap, xa.eye(dfs), p)) % p
-        rows.append(row)
-    sys = np.vstack(rows) if rows else xa.zeros(0, total)
-    _, ker = xa.rank_kernel(sys, p)
-    free = np.where(ker != 0, np.arange(total)[:, None], -1).max(axis=0, initial=-1)
-    return _frozen(ker), _frozen(free)
+        (dfs, _), (dft, dgt) = blocks[s], blocks[t]
+        f, g = fmap % p, gmap % p
+        f_at = [[] for _ in range(dfs)]  # column c of F: (k, F[k, c])
+        ks, cs = np.nonzero(f)
+        for k, c, v in zip(ks.tolist(), cs.tolist(), f[ks, cs].tolist()):
+            f_at[c].append((k, v))
+        g_at = [[] for _ in range(dgt)]  # row r of G: (k, -G[r, k])
+        rs, ks = np.nonzero(g)
+        for r, k, v in zip(rs.tolist(), ks.tolist(), g[rs, ks].tolist()):
+            g_at[r].append((k, p - v))
+        for r in range(dgt):
+            at_t = starts[t] + r * dft
+            for c in range(dfs):
+                row = {at_t + k: v for k, v in f_at[c]}
+                for k, v in g_at[r]:
+                    j = starts[s] + k * dfs + c
+                    x = (row.get(j, 0) + v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+                rows.append(row)
+    rows.sort(key=len)
+    ker, free = xa.kernel_rows(rows, starts[-1], p)
+    return _frozen(ker), _frozen(np.array(free, dtype=np.int64))
 
 
 # -- local systems: (items, pairs) of an open -----------------------------------

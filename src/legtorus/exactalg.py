@@ -16,6 +16,8 @@ RREF rows and kernels in reduced column echelon order.
 Its forward pass gives rank, nullity and corank; the kernel is
 back-substituted from the kept pivot rows when first read, and the image
 basis for coset representatives is built only when a class is first reduced.
+`kernel_rows` gives the same kernel, with its free columns, straight from
+sparse rows, for callers that write their systems row by row.
 
 Supported moduli: p = 2 and odd primes below 2**15.
 """
@@ -189,6 +191,33 @@ def rank(m: np.ndarray, p: int) -> int:
     return len(_forward(sparse_rows(m, p), p, np.shape(m)[1])[0])
 
 
+def _kernel(pivot_rows: dict[int, dict[int, int]], cols: int, p: int):
+    """(kernel basis, free columns) from a forward pass's pivot rows, which
+    are back-substituted in place.  Column i of the basis is the unit at
+    free[i] minus the RREF rows' entries at free[i], one at each pivot row;
+    an RREF row's entries other than its lead lie at later free columns, so
+    free[i] is column i's last nonzero row (reduced column echelon order)."""
+    pivot_rows = _back_substitute(pivot_rows, p)
+    free = [c for c in range(cols) if c not in pivot_rows]
+    n = len(free)
+    index = {c: i for i, c in enumerate(free)}
+    flat, vals = [c * n + i for i, c in enumerate(free)], [1] * n
+    for c, row in pivot_rows.items():
+        flat += [c * n + index[j] for j in row if j != c]
+        vals += [p - v for j, v in row.items() if j != c]
+    k = zeros(cols, n)
+    k.ravel()[flat] = vals
+    return k, free
+
+
+def kernel_rows(rows, cols: int, p: int) -> tuple[np.ndarray, list[int]]:
+    """(kernel basis, free columns) of the matrix with `cols` columns and the
+    given {col: residue} rows, by one forward pass in the order given and no
+    dense system.  The basis is `LinearMap(a, p).kernel` of that matrix a,
+    whatever the row order.  The rows are consumed."""
+    return _kernel(_forward(rows, p, cols)[0], cols, p)
+
+
 def rank_kernel(m: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Rank and a kernel basis (columns, reduced column echelon order)."""
     f = LinearMap(m, p)
@@ -264,20 +293,7 @@ class LinearMap:
     @functools.cached_property
     def kernel(self) -> np.ndarray:
         """Kernel basis as columns, one per free column, in reduced column echelon order."""
-        cols, p = self.a.shape[1], self.p
-        pivot_rows = _back_substitute(self._pivot_rows, p)
-        free = [c for c in range(cols) if c not in pivot_rows]
-        n = len(free)
-        index = {c: i for i, c in enumerate(free)}
-        # a unit at each free column, and minus the RREF row at each pivot;
-        # an RREF row's entries other than its lead all lie in free columns
-        flat, vals = [c * n + i for i, c in enumerate(free)], [1] * n
-        for c, row in pivot_rows.items():
-            flat += [c * n + index[j] for j in row if j != c]
-            vals += [p - v for j, v in row.items() if j != c]
-        k = zeros(cols, n)
-        k.ravel()[flat] = vals
-        return k
+        return _kernel(self._pivot_rows, self.a.shape[1], self.p)[0]
 
     @functools.cached_property
     def _image(self) -> tuple[np.ndarray, list[int]]:

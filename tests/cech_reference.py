@@ -4,8 +4,10 @@ by the tiling and the stalk dimensions were built once per tiling
 every local system, section space, restriction block and game step for its
 own pair, and rank d^0 is eliminated along its long side, one row per C^1
 coordinate.  The only edits: `CechComplex` and `_section_solver` read the
-shared pieces from `legtorus.cech`, and the game and block rank it calls are
-the copies below."""
+shared pieces from `legtorus.cech`, and the game, block rank and local
+kernel solver it calls are the copies below.  `_section_kernel` is the dense
+Kronecker solver `legtorus.cech` used before it wrote its constraints as
+sparse rows, so the reference shares no local elimination with it."""
 
 from __future__ import annotations
 
@@ -16,8 +18,32 @@ import numpy as np
 
 from legtorus import exactalg as xa
 from legtorus.cech import (OpenSpace, TilingComplex, _dense, _frozen, _offsets,
-                           _section_kernel, edge_key, local_data, neighbor,
-                           vertex_edges, vertex_tiles)
+                           edge_key, local_data, neighbor, vertex_edges, vertex_tiles)
+
+
+def _section_kernel(blocks, constraints, p):
+    """Kernel of the commutation constraints: (basis, free rows), read-only.
+
+    blocks: list of (fdim, gdim), the unknown blocks lambda_i (gdim x fdim) in
+    order.  constraints: list of (s, t, fmap, gmap), block positions, meaning
+    lambda_t . fmap = gmap . lambda_s.
+    """
+    starts = list(itertools.accumulate((fd * gd for fd, gd in blocks), initial=0))
+    total = starts[-1]
+    rows = []
+    for s, t, fmap, gmap in constraints:
+        (dfs, dgs), (dft, dgt) = blocks[s], blocks[t]
+        row = xa.zeros(dgt * dfs, total)
+        if dft * dgt:
+            row[:, starts[t]:starts[t + 1]] = xa.kron(xa.eye(dgt), fmap.T, p)
+        if dfs * dgs:
+            blk = row[:, starts[s]:starts[s + 1]]
+            row[:, starts[s]:starts[s + 1]] = (blk - xa.kron(gmap, xa.eye(dfs), p)) % p
+        rows.append(row)
+    sys = np.vstack(rows) if rows else xa.zeros(0, total)
+    _, ker = xa.rank_kernel(sys, p)
+    free = np.where(ker != 0, np.arange(total)[:, None], -1).max(axis=0, initial=-1)
+    return _frozen(ker), _frozen(free)
 
 
 def _section_solver(p):

@@ -658,32 +658,112 @@ def test_constraints_have_nonzero_maps(complexes):
             assert cx.mF[st].size and cx.mG[st].size, st
 
 
+def assert_same_space(space, ref):
+    assert space.keys == ref.keys and space.total == ref.total
+    assert space.dims == ref.dims and space.offsets == ref.offsets
+    assert space.basis.dtype == space.free.dtype == np.int64
+    assert space.basis.shape == ref.basis.shape and space.free.shape == ref.free.shape
+    assert space.basis.tobytes() == ref.basis.tobytes()
+    assert space.free.tobytes() == ref.free.tobytes()
+    assert not space.basis.flags.writeable and not space.free.flags.writeable
+
+
+def zero_block_systems(p, rng):
+    """Random (items, constraints) whose blocks include zero-size ones: a
+    target block with no F stalk (dft . dgt = 0, dgt > 0) and a source block
+    with no G stalk (dfs . dgs = 0, dfs > 0), beside random ones, and one
+    constraint from a block to itself, whose two terms add on shared columns."""
+    def rand_map(rows, cols):
+        return xa.rand_matrix(rng, rows, cols, p).reshape(rows, cols)
+
+    out = []
+    for _ in range(12):
+        dims = [(0, 2), (2, 0), *[(rng.randrange(4), rng.randrange(4)) for _ in range(3)]]
+        rng.shuffle(dims)
+        items = [(("B", i), fd, gd) for i, (fd, gd) in enumerate(dims)]
+        s0 = next(i for i, d in enumerate(dims) if d == (2, 0))
+        t0 = next(i for i, d in enumerate(dims) if d == (0, 2))
+        pairs = [(s0, t0), (s0, rng.choice([i for i in range(5) if i != s0])),
+                 (rng.choice([i for i in range(5) if i != t0]), t0)]
+        pairs += [tuple(rng.sample(range(5), 2)) for _ in range(3)]
+        pairs.append((rng.randrange(5),) * 2)  # s = t: both terms fall on one block
+        constraints = [(items[s][0], items[t][0], rand_map(dims[t][0], dims[s][0]),
+                        rand_map(dims[t][1], dims[s][1])) for s, t in pairs]
+        out.append((items, constraints))
+    return out
+
+
 def test_open_spaces_match_reference_solver(complex_pairs):
     rng = random.Random(33)
     extra = [(build_tiling(4), *rand_pair(4, 2, 3, rng)),
-             (build_tiling(2, 3), *rand_pair(2, 2, 2, rng))]
+             (build_tiling(2, 3), *rand_pair(2, 2, 2, rng)),
+             (build_tiling(3, 3), *rand_pair(3, 2, 32749, rng)),
+             (build_tiling(2), *rand_pair(2, 2, 32749, rng)),
+             (eye_tiling(3), EyeSheaf(3, 2), EyeSheaf(2, 2)),
+             (eye_tiling(3), EyeSheaf(2, 32749), EyeSheaf(3, 32749))]
     cases = [*complex_pairs, *[(CechComplex(*c), cech_reference.CechComplex(*c)) for c in extra]]
     for cx, rcx in cases:
         for space, (items, constraints) in local_systems(cx, rcx):
-            ref = reference_solve_sections(items, constraints, cx.p)
-            assert space.keys == ref.keys and space.total == ref.total
-            assert space.dims == ref.dims and space.offsets == ref.offsets
-            assert space.basis.dtype == space.free.dtype == np.int64
-            assert np.array_equal(space.basis, ref.basis)
-            assert np.array_equal(space.free, ref.free)
-            assert not space.basis.flags.writeable and not space.free.flags.writeable
+            assert_same_space(space, reference_solve_sections(items, constraints, cx.p))
+    for p in (2, 3, 32749):
+        for items, constraints in zero_block_systems(p, rng):
+            pos = {k: i for i, (k, _, _) in enumerate(items)}
+            blocks = [(fd, gd) for _, fd, gd in items]
+            basis, free = cech._section_kernel(
+                blocks, [(pos[ks], pos[kt], f, g) for ks, kt, f, g in constraints], p)
+            ref = reference_solve_sections(items, constraints, p)
+            assert_same_space(OpenSpace(ref.keys, ref.dims, ref.offsets, ref.total, basis, free),
+                              ref)
+
+
+def test_local_kernels_ignore_row_order(complex_pairs, monkeypatch):
+    """Every local system gives the same (basis, free), byte for byte, from
+    its constraint rows in any order: in the sparsest-first order the solver
+    uses, shuffled, reversed, and with its constraints permuted."""
+    systems = []
+    kernel_rows = xa.kernel_rows
+
+    def capture(rows, cols, p):
+        systems.append(([dict(r) for r in rows], cols, p))
+        return kernel_rows(rows, cols, p)
+
+    rng = random.Random(35)
+    for cx, _ in complex_pairs:
+        frame = cx._frame
+        for _, system in [*frame.tiles.values(), *frame.edge_entries.values()]:
+            if system is None:
+                continue
+            blocks, cons = system
+            maps = [(s, t, cx.mF[st], cx.mG[st]) for s, t, st in cons]
+            del systems[:]
+            with monkeypatch.context() as mp:
+                mp.setattr(xa, "kernel_rows", capture)
+                basis, free = cech._section_kernel(blocks, maps, cx.p)
+            (rows, cols, p), = systems
+            assert [len(r) for r in rows] == sorted(len(r) for r in rows)
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            for order in (shuffled, rows[::-1]):
+                got, got_free = xa.kernel_rows([dict(r) for r in order], cols, p)
+                assert got.tobytes() == basis.tobytes() and got.shape == basis.shape
+                assert np.array_equal(np.array(got_free, dtype=np.int64), free)
+            permuted = maps[:]
+            rng.shuffle(permuted)
+            got, got_free = cech._section_kernel(blocks, permuted, cx.p)
+            assert got.tobytes() == basis.tobytes() and got.shape == basis.shape
+            assert got_free.tobytes() == free.tobytes()
 
 
 def test_one_elimination_per_distinct_system(monkeypatch):
     rng = random.Random(34)
     built = []
+    kernel_rows = xa.kernel_rows
 
-    class CountingMap(xa.LinearMap):
-        def __init__(self, a, p):
-            built.append(a.shape)
-            super().__init__(a, p)
+    def counting_kernel_rows(rows, cols, p):
+        built.append(cols)
+        return kernel_rows(rows, cols, p)
 
-    monkeypatch.setattr(xa, "LinearMap", CountingMap)
+    monkeypatch.setattr(xa, "kernel_rows", counting_kernel_rows)
     for m, n, p, rho in [(4, 2, 3, 1), (2, 2, 5, 2), (3, 1, 2, 1)]:
         T = build_tiling(m, rho)
         F, G = rand_pair(m, n, p, rng)
@@ -703,3 +783,21 @@ def test_one_elimination_per_distinct_system(monkeypatch):
             assert first.basis is space.basis and first.free is space.free
         n_open = len(cx.tile_space) + len(cx.edge_space) + len(cx.vertex_space)
         assert 0 < solved == len(shared) < n_open // 4, (m, n, p, solved, len(shared))
+
+
+def test_cech_route_builds_no_dense_system(monkeypatch):
+    """A complex writes its local systems as sparse rows: building it and
+    reading its dimensions calls no `kron` and builds no `LinearMap`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Cech route built a dense system")
+
+    rng = random.Random(36)
+    for m, n, p, rho in [(4, 2, 3, 1), (2, 2, 32749, 3)]:
+        T = build_tiling(m, rho)
+        pairs = [rand_pair(m, n, p, rng) for _ in range(3)]
+        with monkeypatch.context() as mp:
+            mp.setattr(xa, "kron", refuse)
+            mp.setattr(xa, "LinearMap", refuse)
+            mp.setattr(xa, "rank_kernel", refuse)
+            for F, G in pairs:
+                CechComplex(T, F, G).cohomology_dims()

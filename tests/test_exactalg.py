@@ -380,6 +380,33 @@ def test_linear_map_matches_reference(seed, rows, cols, p, density):
     assert np.array_equal(f.classes(vs), reference_row_space(want, p)[0])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 12),
+       st.sampled_from([2, 3, 5, 7, 32749]), st.floats(0.0, 1.0))
+@example(1, 0, 5, 3, 0.5)
+@example(2, 5, 0, 3, 0.5)
+@example(3, 0, 0, 2, 0.5)
+@example(4, 6, 6, 2, 1.0)
+@example(5, 6, 6, 32749, 0.0)
+@example(6, 3, 9, 32749, 0.3)
+def test_kernel_rows_matches_linear_map(seed, rows, cols, p, density):
+    """kernel_rows on the sparse rows of a, in any order, gives
+    LinearMap(a).kernel byte for byte, and as free columns the columns
+    without a pivot, each the last nonzero row of its kernel column."""
+    a = sparse_random(seed, rows, cols, p, density)
+    want = xa.LinearMap(a, p).kernel
+    assert np.array_equal(want, reference_rank_kernel(a, p)[1])
+    order = list(range(rows))
+    random.Random(seed).shuffle(order)
+    for perm in (order, order[::-1]):
+        rows_a = xa.sparse_rows(a, p)
+        basis, free = xa.kernel_rows([rows_a[i] for i in perm], cols, p)
+        assert basis.dtype == np.int64 and basis.shape == want.shape
+        assert basis.tobytes() == want.tobytes()
+        assert free == [int(np.flatnonzero(col)[-1]) for col in basis.T]
+        assert free == [c for c in range(cols) if c not in dense_rref(a, p)[1]]
+
+
 def vectors(p, k):
     return [np.array(v, dtype=np.int64) for v in itertools.product(range(p), repeat=k)]
 
