@@ -193,6 +193,16 @@ GOLDEN = Path(__file__).parent / "golden"
     ("cech.csv", ["cech", "--m", "2", "--n", "2", "--p", "3", "--samples", "2", "--seed", "5",
                   "--format", "csv"]),
     ("reps.csv", ["reps", "--m", "1", "--n", "2", "--p", "2", "--format", "csv"]),
+    ("verify-mu2-01", ["verify", "--m", "3", "--n", "2", "--samples", "6", "--seed", "4",
+                       "--corrupt-sign"]),
+    ("verify-mu2-10", ["verify", "--m", "2", "--n", "2", "--samples", "6", "--seed", "0",
+                       "--corrupt-sign"]),
+    ("verify-mu2-00", ["verify", "--m", "3", "--n", "2", "--p", "5", "--samples", "8",
+                       "--seed", "11", "--corrupt-sign"]),
+    ("equiv-sampled", ["equiv", "--m", "3", "--n", "2", "--p", "5", "--samples", "9",
+                       "--seed", "3"]),
+    ("ext.csv", ["ext", "--m", "2", "--n", "2", "--p", "3", "--samples", "4", "--seed", "6",
+                 "--format", "csv"]),
 ])
 def test_stdout_matches_golden(name, args):
     # golden files hold the stdout of earlier versions of the program (the
@@ -205,9 +215,11 @@ def test_stdout_matches_golden(name, args):
     # files, from before reports were written to stdout as they are encoded,
     # end rows in CRLF and quote the reps tuples, which hold commas); RREF
     # bases are canonical, the pair sampling draws the same numbers and
-    # polynomial terms print sorted, so not a byte may move
+    # polynomial terms print sorted, so not a byte may move.  The
+    # --corrupt-sign runs are negative controls: each fails one mu_2 class
+    # pair case, (0,1), (1,0) or (0,0), and exits 1
     proc = subprocess.run([sys.executable, "-m", "legtorus.cli", *args], capture_output=True)
-    assert proc.returncode == 0
+    assert proc.returncode == ("--corrupt-sign" in args)
     assert proc.stdout == (GOLDEN / (name if "." in name else f"{name}.json")).read_bytes()
 
 
