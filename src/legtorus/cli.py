@@ -5,12 +5,18 @@ the flags it reads (an unknown flag is a usage error).  All output goes to
 stdout as JSON (reps, hom, ext, cech and equiv write CSV with --format csv),
 diagnostics to stderr.  The same (flags, seed) always produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+The pair commands hom, ext, cech and equiv share one sweep, `_sweep`: it
+draws the objects and the pairs from the command's seeded RNG, maps the
+command's row function over the pairs and sets the verdict and exit code.
+Each command keeps only its row function and its extra report fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -63,11 +69,6 @@ def _sample_pairs(reps, samples, budget, rng):
     return [divmod(k, n) for k in range(n * n)]
 
 
-def _sheaf_objects(reps, pairs):
-    """Functor images of the objects the sampled pairs use, by index."""
-    return {i: functor_obj(reps[i]) for pair in pairs for i in pair}
-
-
 def _objects(args, rng):
     """Enumerate when feasible within budget, otherwise sample
     max(2, --samples or 4) distinct tuples.  A run that asks for more sampled
@@ -113,98 +114,80 @@ def cmd_reps(args):
     return 0
 
 
-def cmd_hom(args):
-    rng = rng_for(args.seed, "hom")
+def _sweep(args, verdict, row, extras=lambda reps: ({}, True)):
+    """The pair commands' one loop.  Draw the objects, then the pairs, from
+    the command's seeded RNG, and report one row per pair: its source and
+    target, then `row(i, j, reps, sheaf)`, where `sheaf(i)` is object i's
+    functor image, built on first use (a command that reads none builds
+    none).  The run agrees, and exits 0, when every row's `verdict` field
+    holds and so does the flag `extras(reps)` returns with the report's
+    extra fields."""
+    rng = rng_for(args.seed, args.command)
     reps, complete = _objects(args, rng)
-    rows = []
-    for i, j in _sample_pairs(reps, args.samples, args.budget, rng):
-        H = hom_cohomology(reps[i], reps[j])
-        C = cohomology_closed(reps[i], reps[j])
-        rows.append({"source": i, "target": j,
-                     "h0": H.dims[0], "h1": H.dims[1], "h2": H.dims[2],
-                     "closed_agrees": (H.dims[0], H.dims[1], H.dims[2])
-                     == (C.dims[0], C.dims[1], C.dims[2])})
-    ok = all(r["closed_agrees"] for r in rows)
-    _emit({"command": "hom", "m": args.m, "n": args.n, "p": args.p,
-           "complete_enumeration": complete, "rows": rows, "all_agree": ok},
+    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
+    sheaf = functools.cache(lambda i: functor_obj(reps[i]))
+    rows = [{"source": i, "target": j, **row(i, j, reps, sheaf)} for i, j in pairs]
+    fields, ok = extras(reps)
+    ok = all(r[verdict] for r in rows) and ok
+    _emit({"command": args.command, "m": args.m, "n": args.n, "p": args.p,
+           "complete_enumeration": complete, "rows": rows, **fields, "all_agree": ok},
           args.format)
     return 0 if ok else 1
+
+
+def cmd_hom(args):
+    def row(i, j, reps, sheaf):
+        H = hom_cohomology(reps[i], reps[j]).dims
+        return {"h0": H[0], "h1": H[1], "h2": H[2],
+                "closed_agrees": H == cohomology_closed(reps[i], reps[j]).dims}
+    return _sweep(args, "closed_agrees", row)
 
 
 def cmd_ext(args):
-    rng = rng_for(args.seed, "ext")
-    reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
-    objs = _sheaf_objects(reps, pairs)
-    rows = []
-    for i, j in pairs:
-        H = hom_cohomology(reps[i], reps[j])
-        e0, e1 = ext0_dim(objs[i], objs[j]), ext1_dim(objs[i], objs[j])
-        rows.append({"source": i, "target": j, "ext0": e0, "ext1": e1,
-                     "h_agrees": (e0, e1) == (H.dims[0], H.dims[1])})
-    ok = all(r["h_agrees"] for r in rows)
-    _emit({"command": "ext", "m": args.m, "n": args.n, "p": args.p,
-           "complete_enumeration": complete, "rows": rows, "all_agree": ok},
-          args.format)
-    return 0 if ok else 1
+    def row(i, j, reps, sheaf):
+        H = hom_cohomology(reps[i], reps[j]).dims
+        e0, e1 = ext0_dim(sheaf(i), sheaf(j)), ext1_dim(sheaf(i), sheaf(j))
+        return {"ext0": e0, "ext1": e1, "h_agrees": (e0, e1) == (H[0], H[1])}
+    return _sweep(args, "h_agrees", row)
 
 
 def cmd_cech(args):
-    rng = rng_for(args.seed, "cech")
-    reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
-    objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
-    rows = []
-    trace = None
-    for i, j in pairs:
-        cx = CechComplex(T, objs[i], objs[j])
+    games = []  # the first pair's game trace only
+
+    def row(i, j, reps, sheaf):
+        cx = CechComplex(T, sheaf(i), sheaf(j))
         dims = cx.cohomology_dims()
         ok_h2, cert = cx.h2_certificate()
-        e0, e1 = ext0_dim(objs[i], objs[j]), ext1_dim(objs[i], objs[j])
-        rows.append({"source": i, "target": j,
-                     "cech_h0": dims[0], "cech_h1": dims[1], "cech_h2": dims[2],
-                     "ext0": e0, "ext1": e1,
-                     "agrees": dims == (e0, e1, 0) and ok_h2,
-                     "rank_d1": cert["rank_d1"], "dim_c2": cert["dim_c2"]})
-        if trace is None:
-            trace = cx.game
-    ok = all(r["agrees"] for r in rows)
-    _emit({"command": "cech", "m": args.m, "n": args.n, "p": args.p,
-           "resolution": args.resolution, "complete_enumeration": complete,
-           "rows": rows, "reduction_trace": trace, "all_agree": ok}, args.format)
-    return 0 if ok else 1
+        e0, e1 = ext0_dim(sheaf(i), sheaf(j)), ext1_dim(sheaf(i), sheaf(j))
+        if not games:
+            games.append(cx.game)
+        return {"cech_h0": dims[0], "cech_h1": dims[1], "cech_h2": dims[2],
+                "ext0": e0, "ext1": e1, "agrees": dims == (e0, e1, 0) and ok_h2,
+                "rank_d1": cert["rank_d1"], "dim_c2": cert["dim_c2"]}
+    return _sweep(args, "agrees", row, lambda reps: (
+        {"resolution": args.resolution, "reduction_trace": games[0] if games else None}, True))
 
 
 def cmd_equiv(args):
-    rng = rng_for(args.seed, "equiv")
-    reps, complete = _objects(args, rng)
-    pairs = _sample_pairs(reps, args.samples, args.budget, rng)
-    objs = _sheaf_objects(reps, pairs)
     T = build_tiling(args.m, args.resolution)
-    rows = []
-    for i, j in pairs:
-        H = hom_cohomology(reps[i], reps[j])
-        cx = CechComplex(T, objs[i], objs[j])
+
+    def row(i, j, reps, sheaf):
+        H = hom_cohomology(reps[i], reps[j]).dims
+        cx = CechComplex(T, sheaf(i), sheaf(j))
         dims = cx.cohomology_dims()
         ok_h2, _ = cx.h2_certificate()
-        e0, e1 = ext0_dim(objs[i], objs[j]), ext1_dim(objs[i], objs[j])
-        rows.append({
-            "source": i, "target": j,
-            "h0": H.dims[0], "h1": H.dims[1], "h2": H.dims[2],
-            "ext0": e0, "ext1": e1, "ext2_cech": dims[2],
-            "agree": (H.dims[0], H.dims[1], H.dims[2]) == (e0, e1, 0)
-            and dims == (e0, e1, 0) and ok_h2,
-        })
-    cfg = {"max_m": args.m, "max_n": args.n, "primes": (args.p,),
-           "samples": max(args.samples, 4)}
-    fok, fdetail = check_functoriality(cfg, rng_for(args.seed, "equiv.functor"))
-    ok = all(r["agree"] for r in rows) and fok
-    _emit({"command": "equiv", "m": args.m, "n": args.n, "p": args.p,
-           "objects": len(reps), "complete_enumeration": complete,
-           "rows": rows, "functoriality": {"ok": fok, "detail": fdetail},
-           "all_agree": ok}, args.format)
-    return 0 if ok else 1
+        e0, e1 = ext0_dim(sheaf(i), sheaf(j)), ext1_dim(sheaf(i), sheaf(j))
+        return {"h0": H[0], "h1": H[1], "h2": H[2], "ext0": e0, "ext1": e1,
+                "ext2_cech": dims[2],
+                "agree": H == {0: e0, 1: e1, 2: 0} and dims == (e0, e1, 0) and ok_h2}
+
+    def extras(reps):
+        cfg = {"max_m": args.m, "max_n": args.n, "primes": (args.p,),
+               "samples": max(args.samples, 4)}
+        fok, fdetail = check_functoriality(cfg, rng_for(args.seed, "equiv.functor"))
+        return {"objects": len(reps), "functoriality": {"ok": fok, "detail": fdetail}}, fok
+    return _sweep(args, "agree", row, extras)
 
 
 def cmd_verify(args):

@@ -175,20 +175,13 @@ class TorusHomClosed:
         return H1Class(tuple(v[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m)))
 
     def cocycle_from_w(self, w) -> HomElement:
-        """The unique mu_1-cocycle with the given a-part (x-parts forced)."""
-        n, p, m = self.n, self.p, self.m
-        A, B = self.rho.A, self.rho2.A
-        s1 = xa.zeros(n, n)
-        s2 = xa.zeros(n, n)
-        for j in range(1, m + 1):
-            wj = np.mod(np.array(w[j - 1], dtype=np.int64), p)
-            s1 = (s1 + pq_matrix("P", A[:j - 1], p, n) @ wj @ pq_matrix("P", B[j:], p, n)) % p
-            s2 = (s2 + pq_matrix("Q", A[j:], p, n) @ wj @ pq_matrix("Q", B[:j - 1], p, n)) % p
-        v1 = s1 @ self.rho2.T1 % p              # solves v1 (T1')^{-1} = s1
-        v2 = self.rho.T2_inv @ s2 % p           # solves T2 v2 = s2
-        coeffs = {f"a{j}": np.mod(np.array(w[j - 1], dtype=np.int64), p) for j in range(1, m + 1)}
-        coeffs["x1"] = v1
-        coeffs["x2"] = v2
+        """The unique mu_1-cocycle with the given a-part: its x-parts cancel
+        the b-parts that mu_1 gives the a-part."""
+        n, p = self.n, self.p
+        coeffs = {f"a{j}": np.mod(np.array(wj, dtype=np.int64), p) for j, wj in enumerate(w, 1)}
+        b = mu1_closed(self.rho, self.rho2, HomElement(n, p, 1, coeffs))
+        coeffs["x1"] = b.coeff("b1") @ self.rho2.T1 % p      # solves x1 (T1')^{-1} = b1
+        coeffs["x2"] = -self.rho.T2_inv @ b.coeff("b2") % p  # solves T2 x2 = -b2
         return HomElement(n, p, 1, coeffs)
 
     def h0_to_element(self, cls: H0Class) -> HomElement:

@@ -4,6 +4,13 @@ Each check returns (ok, detail).  The CLI `verify` subcommand runs them all
 and reports one line per check; the test suite reuses them.  A deliberately
 corrupted composition sign can be injected to prove the A-infinity relation
 checks have teeth.
+
+The sampling suites draw each case's (m, n, p) through `_cases`, and the two
+composition suites (`check_mu2_oracle`, `check_functoriality`) their objects
+and class pairs through `_class_pairs`, so each suite keeps only its own
+comparisons and failure strings.  The helpers draw when the suite asks for
+its next case, between the suite's own draws, so a seed and a suite name
+fix every case.
 """
 
 from __future__ import annotations
@@ -35,6 +42,36 @@ def rand_homog(m, n, p, deg, rng) -> HomElement:
                       {b: xa.rand_matrix(rng, n, n, p) for b in hom_basis_order(m, deg)})
 
 
+def _cases(cfg, rng):
+    """(m, n, p) for each of the configured samples, drawn in this order when
+    the suite asks for the next: m and n up to the configured bounds, p among
+    the configured primes."""
+    for _ in range(cfg["samples"]):
+        yield (rng.randrange(1, cfg["max_m"] + 1), rng.randrange(1, cfg["max_n"] + 1),
+               rng.choice(cfg["primes"]))
+
+
+def _class_pairs(cfg, rng):
+    """Per case: (m, n, p), three objects (r0, r1, r2), the closed-form
+    cohomology of Hom(r0, r1) and of Hom(r1, r2), and the class pairs (x, y)
+    to compose, x of Hom(r1, r2) and y of Hom(r0, r1), keyed by their
+    degrees.  The (0,0) pair needs H^0 classes on both sides, (0,1) on the
+    left and (1,0) on the right; their one H^1 class is drawn between."""
+    for m, n, p in _cases(cfg, rng):
+        reps = [random_rep(m, n, p, rng) for _ in range(3)]
+        C01, C12 = cohomology_closed(reps[0], reps[1]), cohomology_closed(reps[1], reps[2])
+        h01, h12 = C01.h0_basis(), C12.h0_basis()
+        pairs = {}
+        if h01 and h12:
+            pairs[0, 0] = rng.choice(h12), rng.choice(h01)
+        w = H1Class(tuple(xa.rand_matrix(rng, n, n, p) for _ in range(m)))
+        if h12:
+            pairs[0, 1] = rng.choice(h12), w
+        if h01:
+            pairs[1, 0] = w, rng.choice(h01)
+        yield (m, n, p), reps, (C01, C12), pairs
+
+
 # ---------------------------------------------------------------------------
 
 def check_d_squared(cfg, rng):
@@ -51,67 +88,35 @@ def check_d_squared(cfg, rng):
 
 
 def check_sylvester(cfg, rng):
-    samples = cfg["samples"]
-    count = 0
-    for _ in range(samples):
-        m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.randrange(1, cfg["max_n"] + 1)
-        p = rng.choice(cfg["primes"])
+    for m, n, p in _cases(cfg, rng):
         mats = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
         if not sylvester_check(mats, p):
             return False, f"determinant identity fails: m={m}, n={n}, p={p}"
-        count += 1
-    return True, f"{count} random tuples"
+    return True, f"{cfg['samples']} random tuples"
 
 
 def check_mu1_oracle(cfg, rng):
-    samples = cfg["samples"]
-    for _ in range(samples):
-        m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.randrange(1, cfg["max_n"] + 1)
-        p = rng.choice(cfg["primes"])
+    for m, n, p in _cases(cfg, rng):
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
         deg = rng.choice([0, 1, 2])
         x = rand_homog(m, n, p, deg, rng)
         if mu1(r0, r1, x) != mu1_closed(r0, r1, x):
             return False, f"mu1 mismatch at m={m}, n={n}, p={p}, deg={deg}"
-    return True, f"{samples} random elements"
+    return True, f"{cfg['samples']} random elements"
 
 
 def check_mu2_oracle(cfg, rng, corrupt_sign=False):
-    samples = cfg["samples"]
-    for _ in range(samples):
-        m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.randrange(1, cfg["max_n"] + 1)
-        p = rng.choice(cfg["primes"])
-        r0, r1, r2 = (random_rep(m, n, p, rng) for _ in range(3))
-        C01 = cohomology_closed(r0, r1)
-        C12 = cohomology_closed(r1, r2)
-        h01, h12 = C01.h0_basis(), C12.h0_basis()
-        sign = -1 if corrupt_sign else 1
-        if h01 and h12:
-            a, b = rng.choice(h12), rng.choice(h01)
-            mech = mu2(r0, r1, r2, C12.h0_to_element(a), C01.h0_to_element(b)).scale(sign)
-            closed = mu2_closed(a, b, p)
-            if not (np.array_equal(mech.coeff("y1"), closed.u1)
-                    and np.array_equal(mech.coeff("y2"), closed.u2)):
-                return False, f"mu2 (0,0) mismatch at m={m}, n={n}, p={p}"
-        w = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
-        if h12:
-            a = rng.choice(h12)
-            mech = mu2(r0, r1, r2, C12.h0_to_element(a), C01.cocycle_from_w(w)).scale(sign)
-            closed = mu2_closed(a, H1Class(tuple(w)), p)
-            got = [mech.coeff(f"a{j}") for j in range(1, m + 1)]
-            if not all(np.array_equal(x_, y_) for x_, y_ in zip(got, closed.w)):
-                return False, f"mu2 (0,1) mismatch at m={m}, n={n}, p={p}"
-        if h01:
-            b = rng.choice(h01)
-            mech = mu2(r0, r1, r2, C12.cocycle_from_w(w), C01.h0_to_element(b)).scale(sign)
-            closed = mu2_closed(H1Class(tuple(w)), b, p)
-            got = [mech.coeff(f"a{j}") for j in range(1, m + 1)]
-            if not all(np.array_equal(x_, y_) for x_, y_ in zip(got, closed.w)):
-                return False, f"mu2 (1,0) mismatch at m={m}, n={n}, p={p}"
-    return True, f"{samples} random class pairs"
+    for (m, n, p), r, (C01, C12), pairs in _class_pairs(cfg, rng):
+        for (dx, dy), (x, y) in pairs.items():
+            lift = [C.h0_to_element(z) if d == 0 else C.cocycle_from_w(z.w)
+                    for C, z, d in ((C12, x, dx), (C01, y, dy))]
+            mech = mu2(*r, *lift).scale(-1 if corrupt_sign else 1)
+            closed = mu2_closed(x, y, p)
+            bases, want = ((("y1", "y2"), (closed.u1, closed.u2)) if dx == dy == 0 else
+                           ([f"a{j}" for j in range(1, m + 1)], closed.w))
+            if not all(np.array_equal(mech.coeff(b), v) for b, v in zip(bases, want)):
+                return False, f"mu2 ({dx},{dy}) mismatch at m={m}, n={n}, p={p}"
+    return True, f"{cfg['samples']} random class pairs"
 
 
 RELATION_DRAWS = 10  # draws per sample of `check_a_infinity` before it gives up
@@ -167,11 +172,7 @@ def check_a_infinity(cfg, rng, corrupt_sign=False):
 
 
 def check_units(cfg, rng):
-    samples = cfg["samples"]
-    for _ in range(samples):
-        m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.randrange(1, cfg["max_n"] + 1)
-        p = rng.choice(cfg["primes"])
+    for m, n, p in _cases(cfg, rng):
         r0, r1 = random_rep(m, n, p, rng), random_rep(m, n, p, rng)
         if not mu1(r0, r0, unit(r0)).is_zero():
             return False, "mu1 of the unit is nonzero"
@@ -182,15 +183,11 @@ def check_units(cfg, rng):
                 right = mu2(r0, r0, r1, f, unit(r0))
                 if not (H.same_class(left, f) and H.same_class(right, f)):
                     return False, f"unit law fails at m={m}, n={n}, p={p}, deg={d}"
-    return True, f"{samples} objects, all classes"
+    return True, f"{cfg['samples']} objects, all classes"
 
 
 def check_conjugation_iso(cfg, rng):
-    samples = cfg["samples"]
-    for _ in range(samples):
-        m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.randrange(1, cfg["max_n"] + 1)
-        p = rng.choice(cfg["primes"])
+    for m, n, p in _cases(cfg, rng):
         r0 = random_rep(m, n, p, rng)
         while True:
             mat = xa.rand_matrix(rng, n, n, p)
@@ -199,7 +196,7 @@ def check_conjugation_iso(cfg, rng):
         r2 = r0.conjugate(xa.inverse(mat, p), mat)
         if is_isomorphic(r0, r2, budget=200_000, rng=rng) is None:
             return False, f"no witness for a conjugate pair at m={m}, n={n}, p={p}"
-    return True, f"{samples} conjugate pairs"
+    return True, f"{cfg['samples']} conjugate pairs"
 
 
 def check_equivalence(cfg, rng):
@@ -226,36 +223,17 @@ def check_equivalence(cfg, rng):
 
 
 def check_functoriality(cfg, rng):
-    samples = cfg["samples"]
-    for _ in range(samples):
-        m = rng.randrange(1, cfg["max_m"] + 1)
-        n = rng.randrange(1, cfg["max_n"] + 1)
-        p = rng.choice(cfg["primes"])
-        reps = [random_rep(m, n, p, rng) for _ in range(3)]
-        r0, r1, r2 = reps
-        C01, C12 = cohomology_closed(r0, r1), cohomology_closed(r1, r2)
+    functor_h = (functor_h0, functor_h1)
+    compose = {(0, 0): compose00, (0, 1): compose10, (1, 0): compose01}
+    for (m, n, p), (r0, _, r2), _, pairs in _class_pairs(cfg, rng):
         E02 = Ext1Space(functor_obj(r0), functor_obj(r2))
-        h01, h12 = C01.h0_basis(), C12.h0_basis()
-        if h01 and h12:
-            a, b = rng.choice(h12), rng.choice(h01)
-            lhs = functor_h0(mu2_closed(a, b, p), p)
-            rhs = compose00(functor_h0(a, p), functor_h0(b, p), p)
-            if not all(np.array_equal(x_, y_) for x_, y_ in zip(lhs, rhs)):
-                return False, f"(0,0) composition not preserved at m={m}, n={n}, p={p}"
-        w = H1Class(tuple(xa.rand_matrix(rng, n, n, p) for _ in range(m)))
-        if h12:
-            a = rng.choice(h12)
-            lhs = functor_h1(mu2_closed(a, w, p), p)
-            rhs = compose10(functor_h0(a, p), functor_h1(w, p), p)
-            if not E02.same(lhs, rhs):
-                return False, f"(0,1) composition not preserved at m={m}, n={n}, p={p}"
-        if h01:
-            b = rng.choice(h01)
-            lhs = functor_h1(mu2_closed(w, b, p), p)
-            rhs = compose01(functor_h1(w, p), functor_h0(b, p), p)
-            if not E02.same(lhs, rhs):
-                return False, f"(1,0) composition not preserved at m={m}, n={n}, p={p}"
-    return True, f"{samples} random triples"
+        for (dx, dy), (x, y) in pairs.items():
+            lhs = functor_h[dx + dy](mu2_closed(x, y, p), p)
+            rhs = compose[dx, dy](functor_h[dx](x, p), functor_h[dy](y, p), p)
+            if not (E02.same(lhs, rhs) if dx + dy else
+                    all(np.array_equal(x_, y_) for x_, y_ in zip(lhs, rhs))):
+                return False, f"({dx},{dy}) composition not preserved at m={m}, n={n}, p={p}"
+    return True, f"{cfg['samples']} random triples"
 
 
 def check_graph_game(cfg, rng):

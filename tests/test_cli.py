@@ -397,3 +397,61 @@ def test_every_suite_draws_n_up_to_max_n(monkeypatch):
             drawn.clear()
             check(cfg, verify.rng_for(1, name))
             assert max(drawn, default=1) <= max_n, (name, max_n)
+
+
+# negative controls: a wrong dimension, certificate or suite on one side of a
+# pair command's comparison must make the run disagree and exit 1
+PAIR_ARGS = ["--m", "2", "--n", "1", "--p", "3", "--samples", "3", "--seed", "5"]
+VERDICT = {"hom": "closed_agrees", "ext": "h_agrees", "cech": "agrees", "equiv": "agree"}
+
+
+def disagreeing_rows(command, capsys):
+    """The rows of a run that exits 1 and reports all_agree false."""
+    assert main([command, *PAIR_ARGS]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_agree"] is False and doc["rows"]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["ext", "cech", "equiv"])
+def test_an_ext1_off_by_one_fails_every_pair(command, monkeypatch, capsys):
+    real = cli.ext1_dim
+    monkeypatch.setattr(cli, "ext1_dim", lambda F, G: real(F, G) + 1)
+    doc = disagreeing_rows(command, capsys)
+    assert not any(r[VERDICT[command]] for r in doc["rows"])
+
+
+def test_a_closed_form_h1_off_by_one_fails_hom(monkeypatch, capsys):
+    real = cli.cohomology_closed
+
+    def off_by_one(r0, r1):
+        C = real(r0, r1)
+        C.dims = {**C.dims, 1: C.dims[1] + 1}
+        return C
+
+    monkeypatch.setattr(cli, "cohomology_closed", off_by_one)
+    doc = disagreeing_rows("hom", capsys)
+    assert not any(r["closed_agrees"] for r in doc["rows"])
+
+
+def test_a_refused_h2_certificate_fails_cech(monkeypatch, capsys):
+    real = CechComplex.h2_certificate
+    monkeypatch.setattr(CechComplex, "h2_certificate", lambda cx: (False, real(cx)[1]))
+    doc = disagreeing_rows("cech", capsys)
+    assert not any(r["agrees"] for r in doc["rows"])
+
+
+def test_a_failed_functoriality_alone_fails_equiv(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_functoriality", lambda cfg, rng: (False, "refused"))
+    doc = disagreeing_rows("equiv", capsys)
+    assert all(r["agree"] for r in doc["rows"])
+    assert doc["functoriality"] == {"ok": False, "detail": "refused"}
+
+
+def test_hom_builds_no_sheaf_object(monkeypatch, capsys):
+    def no_sheaf(rep):
+        raise AssertionError("a sheaf object was built")
+
+    monkeypatch.setattr(cli, "functor_obj", no_sheaf)
+    assert main(["hom", *PAIR_ARGS]) == 0
+    assert json.loads(capsys.readouterr().out)["all_agree"]

@@ -98,3 +98,18 @@ def test_sylvester_suite_draws_m_n_and_p_from_cfg(monkeypatch):
     assert {m for m, _, _ in calls} == {1, 2}
     assert {shape for _, shape, _ in calls} == {(1, 1), (2, 2)}
     assert {p for _, _, p in calls} == {2, 3}
+
+
+@pytest.mark.parametrize("name, case", [("compose00", "(0,0)"), ("compose10", "(0,1)"),
+                                        ("compose01", "(1,0)")])
+def test_functoriality_suite_catches_each_wrong_composition(name, case, monkeypatch):
+    """Each class-pair case composes on the sheaf side with its own map: a
+    negated one fails that case, and only it, on a seed that meets a
+    nonzero composite there (seed 4 does for all three at p = 3)."""
+    cfg = {"max_m": 3, "max_n": 2, "primes": (3,), "samples": 9}
+    rng = rng_for(4, "equivalence.functor")
+    assert verify.check_functoriality(cfg, rng) == (True, "9 random triples")
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda f, g, p: tuple((-x) % p for x in real(f, g, p)))
+    ok, detail = verify.check_functoriality(cfg, rng_for(4, "equivalence.functor"))
+    assert not ok and detail.startswith(f"{case} composition not preserved")
