@@ -153,20 +153,19 @@ def cmd_ext(args):
 
 def cmd_cech(args):
     T = build_tiling(args.m, args.resolution)
-    games = []  # the first pair's game trace only
+    trace = {}  # the first pair's game trace only
 
     def row(i, j, reps, sheaf):
         cx = CechComplex(T, sheaf(i), sheaf(j))
         dims = cx.cohomology_dims()
         ok_h2, cert = cx.h2_certificate()
         e0, e1 = ext0_dim(sheaf(i), sheaf(j)), ext1_dim(sheaf(i), sheaf(j))
-        if not games:
-            games.append(cx.game)
+        trace.setdefault("reduction_trace", cx.game)
         return {"cech_h0": dims[0], "cech_h1": dims[1], "cech_h2": dims[2],
                 "ext0": e0, "ext1": e1, "agrees": dims == (e0, e1, 0) and ok_h2,
                 "rank_d1": cert["rank_d1"], "dim_c2": cert["dim_c2"]}
-    return _sweep(args, "agrees", row, lambda reps: (
-        {"resolution": args.resolution, "reduction_trace": games[0] if games else None}, True))
+    return _sweep(args, "agrees", row,
+                  lambda reps: ({"resolution": args.resolution, **trace}, True))
 
 
 def cmd_equiv(args):
