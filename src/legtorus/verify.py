@@ -224,6 +224,7 @@ def check_equivalence(cfg, rng):
 
 def check_functoriality(cfg, rng):
     functor_h = (functor_h0, functor_h1)
+    # sheafcat's composition names list their arguments' degrees right to left
     compose = {(0, 0): compose00, (0, 1): compose10, (1, 0): compose01}
     for (m, n, p), (r0, _, r2), _, pairs in _class_pairs(cfg, rng):
         E02 = Ext1Space(functor_obj(r0), functor_obj(r2))
