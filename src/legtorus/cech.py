@@ -21,15 +21,17 @@ C^0 -> C^1 -> C^2 then gives H^0/H^1 (checked against Ext^0/Ext^1) and the
 surjectivity of d^1, i.e. the vanishing of H^2.
 
 The differentials are held as blocks, d^0 keyed (edge, tile) and d^1 keyed
-(vertex, edge), each block a +- restriction map.  d^1 . d^0 = 0 is checked
-block by block, once per (vertex, tile), and ranks come from one forward
-elimination pass on sparse rows read straight from the blocks, along the
-short side: d^0 has more rows than columns, so its pass runs over the rows
-of its transpose.  The dense `d0`/`d1` are views assembled on first read,
-for tests and tracing only.  The leaf/Y-removal game replays the
-combinatorial surjectivity proof with a rank certificate at every step; when
-it succeeds it is the certificate for rank d^1, and d^1 is eliminated
-globally only when it fails.
+(vertex, edge), each block a +- restriction map.  Each complex reads the
+nonzero entries of each differential once, as flat triplets (global row,
+global column, value) taken from all its blocks at once.  d^1 . d^0 = 0 is
+checked exactly on every cell by one sparse product of the two triplet
+lists, and ranks come from one forward elimination pass on sparse lines
+grouped from the triplets, along the short side: d^0 has more rows than
+columns, so its pass runs over the rows of its transpose.  The dense
+`d0`/`d1` are views assembled on first read, for tests and tracing only.
+The leaf/Y-removal game replays the combinatorial surjectivity proof with a
+rank certificate at every step; when it succeeds it is the certificate for
+rank d^1, and d^1 is eliminated globally only when it fails.
 
 Most of a complex depends only on the tiling and the stalk dimensions of F
 and G: the layout and constraint positions of every open, the identity
@@ -37,12 +39,12 @@ spaces, the restriction blocks between unconstrained opens, how the other
 blocks gather rows, and the game's moves.  The first complex on a tiling
 builds these as a frame (`_Frame`), which the tiling keeps for the next
 complexes with the same dimensions, with the local systems that the first
-two complexes both solved.  One rule says what a complex takes on trust: a
+two complexes both solved.  The game takes one thing on trust: a d^1
 block that is the very array of the frame's read-only snapshot.  Each such
-d^1 block is +- distinct identity rows, checked as the frame is built, so it
-has full row rank and certifies its game move alone, and d^1 . d^0 reads it
-as a row gather.  A d^1 . d^0 cell the frame found zero is skipped when the
-complex trusts every block it reads.  A block swapped in is checked again.
+block is +- distinct identity rows, checked as the frame is built, so it has
+full row rank and certifies its game move alone; a block swapped in is
+rank-checked again.  The d^1 . d^0 check trusts nothing and reads every
+block.
 """
 
 from __future__ import annotations
@@ -495,9 +497,15 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
 
 @dataclass
 class EyeSheaf:
-    """Microlocal rank r sheaf on the eye front (unique up to isomorphism)."""
+    """Microlocal rank r sheaf on the eye front (unique up to isomorphism),
+    over F_p for a modulus `xa.check_field` accepts, as a `SheafObject`'s."""
     rank: int
     p: int
+
+    def __post_init__(self):
+        if self.rank < 0:
+            raise ValueError(f"rank {self.rank} < 0")
+        self.p = xa.check_field(self.p)
 
 
 def local_data(T: TilingComplex, obj):
@@ -613,8 +621,8 @@ def _section_kernel(blocks, constraints, p):
     first, so the short rows become pivots before the long ones are reduced,
     and eliminated by one forward pass.  The RREF is unique, so the order
     changes no basis.  A local system has at most a few hundred rows; rank
-    d^0 (`_block_rank`) keeps its order, as sorting its lines costs far more
-    than it saves.
+    d^0 (`_block_rank`) takes its lines in ascending line order, as sorting
+    them by length costs far more than it saves.
     """
     starts = list(itertools.accumulate((fd * gd for fd, gd in blocks), initial=0))
     rows = []
@@ -762,10 +770,9 @@ class _Frame:
     each block in block order (`_restriction`), game the leaf/Y moves
     (`_game_moves`) and kernels solved systems by signature (`keep_kernels`).
     Its arrays are read-only.  blocks is the snapshot {key: block} of its own
-    blocks; a complex trusts a block only when it is that array (`trusts`).
-    selections holds (columns, sign) of each d^1 block there, checked to be
-    +- distinct identity rows.  zero_cells maps each cell of d^1 . d^0 that
-    is zero on frame blocks alone to the keys of its terms.
+    blocks; the game trusts a d^1 block only when it is that array
+    (`trusts`).  selections holds (columns, sign) of each d^1 block there,
+    checked to be +- distinct identity rows.
     """
 
     def __init__(self, T: TilingComplex, dF, dG, p):
@@ -820,22 +827,11 @@ class _Frame:
                 self.d1.append(((v, ek), *_restriction(
                     self.edge_entries[ek], (self.vertex_space[v], None),
                     {("S", "only"): ("S", side)}, sign, p), sign))
-        d0_fixed, d1_fixed = ({key: block for key, block, *_ in plan if block is not None}
-                              for plan in (self.d0, self.d1))
-        self.blocks = {**d0_fixed, **d1_fixed}
+        self.blocks = {key: block for plan in (self.d0, self.d1)
+                       for key, block, *_ in plan if block is not None}
         self.selections = {key: (_selection(block, sign, p), sign)
                            for key, block, _, sign in self.d1 if block is not None}
         self.game = _game_moves(T, self.edges, {v: s.dim for v, s in self.vertex_space.items()})
-
-        d0_keys = {key for key, *_ in self.d0}
-        terms = {}
-        for (v, ek), *_ in self.d1:
-            for t in ek:
-                if (ek, t) in d0_keys:
-                    terms.setdefault((v, t), []).append(((v, ek), (ek, t)))
-        self.zero_cells = {
-            cell: terms[cell] for cell, b in _d1d0_cells(d1_fixed, d0_fixed, self, p, ()).items()
-            if not b.any() and self.blocks.keys() >= set(itertools.chain(*terms[cell]))}
 
         # solved local systems by signature: the first complex's, then those
         # of them the second complex solved too; later complexes only read them
@@ -880,14 +876,19 @@ class CechComplex:
     `_Frame` in `T.frames`, which the first complex with these builds.  A
     complex builds only what the maps of F and G change: the section spaces
     of the constrained opens (each distinct system not in the frame's store
-    eliminated once), the blocks that read their bases, the d^1 . d^0 = 0
-    cells that read such blocks, the rank checks of game moves that hold no
-    frame block, and the ranks.  It trusts a frame block only while it holds
-    the frame's very array (`_Frame.trusts`).
+    eliminated once), the blocks that read their bases, the triplets of
+    both differentials with the d^1 . d^0 = 0 check on every cell, the rank
+    checks of game moves that hold no frame block, and the ranks.  Its game
+    trusts a frame d^1 block only while it holds the frame's very array
+    (`_Frame.trusts`).  rank d^0 reads the d^0 triplets built here; the
+    fallback rank d^1 reads the d^1 blocks as they are when it runs.
     """
 
     def __init__(self, T: TilingComplex, F, G):
         self.T = T
+        kind = EyeSheaf if T.kind == "eye" else SheafObject
+        if not (isinstance(F, kind) and isinstance(G, kind)):
+            raise ValueError(f"a {T.kind} tiling needs {kind.__name__} objects")
         p = F.p
         if G.p != p:
             raise ValueError("objects over different fields")
@@ -915,12 +916,11 @@ class CechComplex:
         self._edge_off = _offsets(self.edges, self.edge_space)
         self._vert_off = frame.vert_off
         frame.keep_kernels(solved)
-        self.d0_blocks = d0 = _assemble(frame.d0, self.edge_space, self.tile_space, p)
-        self.d1_blocks = d1 = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
-        # d1 . d0 = 0, but for the frame's zero cells whose blocks it trusts
-        done = {cell for cell, terms in frame.zero_cells.items()
-                if all(frame.trusts(d1, k1) and frame.trusts(d0, k0) for k1, k0 in terms)}
-        if any(b.any() for b in _d1d0_cells(d1, d0, frame, p, done).values()):
+        self.d0_blocks = _assemble(frame.d0, self.edge_space, self.tile_space, p)
+        self.d1_blocks = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
+        self._d0_nz = _triplets(self.d0_blocks, self._edge_off, self._tile_off)
+        d1_nz = _triplets(self.d1_blocks, self._vert_off, self._edge_off)
+        if _sparse_product(d1_nz, self._d0_nz, self.c0_dim, p)[2].size:
             raise AssertionError("d1 . d0 != 0")
 
     def _space(self, entry, solved) -> OpenSpace:
@@ -953,8 +953,7 @@ class CechComplex:
 
     def cohomology_dims(self):
         """(dim H^0, dim H^1, dim H^2) of the Cech complex of Hom(F, G)."""
-        rank_d0 = _block_rank(self.d0_blocks, self._edge_off, self._tile_off,
-                              (self.c1_dim, self.c0_dim), self.p)
+        rank_d0 = _block_rank(self._d0_nz, (self.c1_dim, self.c0_dim), self.p)
         rank_d1 = self.rank_d1()
         h0 = self.c0_dim - rank_d0
         h1 = (self.c1_dim - rank_d1) - rank_d0
@@ -982,7 +981,7 @@ class CechComplex:
     def eliminated_rank_d1(self) -> int:
         """rank d^1 from one forward pass on the sparse rows of its blocks,
         independent of the game."""
-        return _block_rank(self.d1_blocks, self._vert_off, self._edge_off,
+        return _block_rank(_triplets(self.d1_blocks, self._vert_off, self._edge_off),
                            (self.c2_dim, self.c1_dim), self.p)
 
     def h2_certificate(self):
@@ -1007,40 +1006,63 @@ def _offsets(keys, spaces):
     return out
 
 
-def _block_rank(blocks, row_off, col_off, shape, p) -> int:
-    """Rank of the block matrix {(row key, col key): block} of the given
-    shape, by one `xa.rank_rows` forward pass along its short side: on its
-    {col: residue} rows, or on the rows of its transpose, one per column,
-    when it has more rows than columns (d^0).  The rows are read straight
-    from the blocks."""
-    tall = shape[0] > shape[1]
-    lines = {}
-    for (rk, ck), b in blocks.items():
-        i, j = np.nonzero(b)
-        r, c = (i + row_off[rk]).tolist(), (j + col_off[ck]).tolist()
-        for a, k, v in zip(*((c, r) if tall else (r, c)), b[i, j].tolist()):
-            lines.setdefault(a, {})[k] = v
-    return xa.rank_rows((lines[a] for a in sorted(lines)), p)
+def _triplets(blocks, row_off, col_off):
+    """The nonzero entries of the block matrix {(row key, col key): block}
+    as (rows, cols, values), in global coordinates, in block order and
+    row-major within a block.  The blocks are concatenated flat and read by
+    one `flatnonzero`; each flat position finds its block among the blocks'
+    start offsets, so the numpy calls do not grow with the number of
+    blocks.  The entries are residues below 2^15 (`xa.MAX_PRIME`), so the
+    flat copy is int16, a quarter of the blocks' bytes."""
+    if not blocks:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    flat = np.concatenate(list(blocks.values()), axis=None, dtype=np.int16, casting="unsafe")
+    starts = np.array([0, *itertools.accumulate(b.size for b in blocks.values())][:-1])
+    width = np.array([b.shape[1] for b in blocks.values()])
+    row0 = np.array([row_off[rk] for rk, _ in blocks])
+    col0 = np.array([col_off[ck] for _, ck in blocks])
+    at = np.flatnonzero(flat)
+    k = np.searchsorted(starts, at, side="right") - 1  # an empty block shares its start
+    i, j = np.divmod(at - starts[k], width[k])
+    return row0[k] + i, col0[k] + j, flat[at].astype(np.int64)
 
 
-def _d1d0_cells(d1_blocks, d0_blocks, frame, p, skip):
-    """The blocks (v, t) of d^1 . d^0 but those in skip: each is the sum over
-    the edges e at v that contain t of d1[v, e] @ d0[e, t], a signed row
-    gather of d0[e, t] where the frame trusts d1[v, e] (a signed
-    selection)."""
-    product = {}
-    for (v, ek), b1 in d1_blocks.items():
-        sel = frame.selections[v, ek] if frame.trusts(d1_blocks, (v, ek)) else None
-        for t in ek:
-            b0 = d0_blocks.get((ek, t))
-            if b0 is None or (v, t) in skip:
-                continue
-            if sel is None:
-                term = b1 @ b0 % p
-            else:
-                term = b0[sel[0]] if sel[1] > 0 else -b0[sel[0]] % p
-            product[v, t] = (product[v, t] + term) % p if (v, t) in product else term
-    return product
+def _sparse_product(a, b, width, p):
+    """The nonzero entries (rows, cols, values) of a . b mod p, for triplet
+    lists a and b, b of `width` columns, in one pass of numpy calls: each
+    entry (i, k) of a meets the entries of b in row k, each product is
+    reduced mod p, and the products are summed per cell (i, j), grouped by
+    one sort of the keys cell * p + product."""
+    ar, ak, av = a
+    br, bc, bv = b
+    by_row = np.argsort(br, kind="stable")
+    sorted_rows = br[by_row]
+    lo = np.searchsorted(sorted_rows, ak)
+    n = np.searchsorted(sorted_rows, ak, side="right") - lo
+    ib = by_row[np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)]
+    key = (np.repeat(ar, n) * width + bc[ib]) * p + np.repeat(av, n) * bv[ib] % p
+    key.sort(kind="stable")  # by cell; the cells come in sorted runs
+    cell, terms = np.divmod(key, p)
+    heads = np.flatnonzero(np.diff(cell, prepend=-1))
+    sums = np.add.reduceat(terms, heads) % p
+    rows, cols = np.divmod(cell[heads][sums != 0], width)
+    return rows, cols, sums[sums != 0]
+
+
+def _block_rank(nz, shape, p) -> int:
+    """Rank of the matrix of the given shape with nonzero entries nz, triplets
+    (rows, cols, residues), by one `xa.rank_rows` forward pass along its
+    short side: on its {col: residue} rows, or on the rows of its transpose,
+    one per column, when it has more rows than columns (d^0).  A stable
+    argsort by line index groups the entries, and the lines go in ascending
+    order, each a dict in the triplets' order."""
+    rows, cols, vals = nz
+    line, at = (cols, rows) if shape[0] > shape[1] else (rows, cols)
+    order = np.argsort(line, kind="stable")
+    line = line[order]
+    cuts = [0, *(np.flatnonzero(np.diff(line)) + 1).tolist(), len(line)]
+    at, vals = at[order].tolist(), vals[order].tolist()
+    return xa.rank_rows((dict(zip(at[s:e], vals[s:e])) for s, e in zip(cuts, cuts[1:])), p)
 
 
 def _dense(blocks, row_off, col_off, shape) -> np.ndarray:

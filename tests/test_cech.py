@@ -13,9 +13,9 @@ from legtorus import cech
 from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
 from legtorus.cech import (CechComplex, EyeSheaf, OpenSpace, SLANTED,
-                           _block_rank, _check_functor, build_tiling,
-                           eye_tiling, graph_game, local_data, neighbor,
-                           vertex_edges, vertex_tiles)
+                           _block_rank, _check_functor, _sparse_product,
+                           _triplets, build_tiling, eye_tiling, graph_game,
+                           local_data, neighbor, vertex_edges, vertex_tiles)
 from legtorus.sheafcat import ext0_dim, ext1_dim, functor_obj
 
 from gauss_jordan import gauss_jordan_rref
@@ -200,8 +200,7 @@ def test_d1_after_d0_is_zero(complexes):
 def test_corrupted_d0_is_rejected(monkeypatch):
     """One changed entry of one d0 block fails the d1 . d0 check, whether the
     frame supplies the block or the pair's bases give it, and whether the d1
-    block beside it is a signed selection (a row gather in the check) or not
-    (a product)."""
+    block beside it is a frame selection or not."""
     rng = random.Random(28)
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
@@ -251,9 +250,8 @@ def test_corrupted_d0_is_rejected(monkeypatch):
 def test_corrupted_d1_is_rejected(monkeypatch):
     """One changed entry of a copy of one d1 block, handed out by
     `_assemble`, fails the d1 . d0 check, on a fresh tiling and on one whose
-    frame is built: a copy of a frame selection block is not trusted, so
-    the check multiplies it instead of gathering the frame's rows, and a
-    block built for the pair is multiplied anyway."""
+    frame is built, whether the block is a frame selection or built for the
+    pair."""
     rng = random.Random(28)
     T = build_tiling(2)
     F, G = rand_pair(2, 2, 3, rng)
@@ -342,6 +340,30 @@ def test_refinement_invariance():
     dims = [CechComplex(build_tiling(2, resolution=r), F, F).cohomology_dims() for r in (1, 2)]
     assert dims[0] == dims[1]
     assert dims[0][0] >= 1  # the identity is a global section
+
+
+def test_objects_of_the_wrong_kind_are_refused():
+    """A torus tiling takes sheaves on the torus front and the eye tiling
+    takes `EyeSheaf`s, refused like objects over another field or front; an
+    `EyeSheaf` takes the moduli a `SheafObject` takes, and no negative rank."""
+    for rank, p in ((1, 4), (1, 65537), (-1, 3)):
+        with pytest.raises(ValueError, match="not prime|out of supported range|rank -1 < 0"):
+            EyeSheaf(rank, p)
+    assert CechComplex(eye_tiling(1), EyeSheaf(0, 3), EyeSheaf(1, 3)).cohomology_dims() == (0, 0, 0)
+    rng = random.Random(39)
+    F, G = rand_pair(2, 1, 3, rng)
+    with pytest.raises(ValueError, match="eye tiling needs EyeSheaf objects"):
+        CechComplex(eye_tiling(1), F, G)
+    with pytest.raises(ValueError, match="eye tiling needs EyeSheaf objects"):
+        CechComplex(eye_tiling(1), EyeSheaf(1, 3), G)
+    with pytest.raises(ValueError, match="torus tiling needs SheafObject objects"):
+        CechComplex(build_tiling(2), EyeSheaf(1, 3), EyeSheaf(2, 3))
+    with pytest.raises(ValueError, match="torus tiling needs SheafObject objects"):
+        CechComplex(build_tiling(2), F, EyeSheaf(1, 3))
+    with pytest.raises(ValueError, match="different fields"):
+        CechComplex(eye_tiling(1), EyeSheaf(1, 3), EyeSheaf(1, 5))
+    with pytest.raises(ValueError, match="different front"):
+        CechComplex(build_tiling(3), F, G)
 
 
 def test_eye_unknot_fixture():
@@ -529,25 +551,154 @@ def test_rank_d1_matches_dense_rank(complexes, seeded_complexes):
         assert ok and cert["certified_by"] == "game" and cx.game["success"]
 
 
-def test_block_ranks_match_dense_rref(complexes, seeded_complexes):
-    """The forward pass on rows read from the blocks, whose entries are
+@pytest.fixture(scope="module")
+def triplet_complexes():
+    """(complex, F, G) with m 1-4, n 1-2, resolution 1-2, every prime, and
+    the eye tiling; each complex is the second on its tiling, so it reads
+    the blocks its frame holds."""
+    rng = random.Random(37)
+    cases = []
+    for m in (1, 2, 3, 4):
+        for rho in (1, 2):
+            for p in (2, 3, 5, 32749):
+                T = build_tiling(m, rho)
+                n = rng.choice([1, 2])
+                CechComplex(T, *rand_pair(m, n, p, rng))
+                cases.append((T, *rand_pair(m, n, p, rng)))
+    for rho in (1, 2):
+        for r, s, p in ((1, 2, 2), (2, 2, 32749)):
+            T = eye_tiling(rho)
+            CechComplex(T, EyeSheaf(r, p), EyeSheaf(s, p))
+            cases.append((T, EyeSheaf(r, p), EyeSheaf(s, p)))
+    return [(CechComplex(*case), *case[1:]) for case in cases]
+
+
+def nonzero_cells(a):
+    """The nonzero entries of a dense matrix as a set of (row, col, value)."""
+    i, j = np.nonzero(a)
+    return set(zip(i.tolist(), j.tolist(), a[i, j].tolist()))
+
+
+def triplet_cells(nz):
+    rows, cols, vals = nz
+    assert all(a.dtype == np.int64 for a in nz) and vals.all()
+    cells = set(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+    assert len(cells) == len(rows)
+    return cells
+
+
+def test_triplets_are_the_nonzeros_of_the_dense_views(triplet_complexes):
+    for cx, _, _ in triplet_complexes:
+        d0 = _triplets(cx.d0_blocks, cx._edge_off, cx._tile_off)
+        d1 = _triplets(cx.d1_blocks, cx._vert_off, cx._edge_off)
+        assert triplet_cells(d0) == triplet_cells(cx._d0_nz) == nonzero_cells(cx.d0)
+        assert triplet_cells(d1) == nonzero_cells(cx.d1) and d1[0].size
+    assert triplet_cells(_triplets({}, {}, {})) == set()
+
+
+def test_sparse_product_matches_the_dense_product(triplet_complexes):
+    """Zero on every complex, and the cells of the dense (d1 @ d0) % p after
+    d0 is corrupted in a few rows d1 reads, and on random sparse matrices
+    whose products cancel in some cells."""
+    rng = np.random.default_rng(38)
+    for cx, _, _ in triplet_complexes:
+        d1 = _triplets(cx.d1_blocks, cx._vert_off, cx._edge_off)
+        assert not _sparse_product(d1, cx._d0_nz, cx.c0_dim, cx.p)[2].size
+        read = np.flatnonzero(cx.d1.any(axis=0))
+        bad = cx.d0.copy()
+        rows = rng.choice(read, size=min(3, len(read)), replace=False)
+        cols = rng.integers(cx.c0_dim, size=(len(rows), 2))
+        bad[rows[:, None], cols] = (bad[rows[:, None], cols] + 1) % cx.p
+        want = nonzero_cells(cx.d1 @ bad % cx.p)
+        assert want and triplet_cells(
+            _sparse_product(d1, _triplets({(0, 0): bad}, {0: 0}, {0: 0}), cx.c0_dim, cx.p)) == want
+    cancelled = 0
+    for p in (2, 3, 5, 32749):
+        for k, l, n in ((1, 1, 1), (4, 3, 5), (9, 12, 7), (0, 3, 2), (3, 0, 2)):
+            a = rng.integers(p, size=(k, l)) * (rng.random((k, l)) < 0.4)
+            b = rng.integers(p, size=(l, n)) * (rng.random((l, n)) < 0.4)
+            nz = [_triplets({(0, 0): m}, {0: 0}, {0: 0}) for m in (a, b)]
+            assert triplet_cells(_sparse_product(*nz, n, p)) == nonzero_cells(a @ b % p)
+            cancelled += int(((a @ b % p == 0) & (a @ b > 0)).sum())
+    assert cancelled
+
+
+def test_block_ranks_match_dense_rref(complexes, seeded_complexes, triplet_complexes):
+    """The forward pass on lines read from the triplets, whose entries are
     residues, against the pivots of the dense views under the reference
     Gauss-Jordan loop of tests/gauss_jordan.py: `xa.rref` runs the forward
     pass itself, so it cannot be the oracle."""
-    for cx in [*complexes, *seeded_complexes]:
+    for cx in [*complexes, *seeded_complexes, *(cx for cx, _, _ in triplet_complexes)]:
         for b in [*cx.d0_blocks.values(), *cx.d1_blocks.values()]:
             assert b.dtype == np.int64 and (b.size == 0 or 0 <= b.min() <= b.max() < cx.p)
         d0_shape, d1_shape = (cx.c1_dim, cx.c0_dim), (cx.c2_dim, cx.c1_dim)
-        rank_d0 = _block_rank(cx.d0_blocks, cx._edge_off, cx._tile_off, d0_shape, cx.p)
+        rank_d0 = _block_rank(cx._d0_nz, d0_shape, cx.p)
         assert rank_d0 == len(gauss_jordan_rref(cx.d0, cx.p)[1])
         # the long side, one row per C^1 coordinate, as the reference eliminates
         assert rank_d0 == cech_reference._block_rank(cx.d0_blocks, cx._edge_off, cx._tile_off, cx.p)
         assert cx.cohomology_dims()[0] == cx.c0_dim - rank_d0
-        rank_d1 = _block_rank(cx.d1_blocks, cx._vert_off, cx._edge_off, d1_shape, cx.p)
+        d1_nz = _triplets(cx.d1_blocks, cx._vert_off, cx._edge_off)
+        rank_d1 = _block_rank(d1_nz, d1_shape, cx.p)
         assert rank_d1 == cx.eliminated_rank_d1() == len(gauss_jordan_rref(cx.d1, cx.p)[1])
         # the transposed pass, which d^1's rows already are the short side of
         transposed = {(ck, rk): b.T for (rk, ck), b in cx.d1_blocks.items()}
-        assert rank_d1 == _block_rank(transposed, cx._edge_off, cx._vert_off, d1_shape[::-1], cx.p)
+        nz = _triplets(transposed, cx._edge_off, cx._vert_off)
+        assert rank_d1 == _block_rank(nz, d1_shape[::-1], cx.p)
+
+
+def settled_d0_keys(frame):
+    """The frame d^0 blocks whose every d^1 . d^0 cell pairs frame blocks
+    alone, each with a row that a frame d^1 selection in one of them reads:
+    the check once skipped these cells on every later complex."""
+    terms = {}
+    for (v, ek), *_ in frame.d1:
+        for t in ek:
+            terms.setdefault((v, t), []).append(((v, ek), (ek, t)))
+    settled = {cell: ts for cell, ts in terms.items()
+               if {k for term in ts for k in term} <= frame.blocks.keys()}
+    cells_of = {}
+    for cell, ts in terms.items():
+        for _, k0 in ts:
+            cells_of.setdefault(k0, set()).add(cell)
+    return {k0: frame.selections[k1][0][0] for ts in settled.values() for k1, k0 in ts
+            if cells_of[k0] <= settled.keys() and frame.blocks[k0].shape[1]}
+
+
+def test_corrupted_copies_fail_the_product_check(monkeypatch, triplet_complexes):
+    """One entry changed in a copy of a frame d^0 block whose cells once were
+    skipped, of a d^0 block gathered for the pair, or of a frame d^1
+    selection, handed out by `_assemble`, fails the d^1 . d^0 check on every
+    complex that has such a block."""
+    assemble = cech._assemble
+    seen = {"settled d0": 0, "pair d0": 0, "frame d1": 0}
+    for cx, F, G in triplet_complexes:
+        frame = cx._frame
+        targets = {}
+        for k0, i in settled_d0_keys(frame).items():
+            targets.setdefault("settled d0", (k0, i, 0))
+        for (v, ek), b1 in cx.d1_blocks.items():
+            for t in ek:
+                b0 = cx.d0_blocks.get((ek, t))
+                for c in range(b1.shape[1]) if b0 is not None else ():
+                    if (ek, t) not in frame.blocks and b1[:, c].any() and b0.shape[1]:
+                        targets.setdefault("pair d0", ((ek, t), c, 0))
+                    if (v, ek) in frame.selections and b0[c].any():
+                        targets.setdefault("frame d1", ((v, ek), 0, c))
+        for kind, (key, i, j) in targets.items():
+            def corrupted(plan, *args, key=key, i=i, j=j):
+                blocks = assemble(plan, *args)
+                if key in blocks:
+                    bad = blocks[key].copy()
+                    bad[i, j] = (bad[i, j] + 1) % cx.p
+                    blocks[key] = bad
+                return blocks
+
+            monkeypatch.setattr(cech, "_assemble", corrupted)
+            with pytest.raises(AssertionError, match="d1 . d0 != 0"):
+                CechComplex(cx.T, F, G)
+            monkeypatch.undo()
+            seen[kind] += 1
+    assert seen == dict.fromkeys(seen, len(triplet_complexes))
 
 
 def test_scale_pair_is_certified_without_dense_differentials():

@@ -1,6 +1,7 @@
 """Cech assembly through the frame against the per-pair assembly of
 cech_reference.py, and the frame's sharing between complexes on one tiling."""
 
+import itertools
 import random
 
 import numpy as np
@@ -254,31 +255,31 @@ def test_tampered_moves_play_as_the_reference():
 
 
 def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
-    """Later complexes skip the d^1 . d^0 cells whose terms all pair frame
-    blocks, each of which the frame keeps with the keys of its terms only,
-    but a corrupted copy of a d^0 block that only such cells read, handed
-    out by `_assemble`, is not trusted and fails the check."""
+    """Every d^1 . d^0 cell is checked on every complex, also a cell whose
+    terms all pair frame blocks, which the check once skipped on later
+    complexes: a corrupted copy of a frame d^0 block that only such cells
+    read, handed out by `_assemble`, fails the check."""
     rng = random.Random(1710)
     T = build_tiling(3)
     F, G = rand_obj(3, 2, 3, rng), rand_obj(3, 2, 3, rng)
     frame = CechComplex(T, F, G)._frame
-    skipped = []
-    cells = cech._d1d0_cells
-    monkeypatch.setattr(cech, "_d1d0_cells", lambda *a: skipped.append(a[-1]) or cells(*a))
-    CechComplex(T, F, G)
-    assert skipped == [set(frame.zero_cells)] and skipped[0]
-    monkeypatch.undo()
-    terms = [term for terms in frame.zero_cells.values() for term in terms]
-    assert all(len(term) == 2 and set(term) <= set(frame.blocks) for term in terms)
+    d0_keys = {key for key, *_ in frame.d0}
+    terms = {}
+    for (v, ek), *_ in frame.d1:
+        for t in ek:
+            if (ek, t) in d0_keys:
+                terms.setdefault((v, t), []).append(((v, ek), (ek, t)))
+    settled = {cell: ts for cell, ts in terms.items()
+               if set(frame.blocks) >= set(itertools.chain(*ts))}
 
     cells_of = {}
     for (v, ek), *_ in frame.d1:
         for t in ek:
             cells_of.setdefault((ek, t), set()).add((v, t))
     targets = {}  # d0 key -> a row that a selection in one of its cells reads
-    for terms in frame.zero_cells.values():
-        for k1, k0 in terms:
-            if cells_of[k0] <= set(frame.zero_cells) and frame.blocks[k0].shape[1]:
+    for ts in settled.values():
+        for k1, k0 in ts:
+            if cells_of[k0] <= settled.keys() and frame.blocks[k0].shape[1]:
                 targets.setdefault(k0, frame.selections[k1][0][0])
     assert targets
     assemble = cech._assemble
