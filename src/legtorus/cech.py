@@ -7,7 +7,9 @@ horizontal edge.  The front of the (2,m) torus link (or of the eye-shaped
 unknot) is routed combinatorially through lanes so that every tile contains
 at most one crossing or cusp, horizontal edges never meet the front, and
 non-crossing tiles meet it at most twice, on consecutive edges exactly at
-cusps.
+cusps.  Building a tiling visits each edge once: each tile's crossed edges
+come from the cuts, tiles crossed alike share their faces, and the flood fill
+that names the regions joins faces across each edge from its lower tile.
 
 Sections of Hom(F, G) over a tile/edge/vertex neighborhood are computed as
 the solution space of the commutation constraints of the local stratum
@@ -39,7 +41,10 @@ spaces, the restriction blocks between unconstrained opens, how the other
 blocks gather rows, and the game's moves.  The first complex on a tiling
 builds these as a frame (`_Frame`), which the tiling keeps for the next
 complexes with the same dimensions, with the local systems that the first
-two complexes both solved.  The game takes one thing on trust: a d^1
+two complexes both solved.  The frame is built from its distinct pieces:
+opens with the same local system share one layout, and restrictions with the
+same two opens, keymap and sign one read-only block or gather, so each is
+built, and each distinct d^1 block checked, once per frame.  The game takes one thing on trust: a d^1
 block that is the very array of the frame's read-only snapshot.  Each such
 block is +- distinct identity rows, checked as the frame is built, so it has
 full row rank and certifies its game move alone; a block swapped in is
@@ -87,6 +92,18 @@ def edge_key(tile, d):
     return tuple(sorted([tile, neighbor(tile, d)]))
 
 
+def _edge_dir(ek):
+    """The direction of the edge (ta, tb), ta < tb, seen from ta: N, NE or SE."""
+    (c, r), (c2, r2) = ek
+    if c2 == c:
+        return "N"
+    return "NE" if r2 == (r if c % 2 == 0 else r + 1) else "SE"
+
+
+# the crossed edges of a cusp tile, in SLANTED order
+_CUSP_SIDES = (("NE", "SE"), ("SW", "NW"))
+
+
 def edge_endpoints(tile, d):
     """(upper-or-right vertex, lower-or-left vertex) of an edge of `tile`."""
     c, r = tile
@@ -114,16 +131,16 @@ def vertex_tiles(v):
 
 
 def vertex_edges(v):
-    """The 3 edges at a vertex as (edge_key, horizontal flag)."""
+    """The 3 edges at a vertex as (edge_key, horizontal flag).  A slanted
+    neighbor is one column east or west, and SE/SW lies below NE/NW, which
+    orders each key."""
     kind, c, r = v
     t = (c, r)
     if kind == "E":
         ne, se = neighbor(t, "NE"), neighbor(t, "SE")
-        return [(edge_key(t, "NE"), False), (edge_key(t, "SE"), False),
-                (tuple(sorted([ne, se])), True)]
+        return [((t, ne), False), ((t, se), False), ((se, ne), True)]
     nw, sw = neighbor(t, "NW"), neighbor(t, "SW")
-    return [(edge_key(t, "NW"), False), (edge_key(t, "SW"), False),
-            (tuple(sorted([nw, sw])), True)]
+    return [((nw, t), False), ((sw, t), False), ((sw, nw), True)]
 
 
 # boundary slot cycle (clockwise); hi/lo are the halves of a slanted edge
@@ -354,23 +371,17 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
             raise AssertionError(f"dangling strand end in {tile}")
         T.content[tile] = ("strand", name, T.arcs[name].potential, entry, exit_)
 
-    # audit: horizontal edges never crossed; intersection counts per tile
-    for (ta, tb), arc in T.cuts.items():
+    # audit: horizontal edges never crossed; intersection counts per tile.
+    # cut_at: tile -> the directions of its edges the front crosses, within the box
+    cut_at: dict = {}
+    for ek in T.cuts:
+        ta, tb = ek
         if ta[0] == tb[0]:
             raise AssertionError("front crosses a horizontal edge")
-    for tile in T.tiles:
-        crossed = [d for d in SLANTED
-                   if T.in_box(neighbor(tile, d)) and T.cuts.get(edge_key(tile, d))]
-        kind = T.content.get(tile, ("empty",))[0]
-        if kind == "crossing":
-            assert len(crossed) == 4, tile
-        elif kind == "cusp":
-            assert len(crossed) == 2, tile
-            assert set(crossed) in ({"NE", "SE"}, {"NW", "SW"}), tile
-        elif kind == "strand":
-            assert len(crossed) == 2 and set(crossed) not in ({"NE", "SE"}, {"NW", "SW"}), tile
-        else:
-            assert len(crossed) == 0, (tile, crossed)
+        if T.in_box(ta) and T.in_box(tb):
+            d = _edge_dir(ek)
+            cut_at.setdefault(ta, set()).add(d)
+            cut_at.setdefault(tb, set()).add(OPP[d])
 
     # faces and region flood fill
     parent: dict = {}
@@ -386,26 +397,40 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
         if rx != ry:
             parent[rx] = ry
 
+    # tiles crossed on the same edges share their faces and channel map
+    faces_of: dict = {}
     for tile in T.tiles:
-        crossed = {d for d in SLANTED if T.cuts.get(edge_key(tile, d)) and T.in_box(neighbor(tile, d))}
-        faces = tile_faces(crossed)
+        cut = cut_at.get(tile, ())
+        crossed = tuple(d for d in SLANTED if d in cut)
+        kind = T.content.get(tile, ("empty",))[0]
+        if kind == "crossing":
+            fits = len(crossed) == 4
+        elif kind == "cusp":
+            fits = crossed in _CUSP_SIDES
+        elif kind == "strand":
+            fits = len(crossed) == 2 and crossed not in _CUSP_SIDES
+        else:
+            fits = not crossed
+        if not fits:
+            raise AssertionError(f"{kind} tile {tile} meets the front on {crossed}")
+        if crossed not in faces_of:
+            faces = tile_faces(crossed)
+            faces_of[crossed] = faces, {ch: fi for fi, face in enumerate(faces) for ch in face}
+        faces, channels = faces_of[crossed]
         T.tile_face_lists[tile] = faces
-        for fi, face in enumerate(faces):
+        for fi in range(len(faces)):
             parent[(tile, fi)] = (tile, fi)
-            for ch in face:
-                T.channel_face[(tile, ch)] = fi
-    for tile in T.tiles:
-        for d in SLANTED + ("N", "S"):
-            nb = neighbor(tile, d)
-            if not T.in_box(nb):
-                continue
-            ek = edge_key(tile, d)
-            parts = ("hi", "lo") if T.cuts.get(ek) else ("full",)
-            for part in parts:
-                a = T.channel_face.get((tile, (d, part)))
-                b = T.channel_face.get((nb, (OPP[d], part)))
-                if a is not None and b is not None:
-                    union((tile, a), (nb, b))
+        for ch, fi in channels.items():
+            T.channel_face[(tile, ch)] = fi
+    # (tile, d, neighbor) for each edge in the box, once, from its lower tile
+    inner = [(tile, d, nb) for tile in T.tiles for d in ("N", "NE", "SE")
+             if T.in_box(nb := neighbor(tile, d))]
+    for tile, d, nb in inner:
+        for part in ("hi", "lo") if d in cut_at.get(tile, ()) else ("full",):
+            a = T.channel_face.get((tile, (d, part)))
+            b = T.channel_face.get((nb, (OPP[d], part)))
+            if a is not None and b is not None:
+                union((tile, a), (nb, b))
 
     # canonical region names via anchors
     def face_of(tile, channel):
@@ -420,11 +445,12 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
             f = face_of((xc, 1), ("NE", "lo"))
             if i < T.m:
                 names[f] = f"D{i}"
-            else:
-                assert names.get(f) == "U1", "east face of the last crossing is U1"
-        assert names[face_of((crossing_cols[0], 1), ("SW", "hi"))] == "U1"
-        assert names[face_of((crossing_cols[0], 1), ("N", "full"))] == "U2"
-        assert names[face_of((crossing_cols[0], 1), ("S", "full"))] == "U0"
+            elif names.get(f) != "U1":
+                raise AssertionError("the east face of the last crossing is not U1")
+        x1 = (crossing_cols[0], 1)
+        for channel, want in ((("SW", "hi"), "U1"), (("N", "full"), "U2"), (("S", "full"), "U0")):
+            if names.get(face_of(x1, channel)) != want:
+                raise AssertionError(f"the {channel} face of the first crossing is not {want}")
     else:
         names[face_of(*region_anchor_u2)] = "I"
     for tile in T.tiles:
@@ -435,12 +461,13 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
             T.face_region[(tile, fi)] = names[root]
     T.regions = tuple(sorted(set(names.values())))
 
+    def region_at(tile, channel):
+        return T.face_region[(tile, T.channel_face[(tile, channel)])]
+
     # arc sides (above/below regions) from the crossed edges
     for ek, arcname in T.cuts.items():
-        ta, tb = ek
-        d = next(dd for dd in SLANTED if neighbor(ta, dd) == tb)
-        above = T.face_region[face_of(ta, (d, "hi"))]
-        below = T.face_region[face_of(ta, (d, "lo"))]
+        ta, d = ek[0], _edge_dir(ek)
+        above, below = region_at(ta, (d, "hi")), region_at(ta, (d, "lo"))
         prev = T.arc_sides.get(arcname)
         if prev is not None and prev != (above, below):
             raise AssertionError(f"arc {arcname} has inconsistent sides")
@@ -450,42 +477,25 @@ def _finalize(T: TilingComplex, region_anchor_u1, region_anchor_u2, crossing_col
                            "upper_vertex": None, "lower_vertex": None}
 
     # edge info for all in-box edges + vertex list
-    for tile in T.tiles:
-        for d in ("N", "NE", "SE"):
-            nb = neighbor(tile, d)
-            if not T.in_box(nb):
-                continue
-            ek = edge_key(tile, d)
-            if ek not in T.edge_info:
-                fi = face_of(tile, (d, "full"))
-                T.edge_info[ek] = {"arc": None, "region": T.face_region[fi],
-                                   "horizontal": d == "N"}
-            else:
-                up, lo = edge_endpoints(tile, d)
-                T.edge_info[ek]["upper_vertex"] = up
-                T.edge_info[ek]["lower_vertex"] = lo
-            T.edge_info[ek]["horizontal"] = (d == "N")
+    for tile, d, nb in inner:
+        info = T.edge_info.get((tile, nb))
+        if info is None:
+            T.edge_info[(tile, nb)] = {"arc": None, "region": region_at(tile, (d, "full")),
+                                       "horizontal": d == "N"}
+        else:
+            info["upper_vertex"], info["lower_vertex"] = edge_endpoints(tile, d)
+            info["horizontal"] = d == "N"
 
-    def interior(v):
-        return all(T.in_box(t) for t in vertex_tiles(v))
-
-    seen = set()
+    # each tile names its E and W corners, so every vertex comes up once
     for tile in T.tiles:
         c, r = tile
-        for v in (("E", c, r), ("W", c, r)):
-            if v in seen or not interior(v):
-                continue
-            seen.add(v)
-            T.vertices.append(v)
-            # region at the corner
-            if v[0] == "E":
-                d = "NE"
-                part = "lo" if T.cuts.get(edge_key(tile, d)) else "full"
-            else:
-                d = "NW"
-                part = "lo" if T.cuts.get(edge_key(tile, d)) else "full"
-            fi = face_of(tile, (d, part))
-            T.vertex_region[v] = T.face_region[fi]
+        for kind, d in (("E", "NE"), ("W", "NW")):
+            v = (kind, c, r)
+            if all(T.in_box(t) for t in vertex_tiles(v)):
+                T.vertices.append(v)
+                # region at the corner
+                part = "lo" if d in cut_at.get(tile, ()) else "full"
+                T.vertex_region[v] = region_at(tile, (d, part))
 
     T.tile_arcs = {tile: sorted({r[0] for r in recs})
                    for tile, recs in transit_count.items()}
@@ -681,7 +691,8 @@ def _tile_system(T, dF, dG, tile):
             hi = T.channel_face[(tile, (d, "hi"))]
             lo = T.channel_face[(tile, (d, "lo"))]
             above, below = T.arc_sides[arcname]
-            assert T.face_region[(tile, hi)] == above and T.face_region[(tile, lo)] == below
+            if T.face_region[(tile, hi)] != above or T.face_region[(tile, lo)] != below:
+                raise AssertionError(f"arc {arcname} has other sides in tile {tile}")
             for face, reg in ((hi, above), (lo, below)):
                 pair = (arcname, face)
                 if pair in seen_pairs:
@@ -694,19 +705,19 @@ def _tile_system(T, dF, dG, tile):
             pairs.append((vkey, ("A", arcname), ("A", arcname)))
         for fi in range(len(T.tile_face_lists[tile])):
             pairs.append((vkey, ("F", fi), ("R", T.face_region[(tile, fi)])))
-    return items, pairs
+    return tuple(items), tuple(pairs)
 
 
 def _edge_system(T, dF, dG, ek):
     info = T.edge_info[ek]
     if info["arc"] is None:
         reg = ("R", info["region"])
-        return [(("S", "only"), dF[reg], dG[reg])], []
+        return ((("S", "only"), dF[reg], dG[reg]),), ()
     akey = ("A", info["arc"])
     above, below = ("R", info["above"]), ("R", info["below"])
-    items = [(akey, dF[akey], dG[akey]), (("S", "above"), dF[above], dG[above]),
-             (("S", "below"), dF[below], dG[below])]
-    return items, [(akey, ("S", "above"), above), (akey, ("S", "below"), below)]
+    items = ((akey, dF[akey], dG[akey]), (("S", "above"), dF[above], dG[above]),
+             (("S", "below"), dF[below], dG[below]))
+    return items, ((akey, ("S", "above"), above), (akey, ("S", "below"), below))
 
 
 def _open_entry(items, pairs, dF, dG, eyes):
@@ -734,17 +745,20 @@ def _open_entry(items, pairs, dF, dG, eyes):
 
 def _restriction(big, small, keymap, sign, p):
     """How a complex reads one restriction block from `big` to `small`, both
-    (layout, system), times `sign`: block kb of a section on big is block ks
-    on small, so its coordinates there are the rows small.free + shift of
-    big.basis, with shift indexed by small's rows.  Returns (block, None),
-    the read-only block, when neither open is constrained, and else
-    (None, shift), from which `_assemble` gathers the block."""
+    (layout, system), times `sign`: keymap pairs each block ks of small with
+    the block kb of big it restricts, so a section's coordinates on small are
+    the rows small.free + shift of big.basis, with shift indexed by small's
+    rows.  Returns (block, None), the read-only block, when neither open is
+    constrained, and else (None, shift), from which `_assemble` gathers the
+    block."""
     (bl, bsys), (sl, ssys) = big, small
-    assert len(keymap) == len(sl.keys)
+    if len(keymap) != len(sl.keys) or {ks for ks, _ in keymap} != sl.dims.keys():
+        raise AssertionError(f"keymap {keymap} does not name the blocks {sl.keys}")
     shift = np.zeros(sl.total, dtype=np.int64)
-    for ks, kb in keymap.items():
+    for ks, kb in keymap:
         ln = sl.dims[ks]
-        assert ln == bl.dims[kb], (ks, kb)
+        if ln != bl.dims[kb]:
+            raise AssertionError(f"block {ks} has length {ln}, block {kb} {bl.dims[kb]}")
         shift[sl.offsets[ks]:sl.offsets[ks] + ln] = bl.offsets[kb] - sl.offsets[ks]
     if bsys is not None or ssys is not None:
         return None, _frozen(shift)
@@ -753,13 +767,22 @@ def _restriction(big, small, keymap, sign, p):
 
 
 def _selection(block, sign, p):
-    """The columns of a block that is `sign` times distinct rows of an
-    identity matrix, so of full row rank; any other block raises."""
+    """Check that a block is `sign` times distinct rows of an identity
+    matrix, so of full row rank; any other block raises."""
     cols = block.argmax(axis=1)
     want = sign % p * xa.eye(block.shape[1])[cols]
     if len(set(cols.tolist())) < len(cols) or not np.array_equal(block, want):
         raise AssertionError("a frame d1 block is not a signed selection")
-    return _frozen(cols)
+
+
+def _to_edge(arc, faces):
+    """The keymap of a restriction from a tile to one of its edges: faces
+    are the tile's faces at the edge, its "full" one when the front does not
+    cross the edge, else those at its "hi" and "lo" halves."""
+    if arc is None:
+        return ((("S", "only"), ("F", faces[0])),)
+    hi, lo = faces
+    return ((("A", arc), ("A", arc)), (("S", "above"), ("F", hi)), (("S", "below"), ("F", lo)))
 
 
 class _Frame:
@@ -771,48 +794,62 @@ class _Frame:
     (`_game_moves`) and kernels solved systems by signature (`keep_kernels`).
     Its arrays are read-only.  blocks is the snapshot {key: block} of its own
     blocks; the game trusts a d^1 block only when it is that array
-    (`trusts`).  selections holds (columns, sign) of each d^1 block there,
-    checked to be +- distinct identity rows.
+    (`trusts`).  Each d^1 block there is checked to be +- distinct identity
+    rows.
+
+    Opens with the same (items, pairs) share one entry, and restrictions
+    with the same opens, keymap and sign one (block, shift): each distinct
+    one is built, and each distinct d^1 block checked, once per frame.
     """
 
     def __init__(self, T: TilingComplex, dF, dG, p):
-        eyes = {}
-        self.tiles = {t: _open_entry(*_tile_system(T, dF, dG, t), dF, dG, eyes) for t in T.tiles}
+        eyes, opens, index = {}, [], {}
+
+        def entry(items, pairs):
+            """The position in `opens` of the entry of the system (items,
+            pairs), built at its first open."""
+            i = index.setdefault((items, pairs), len(opens))
+            if i == len(opens):
+                opens.append(_open_entry(items, pairs, dF, dG, eyes))
+            return i
+
+        tile_at = {t: entry(*_tile_system(T, dF, dG, t)) for t in T.tiles}
+        self.tiles = {t: opens[i] for t, i in tile_at.items()}
         self.edges = sorted(T.edge_info)
-        self.edge_entries = {ek: _open_entry(*_edge_system(T, dF, dG, ek), dF, dG, eyes)
-                             for ek in self.edges}
-        self.vertex_space = {}
+        edge_at = {ek: entry(*_edge_system(T, dF, dG, ek)) for ek in self.edges}
+        self.edge_entries = {ek: opens[i] for ek, i in edge_at.items()}
+        vertex_at = {}
         for v in T.vertices:
             reg = ("R", T.vertex_region[v])
-            self.vertex_space[v] = _open_entry([(("S", "only"), dF[reg], dG[reg])], [],
-                                               dF, dG, eyes)[0]
+            vertex_at[v] = entry(((("S", "only"), dF[reg], dG[reg]),), ())
+        self.vertex_space = {v: opens[i][0] for v, i in vertex_at.items()}
         self.c2_dim = sum(s.dim for s in self.vertex_space.values())
         self.vert_off = _offsets(T.vertices, self.vertex_space)
 
         # d^0 on the edge between tiles ta < tb: the restriction from tb minus
         # the restriction from ta.  An edge with no sections has no blocks.
-        self.d0 = []
+        # One restriction per (tile entry, edge entry, the tile's faces at
+        # the edge, sign): the edge entry names the arc, so these fix the keymap.
+        self.d0, made = [], {}
         for ek in self.edges:
             edge = self.edge_entries[ek]
             if edge[1] is None and edge[0].total == 0:
                 continue
             ta, tb = ek
-            for tile, sign in ((tb, 1), (ta, -1)):
-                other = ta if tile == tb else tb
-                d = next(dd for dd in _EDGE_CYCLE if neighbor(tile, dd) == other)
-                info = T.edge_info[ek]
-                if info["arc"] is None:
-                    keymap = {("S", "only"): ("F", T.channel_face[(tile, (d, "full"))])}
-                else:
-                    keymap = {("A", info["arc"]): ("A", info["arc"]),
-                              ("S", "above"): ("F", T.channel_face[(tile, (d, "hi"))]),
-                              ("S", "below"): ("F", T.channel_face[(tile, (d, "lo"))])}
-                self.d0.append(((ek, tile),
-                                *_restriction(self.tiles[tile], edge, keymap, sign, p), sign))
+            d = _edge_dir(ek)
+            arc = T.edge_info[ek]["arc"]
+            parts = ("full",) if arc is None else ("hi", "lo")
+            for tile, sign, dt in ((tb, 1, OPP[d]), (ta, -1, d)):  # dt: toward the other tile
+                key = (tile_at[tile], edge_at[ek],
+                       tuple(T.channel_face[(tile, (dt, part))] for part in parts), sign)
+                if key not in made:
+                    made[key] = _restriction(opens[key[0]], edge, _to_edge(arc, key[2]), sign, p)
+                self.d0.append(((ek, tile), *made[key], sign))
 
         # d^1: the alternating restrictions to each vertex from its three
-        # edges.  A vertex with no sections has no blocks.
-        self.d1 = []
+        # edges, one per (edge entry, vertex entry, side, sign), each distinct
+        # block checked once.  A vertex with no sections has no blocks.
+        self.d1, made = [], {}
         for v in T.vertices:
             if self.vertex_space[v].dim == 0:
                 continue
@@ -823,14 +860,18 @@ class _Frame:
                 side = "only"
                 if info["arc"] is not None:
                     side = "above" if info["upper_vertex"] == v else "below"
-                    assert info[side] == T.vertex_region[v], (ek, v)
-                self.d1.append(((v, ek), *_restriction(
-                    self.edge_entries[ek], (self.vertex_space[v], None),
-                    {("S", "only"): ("S", side)}, sign, p), sign))
+                    if info[side] != T.vertex_region[v]:
+                        raise AssertionError(f"vertex {v} is not {side} edge {ek}")
+                key = (edge_at[ek], vertex_at[v], side, sign)
+                if key not in made:
+                    made[key] = _restriction(opens[key[0]], opens[key[1]],
+                                             ((("S", "only"), ("S", side)),), sign, p)
+                self.d1.append(((v, ek), *made[key], sign))
+        for (*_, sign), (block, _) in made.items():
+            if block is not None:
+                _selection(block, sign, p)
         self.blocks = {key: block for plan in (self.d0, self.d1)
                        for key, block, *_ in plan if block is not None}
-        self.selections = {key: (_selection(block, sign, p), sign)
-                           for key, block, _, sign in self.d1 if block is not None}
         self.game = _game_moves(T, self.edges, {v: s.dim for v, s in self.vertex_space.items()})
 
         # solved local systems by signature: the first complex's, then those

@@ -215,7 +215,7 @@ def test_corrupted_d0_is_rejected(monkeypatch):
             b0 = cx.d0_blocks.get((ek, t))
             for i in range(b1.shape[1]) if b0 is not None else ():
                 if b1[:, i].any() and b0[i].any():
-                    kind = ((ek, t) in from_frame, (v, ek) in frame.selections)
+                    kind = ((ek, t) in from_frame, (v, ek) in frame.blocks)
                     targets.setdefault(kind, ((ek, t), i, np.flatnonzero(b0[i])[0]))
     assert {(True, True), (False, True), (False, False)} <= set(targets)
     assemble = cech._assemble
@@ -265,7 +265,7 @@ def test_corrupted_d1_is_rejected(monkeypatch):
             b0 = cx.d0_blocks.get((ek, t))
             for c in range(b1.shape[1]) if b0 is not None else ():
                 if b0[c].any():
-                    targets.setdefault((v, ek) in frame.selections, ((v, ek), c))
+                    targets.setdefault((v, ek) in frame.blocks, ((v, ek), c))
     assert set(targets) == {True, False}
     assert targets[True][0] == (("E", 1, 1), ((2, 1), (2, 2)))
     assemble = cech._assemble
@@ -287,15 +287,18 @@ def test_corrupted_d1_is_rejected(monkeypatch):
 
 
 def test_frame_d1_blocks_are_checked_signed_selections(monkeypatch, complexes):
-    """Every frame d1 block is +- distinct rows of an identity matrix, at
-    the columns its selection names; a frame whose d1 block is anything
-    else (a scaled entry, a repeated row, a zero row) is refused as it is
-    built."""
+    """Every frame d1 block is +- distinct rows of an identity matrix; a
+    frame whose d1 block is anything else (a scaled entry, a repeated row, a
+    zero row) is refused as it is built, also when several d1 keys share
+    the block."""
     checked = 0
     for cx in complexes:
         frame = cx._frame
-        for key, (cols, sign) in frame.selections.items():
-            block = frame.blocks[key]
+        for key, block, _, sign in frame.d1:
+            if block is None:
+                continue
+            assert frame.blocks[key] is block
+            cols = block.argmax(axis=1)
             want = np.zeros_like(block)
             want[np.arange(len(cols)), cols] = sign % cx.p
             assert np.array_equal(block, want) and len(set(cols.tolist())) == len(cols)
@@ -313,7 +316,7 @@ def test_frame_d1_blocks_are_checked_signed_selections(monkeypatch, complexes):
 
         def tampered(big, small, keymap, *args, tamper=tamper):
             block, shift = restriction(big, small, keymap, *args)
-            if block is not None and not seen and {kb[0] for kb in keymap.values()} == {"S"}:
+            if block is not None and not seen and {kb[0] for _, kb in keymap} == {"S"}:
                 seen.append(block)
                 block = tamper(block)
             return block, shift
@@ -323,6 +326,10 @@ def test_frame_d1_blocks_are_checked_signed_selections(monkeypatch, complexes):
             CechComplex(build_tiling(1), F, G)
         monkeypatch.undo()
         assert seen and len(seen[0]) >= 2
+    # the tampered block is the first frame d1 block, which many d1 keys share
+    frame = CechComplex(build_tiling(1), F, G)._frame
+    first = next(block for _, block, *_ in frame.d1 if block is not None)
+    assert np.array_equal(first, seen[0]) and sum(b is first for _, b, *_ in frame.d1) >= 2
 
 
 def test_check_h2_certificate():
@@ -660,7 +667,7 @@ def settled_d0_keys(frame):
     for cell, ts in terms.items():
         for _, k0 in ts:
             cells_of.setdefault(k0, set()).add(cell)
-    return {k0: frame.selections[k1][0][0] for ts in settled.values() for k1, k0 in ts
+    return {k0: frame.blocks[k1][0].argmax() for ts in settled.values() for k1, k0 in ts
             if cells_of[k0] <= settled.keys() and frame.blocks[k0].shape[1]}
 
 
@@ -682,7 +689,7 @@ def test_corrupted_copies_fail_the_product_check(monkeypatch, triplet_complexes)
                 for c in range(b1.shape[1]) if b0 is not None else ():
                     if (ek, t) not in frame.blocks and b1[:, c].any() and b0.shape[1]:
                         targets.setdefault("pair d0", ((ek, t), c, 0))
-                    if (v, ek) in frame.selections and b0[c].any():
+                    if (v, ek) in frame.blocks and b0[c].any():
                         targets.setdefault("frame d1", ((v, ek), 0, c))
         for kind, (key, i, j) in targets.items():
             def corrupted(plan, *args, key=key, i=i, j=j):

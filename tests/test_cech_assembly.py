@@ -157,7 +157,6 @@ def test_frame_arrays_are_shared_and_read_only():
                 assert blocks_a[key].flags.writeable  # built for the pair
                 assert key not in frame.blocks and not frame.trusts(blocks_a, key)
     assert shared == len(frame.blocks) > 0
-    assert all(not cols.flags.writeable for cols, _ in frame.selections.values())
     for v, space in a.vertex_space.items():
         assert b.vertex_space[v] is space
         assert not space.basis.flags.writeable and not space.free.flags.writeable
@@ -280,7 +279,7 @@ def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
     for ts in settled.values():
         for k1, k0 in ts:
             if cells_of[k0] <= settled.keys() and frame.blocks[k0].shape[1]:
-                targets.setdefault(k0, frame.selections[k1][0][0])
+                targets.setdefault(k0, frame.blocks[k1][0].argmax())
     assert targets
     assemble = cech._assemble
     for key, i in list(targets.items())[:: max(1, len(targets) // 5)]:
