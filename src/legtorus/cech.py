@@ -17,8 +17,7 @@ quiver.  A zero stalk (U0, the arcs bl_i and the vertices x1, x4, y_i; U0,
 bot and the cusps on the eye) adds no sections and no equations: it keeps its
 dimension and an empty unknown block, but has no generization maps and no
 constraints.  An open with no constraints (every vertex, and every edge the
-front does not cross) has the identity kernel, and each distinct constrained
-system is eliminated at most once per complex.  The three-term complex
+front does not cross) has the identity kernel.  The three-term complex
 C^0 -> C^1 -> C^2 then gives H^0/H^1 (checked against Ext^0/Ext^1) and the
 surjectivity of d^1, i.e. the vanishing of H^2.
 
@@ -40,16 +39,20 @@ and G: the layout and constraint positions of every open, the identity
 spaces, the restriction blocks between unconstrained opens, how the other
 blocks gather rows, and the game's moves.  The first complex on a tiling
 builds these as a frame (`_Frame`), which the tiling keeps for the next
-complexes with the same dimensions, with the local systems that the first
-two complexes both solved.  The frame is built from its distinct pieces:
-opens with the same local system share one layout, and restrictions with the
-same two opens, keymap and sign one read-only block or gather, so each is
-built, and each distinct d^1 block checked, once per frame.  The game takes one thing on trust: a d^1
-block that is the very array of the frame's read-only snapshot.  Each such
-block is +- distinct identity rows, checked as the frame is built, so it has
-full row rank and certifies its game move alone; a block swapped in is
-rank-checked again.  The d^1 . d^0 check trusts nothing and reads every
-block.
+complexes with the same p and dimensions.  The frame is built from its
+distinct pieces: opens with the same local system share one entry, and
+restrictions with the same two opens, keymap and sign one read-only block or
+gather, so each is built, and each distinct d^1 block checked, once per
+frame.  Local sections follow one reuse rule: each constrained entry
+remembers the bytes of the maps at its constraints and the space its last
+solve gave, and is solved again only when a complex brings other bytes.  So
+all opens of an entry share one space, a complex solves each entry at most
+once, and a frame holds at most one space per entry.  The game takes one
+thing on trust: a d^1 block that is the very array of the frame's read-only
+snapshot.  Each such block is +- distinct identity rows, checked as the frame
+is built, so it has full row rank and certifies its game move alone; a block
+swapped in is rank-checked again.  The d^1 . d^0 check trusts nothing and
+reads every block.
 """
 
 from __future__ import annotations
@@ -788,18 +791,20 @@ def _to_edge(arc, faces):
 class _Frame:
     """What a Cech complex takes from its tiling T and the stalk dimensions
     of F and G alone, and from p for the residues of negated blocks.
-    tiles/edge_entries hold each open's (layout, system) (`_open_entry`),
-    vertex_space every vertex's space, d0/d1 (key, block, shift, sign) for
-    each block in block order (`_restriction`), game the leaf/Y moves
-    (`_game_moves`) and kernels solved systems by signature (`keep_kernels`).
-    Its arrays are read-only.  blocks is the snapshot {key: block} of its own
-    blocks; the game trusts a d^1 block only when it is that array
-    (`trusts`).  Each d^1 block there is checked to be +- distinct identity
-    rows.
+    opens holds each distinct (layout, system) (`_open_entry`), and
+    tile_at/edge_at the position there of each tile's and edge's entry.
+    vertex_space holds every vertex's space, d0/d1 (key, block, shift, sign)
+    for each block in block order (`_restriction`), and game the leaf/Y moves
+    (`_game_moves`).  Its arrays are read-only.  blocks is the snapshot
+    {key: block} of its own blocks; the game trusts a d^1 block only when it
+    is that array (`trusts`).  Each d^1 block there is checked to be +-
+    distinct identity rows.
 
     Opens with the same (items, pairs) share one entry, and restrictions
     with the same opens, keymap and sign one (block, shift): each distinct
     one is built, and each distinct d^1 block checked, once per frame.
+    solves remembers, per position of a constrained entry, the bytes of the
+    maps of its last solve and the `OpenSpace` it gave (`CechComplex._space`).
     """
 
     def __init__(self, T: TilingComplex, dF, dG, p):
@@ -813,11 +818,10 @@ class _Frame:
                 opens.append(_open_entry(items, pairs, dF, dG, eyes))
             return i
 
-        tile_at = {t: entry(*_tile_system(T, dF, dG, t)) for t in T.tiles}
-        self.tiles = {t: opens[i] for t, i in tile_at.items()}
+        self.opens = opens
+        self.tile_at = tile_at = {t: entry(*_tile_system(T, dF, dG, t)) for t in T.tiles}
         self.edges = sorted(T.edge_info)
-        edge_at = {ek: entry(*_edge_system(T, dF, dG, ek)) for ek in self.edges}
-        self.edge_entries = {ek: opens[i] for ek, i in edge_at.items()}
+        self.edge_at = edge_at = {ek: entry(*_edge_system(T, dF, dG, ek)) for ek in self.edges}
         vertex_at = {}
         for v in T.vertices:
             reg = ("R", T.vertex_region[v])
@@ -832,7 +836,7 @@ class _Frame:
         # the edge, sign): the edge entry names the arc, so these fix the keymap.
         self.d0, made = [], {}
         for ek in self.edges:
-            edge = self.edge_entries[ek]
+            edge = opens[edge_at[ek]]
             if edge[1] is None and edge[0].total == 0:
                 continue
             ta, tb = ek
@@ -873,24 +877,11 @@ class _Frame:
         self.blocks = {key: block for plan in (self.d0, self.d1)
                        for key, block, *_ in plan if block is not None}
         self.game = _game_moves(T, self.edges, {v: s.dim for v, s in self.vertex_space.items()})
-
-        # solved local systems by signature: the first complex's, then those
-        # of them the second complex solved too; later complexes only read them
-        self.kernels, self.built = {}, 0
+        self.solves = {}
 
     def trusts(self, blocks, key):
         """True when blocks[key] is the very array of the frame's snapshot."""
         return key in self.blocks and blocks.get(key) is self.blocks[key]
-
-    def keep_kernels(self, solved):
-        """Update the store from one complex's {signature: kernel}: at most
-        one complex's systems, and after the second complex only those both
-        solved."""
-        self.built += 1
-        if self.built == 1:
-            self.kernels = solved
-        elif self.built == 2:
-            self.kernels = {sig: k for sig, k in self.kernels.items() if sig in solved}
 
 
 def _assemble(plan, small_spaces, big_spaces, p):
@@ -916,8 +907,8 @@ class CechComplex:
     Its parts fixed by T, the stalk dimensions of F and G and p come from a
     `_Frame` in `T.frames`, which the first complex with these builds.  A
     complex builds only what the maps of F and G change: the section spaces
-    of the constrained opens (each distinct system not in the frame's store
-    eliminated once), the blocks that read their bases, the triplets of
+    of the constrained frame entries whose maps differ from their last solve
+    (`_space`), the blocks that read their bases, the triplets of
     both differentials with the d^1 . d^0 = 0 check on every cell, the rank
     checks of game moves that hold no frame block, and the ranks.  Its game
     trusts a frame d^1 block only while it holds the frame's very array
@@ -944,10 +935,10 @@ class CechComplex:
             frame = T.frames[key] = _Frame(T, self.dF, self.dG, p)
         self._frame = frame
 
-        solved = {}
-        self.tile_space = {t: self._space(e, solved) for t, e in frame.tiles.items()}
+        spaces = [self._space(i) for i in range(len(frame.opens))]
+        self.tile_space = {t: spaces[i] for t, i in frame.tile_at.items()}
         self.edges = frame.edges
-        self.edge_space = {ek: self._space(e, solved) for ek, e in frame.edge_entries.items()}
+        self.edge_space = {ek: spaces[i] for ek, i in frame.edge_at.items()}
         self.vertex_space = dict(frame.vertex_space)
 
         self.c0_dim = sum(s.dim for s in self.tile_space.values())
@@ -956,7 +947,6 @@ class CechComplex:
         self._tile_off = _offsets(T.tiles, self.tile_space)
         self._edge_off = _offsets(self.edges, self.edge_space)
         self._vert_off = frame.vert_off
-        frame.keep_kernels(solved)
         self.d0_blocks = _assemble(frame.d0, self.edge_space, self.tile_space, p)
         self.d1_blocks = _assemble(frame.d1, self.vertex_space, self.edge_space, p)
         self._d0_nz = _triplets(self.d0_blocks, self._edge_off, self._tile_off)
@@ -964,22 +954,24 @@ class CechComplex:
         if _sparse_product(d1_nz, self._d0_nz, self.c0_dim, p)[2].size:
             raise AssertionError("d1 . d0 != 0")
 
-    def _space(self, entry, solved) -> OpenSpace:
-        """The section space of an open from its frame entry.  A constrained
-        system depends only on its signature, the (fdim, gdim) of each block
-        and each constraint's block positions and map contents, so each
-        distinct signature is eliminated at most once per complex, and not at
-        all when the frame's store holds it."""
-        layout, system = entry
+    def _space(self, i) -> OpenSpace:
+        """The section space of the frame entry `opens[i]`, which every open
+        of the entry gets.  A constrained entry is solved again only when the
+        bytes of its maps differ from those of its last solve, which the
+        frame remembers.  A frame is keyed by p and the stalk dimensions, so
+        the shape of every map is fixed per entry."""
+        layout, system = self._frame.opens[i]
         if system is None:
             return layout
         blocks, cons = system
         maps = [(s, t, self.mF[st], self.mG[st]) for s, t, st in cons]
-        sig = (blocks, tuple((s, t, f.shape, f.tobytes(), g.shape, g.tobytes())
-                             for s, t, f, g in maps))
-        if sig not in solved:
-            solved[sig] = self._frame.kernels.get(sig) or _section_kernel(blocks, maps, self.p)
-        return OpenSpace(layout.keys, layout.dims, layout.offsets, layout.total, *solved[sig])
+        key = b"".join(f.tobytes() + g.tobytes() for _, _, f, g in maps)
+        last = self._frame.solves.get(i)
+        if last is None or last[0] != key:
+            space = OpenSpace(layout.keys, layout.dims, layout.offsets, layout.total,
+                              *_section_kernel(blocks, maps, self.p))
+            last = self._frame.solves[i] = key, space
+        return last[1]
 
     @functools.cached_property
     def d0(self) -> np.ndarray:

@@ -299,44 +299,6 @@ def compose10(uprime, w, p: int):
                  for j, wj in enumerate(w, start=1))
 
 
-def pullback_check(wprime, u, F: SheafObject, G: SheafObject, H: SheafObject) -> bool:
-    """Oracle for compose01: the pullback diagram with U_i = diag(1, u_i) and
-    W = diag(1, u2, 1, u1) must commute against the normalized Omega chains.
-
-    Here e' = (w'_j) is an extension of G by H and u = (u1, u2): F -> G; the
-    pullback u*e' is the extension of F by H with data (w'_j u_{j+1}).
-    """
-    n, p, m = F.n, F.p, F.m
-    u1, u2 = u
-    w_pull = compose01(wprime, u, p)
-    mid_orig, _, _ = extension_from_class(wprime, G, H)
-    mid_pull, _, _ = extension_from_class(w_pull, F, H)
-    big_w = np.block([
-        [xa.eye(n), xa.zeros(n, n), xa.zeros(n, n), xa.zeros(n, n)],
-        [xa.zeros(n, n), u2, xa.zeros(n, n), xa.zeros(n, n)],
-        [xa.zeros(n, n), xa.zeros(n, n), xa.eye(n), xa.zeros(n, n)],
-        [xa.zeros(n, n), xa.zeros(n, n), xa.zeros(n, n), u1],
-    ]) % p
-
-    def u_block(k):
-        uk = u1 if k % 2 == 1 else u2
-        return np.block([[xa.eye(n), xa.zeros(n, n)], [xa.zeros(n, n), uk]]) % p
-
-    def node_map(k):
-        # vertical map at chain node k: W at the head, diag(U_k, U_{k+1}) beyond
-        if k == 0:
-            return big_w
-        z = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        return np.block([[u_block(k), z], [z, u_block(k + 1)]]) % p
-
-    for k in range(1, m + 1):
-        lhs = (node_map(k - 1) @ mid_pull.omega(k)) % p
-        rhs = (mid_orig.omega(k) @ node_map(k)) % p
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # The equivalence functor
 

@@ -2,8 +2,7 @@
 
 These are the explicit formulas: the determinant identity relating P_m and
 Q_m, the five-case formula for mu_1, the reduced two-term complex computing
-H^0/H^1, the P/Q intertwining identities, and the class-level composition
-formulas
+H^0/H^1, and the class-level composition formulas
 
     mu2((u1',u2'), (u1,u2))   = -(u1 u1', u2 u2')
     mu2((u1',u2'), (w_j))     = -(w_1 u2', w_2 u1', w_3 u2', ...)
@@ -91,28 +90,6 @@ def mu1_closed(rho: Representation, rho2: Representation, x: HomElement) -> HomE
         else:
             add("x2", rho.T2_inv @ u2 @ rho2.T2 % p)
     return HomElement(n, p, 1, out)
-
-
-def pq_intertwine_check(A, Aprime, u1, u2, p: int) -> bool:
-    """Intertwining identities for P_m and Q_m under the H^0 hypotheses.
-
-    Raises if the hypotheses u1 A'_j = A_j u2 (j odd), A_j u1 = u2 A'_j
-    (j even) fail; under them the identities are a theorem.
-    """
-    A, Aprime = list(A), list(Aprime)
-    m = len(A)
-    for j in range(1, m + 1):
-        if j % 2 == 1:
-            ok = not ((u1 @ Aprime[j - 1] - A[j - 1] @ u2) % p).any()
-        else:
-            ok = not ((A[j - 1] @ u1 - u2 @ Aprime[j - 1]) % p).any()
-        if not ok:
-            raise ValueError(f"intertwining hypothesis fails at j={j}")
-    uj = u2 if m % 2 == 1 else u1
-    ui = u1 if m % 2 == 1 else u2
-    ok_p = not ((u1 @ pq_matrix("P", Aprime, p) - pq_matrix("P", A, p) @ uj) % p).any()
-    ok_q = not ((pq_matrix("Q", A, p) @ u2 - ui @ pq_matrix("Q", Aprime, p)) % p).any()
-    return ok_p and ok_q
 
 
 # ---------------------------------------------------------------------------

@@ -761,7 +761,7 @@ def test_non_leaf_gives_no_game_certificate(flags):
     assert out["ok"] and out["cert"]["rank_d1"] == out["dense"] == out["cert"]["dim_c2"]
 
 
-# -- local sections: closed form and one elimination per distinct system ----------------
+# -- local sections: closed form and one elimination per constrained entry -------------
 
 def reference_solve_sections(items, constraints, p) -> OpenSpace:
     """`_solve_sections` as it was before systems were shared: one elimination
@@ -808,8 +808,7 @@ def test_constraints_have_nonzero_maps(complexes):
     zero stalk adds none."""
     for cx in complexes:
         frame = cx._frame
-        systems = [sys for _, sys in [*frame.tiles.values(), *frame.edge_entries.values()]
-                   if sys is not None]
+        systems = [sys for _, sys in frame.opens if sys is not None]
         constraints = [st for _, cons in systems for _, _, st in cons]
         assert constraints
         for st in constraints:
@@ -888,7 +887,7 @@ def test_local_kernels_ignore_row_order(complex_pairs, monkeypatch):
     rng = random.Random(35)
     for cx, _ in complex_pairs:
         frame = cx._frame
-        for _, system in [*frame.tiles.values(), *frame.edge_entries.values()]:
+        for _, system in frame.opens:
             if system is None:
                 continue
             blocks, cons = system
@@ -912,7 +911,11 @@ def test_local_kernels_ignore_row_order(complex_pairs, monkeypatch):
             assert got_free.tobytes() == free.tobytes()
 
 
-def test_one_elimination_per_distinct_system(monkeypatch):
+def test_a_fresh_frame_eliminates_once_per_constrained_entry(monkeypatch):
+    """The first complex on a tiling solves each constrained frame entry
+    once, and every open of an entry holds that entry's one `OpenSpace`.
+    Entries are told apart by their system, not by their maps: the two
+    outer cusp tiles (at x1 and x4) have equal maps but entries of their own."""
     rng = random.Random(34)
     built = []
     kernel_rows = xa.kernel_rows
@@ -922,25 +925,32 @@ def test_one_elimination_per_distinct_system(monkeypatch):
         return kernel_rows(rows, cols, p)
 
     monkeypatch.setattr(xa, "kernel_rows", counting_kernel_rows)
+    merged = 0
     for m, n, p, rho in [(4, 2, 3, 1), (2, 2, 5, 2), (3, 1, 2, 1)]:
         T = build_tiling(m, rho)
         F, G = rand_pair(m, n, p, rng)
         del built[:]
         cx = CechComplex(T, F, G)
-        solved = len(built)
-        shared = {}
-        for space, (items, constraints) in local_systems(cx, cech_reference.CechComplex(T, F, G)):
-            if not constraints:
+        frame = cx._frame
+        constrained = [i for i, (_, sys) in enumerate(frame.opens) if sys is not None]
+        assert 0 < len(built) == len(constrained) == len(frame.solves)
+        assert sorted(frame.solves) == constrained
+        spaces = [(frame.tile_at[t], space) for t, space in cx.tile_space.items()]
+        spaces += [(frame.edge_at[ek], space) for ek, space in cx.edge_space.items()]
+        for i, space in spaces:
+            layout, system = frame.opens[i]
+            if system is None:
+                assert space is layout
                 assert np.array_equal(space.basis, xa.eye(space.total))
-                continue
-            pos = {k: i for i, k in enumerate(space.keys)}
-            sig = (tuple((fd, gd) for _, fd, gd in items),
-                   tuple((pos[s], pos[t], f.shape, f.tolist(), g.shape, g.tolist())
-                         for s, t, f, g in constraints))
-            first = shared.setdefault(repr(sig), space)
-            assert first.basis is space.basis and first.free is space.free
+            else:
+                assert space is frame.solves[i][1]
         n_open = len(cx.tile_space) + len(cx.edge_space) + len(cx.vertex_space)
-        assert 0 < solved == len(shared) < n_open // 4, (m, n, p, solved, len(shared))
+        assert len(constrained) < n_open // 4, (m, n, p, len(constrained), n_open)
+        signatures = {repr((frame.opens[i][1][0], [(s, t, cx.mF[st].tolist(), cx.mG[st].tolist())
+                                                   for s, t, st in frame.opens[i][1][1]]))
+                      for i in constrained}
+        merged += len(constrained) - len(signatures)
+    assert merged > 0
 
 
 def test_cech_route_builds_no_dense_system(monkeypatch):

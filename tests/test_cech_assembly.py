@@ -164,7 +164,7 @@ def test_frame_arrays_are_shared_and_read_only():
             with pytest.raises(ValueError):
                 space.basis[0, 0] = 2
     # a constrained open shares its layout, and its kernel is read-only
-    t = next(t for t, (_, sys) in frame.tiles.items() if sys is not None)
+    t = next(t for t, i in frame.tile_at.items() if frame.opens[i][1] is not None)
     assert a.tile_space[t].keys is b.tile_space[t].keys
     assert not a.tile_space[t].basis.flags.writeable
 
@@ -298,35 +298,60 @@ def test_frame_cells_are_rechecked_when_a_block_is_swapped(monkeypatch):
     assert_same_complex(CechComplex(T, F, G), cech_reference.CechComplex(T, F, G))
 
 
-def test_kernel_store_keeps_what_the_first_two_complexes_both_solved(monkeypatch):
-    """The frame keeps the first complex's solved systems, then only those
-    the second complex solved too; later complexes eliminate only the rest
-    and leave the store as it is."""
+def constrained_maps(T, F, G, frame):
+    """{position in frame.opens of each constrained entry: the (F, G) maps at
+    its constraints}, read from `local_data`."""
+    mF, mG = cech.local_data(T, F)[1], cech.local_data(T, G)[1]
+    return {i: [(mF[st], mG[st]) for _, _, st in system[1]]
+            for i, (_, system) in enumerate(frame.opens) if system is not None}
+
+
+def test_a_later_complex_solves_the_entries_whose_maps_changed(monkeypatch):
+    """On the pairs A, B, A, A on one tiling, each complex solves exactly the
+    constrained frame entries whose maps differ from the previous complex's
+    (all of them on the first), so the fourth solves none, and each complex
+    equals the reference."""
     rng = random.Random(1711)
     T = build_tiling(4)
-    solved, stores, solves = [], [], []
-    keep, section_kernel = cech._Frame.keep_kernels, cech._section_kernel
-
-    def spy(frame, kernels):
-        solved.append(set(kernels))
-        keep(frame, kernels)
-        stores.append(dict(frame.kernels))
-
-    monkeypatch.setattr(cech._Frame, "keep_kernels", spy)
+    A = rand_obj(4, 2, 3, rng), rand_obj(4, 2, 3, rng)
+    B = rand_obj(4, 2, 3, rng), rand_obj(4, 2, 3, rng)
+    solves = []
+    section_kernel = cech._section_kernel
     monkeypatch.setattr(cech, "_section_kernel", lambda *a: solves.append(a) or section_kernel(*a))
-    objs = [rand_obj(4, 2, 3, rng) for _ in range(6)]
-    pairs = [(objs[0], objs[1]), (objs[2], objs[3]), (objs[1], objs[0]), (objs[4], objs[5]),
-             (objs[0], objs[0])]
-    for k, (a, b) in enumerate(pairs):
-        before = len(solves)
-        assert_same_complex(CechComplex(T, a, b), cech_reference.CechComplex(T, a, b))
-        assert len(solves) - before == len(solved[k] - set(stores[k - 1] if k else ()))
-        assert len(stores[k]) <= len(solved[0])
-    assert set(stores[0]) == solved[0]
-    shared = solved[0] & solved[1]
-    assert shared and shared != solved[0]
-    for store in stores[1:]:
-        assert set(store) == shared
-        assert all(store[sig] is stores[0][sig] for sig in shared)
-    # what the first two random pairs share, the later pairs solve too
-    assert all(shared <= s for s in solved)
+    counts, last = [], None
+    for F, G in (A, B, A, A):
+        frame = next(iter(T.frames.values()), None)
+        held = {i: space for i, (_, space) in frame.solves.items()} if frame else {}
+        del solves[:]
+        cx = CechComplex(T, F, G)
+        frame = cx._frame
+        maps = constrained_maps(T, F, G, frame)
+        changed = {i for i, pairs in maps.items()
+                   if last is None or not all(np.array_equal(f, f0) and np.array_equal(g, g0)
+                                              for (f, g), (f0, g0) in zip(pairs, last[i]))}
+        renewed = {i for i, (_, space) in frame.solves.items() if held.get(i) is not space}
+        assert renewed == changed and len(solves) == len(changed)
+        counts.append(len(solves))
+        assert_same_complex(cx, cech_reference.CechComplex(T, F, G))
+        last = maps
+    assert len(T.frames) == 1
+    assert counts[0] == len(maps) and 0 < counts[1] == counts[2] < counts[0] and counts[3] == 0
+
+
+def test_a_long_sweep_remembers_one_solve_per_constrained_entry():
+    """After 12 random pairs on one m = 4, n = 2 tiling the frame remembers
+    one solve per constrained entry, as many as after the first pair, and
+    each is the space that the last complex's opens of that entry hold."""
+    rng = random.Random(1713)
+    T = build_tiling(4)
+    for k in range(12):
+        cx = CechComplex(T, rand_obj(4, 2, 3, rng), rand_obj(4, 2, 3, rng))
+        if k == 0:
+            first = len(cx._frame.solves)
+    frame, = T.frames.values()
+    constrained = {i for i, (_, system) in enumerate(frame.opens) if system is not None}
+    assert set(frame.solves) <= constrained and len(frame.solves) == first
+    for at, spaces in ((frame.tile_at, cx.tile_space), (frame.edge_at, cx.edge_space)):
+        for key, i in at.items():
+            if i in constrained:
+                assert spaces[key] is frame.solves[i][1]

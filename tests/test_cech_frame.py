@@ -103,9 +103,10 @@ def test_frames_match_the_per_open_reference(frames):
     block values, shift, sign), the block snapshot and the game's moves
     equal the reference's, and every array is read-only."""
     for frame, ref, (T, *_, p) in frames:
-        assert_same_entries(frame.tiles, ref.tiles)
+        assert_same_entries({t: frame.opens[i] for t, i in frame.tile_at.items()}, ref.tiles)
         assert frame.edges == ref.edges
-        assert_same_entries(frame.edge_entries, ref.edge_entries)
+        assert_same_entries({ek: frame.opens[i] for ek, i in frame.edge_at.items()},
+                            ref.edge_entries)
         assert list(frame.vertex_space) == list(ref.vertex_space)
         for v, space in frame.vertex_space.items():
             assert_same_layout(space, ref.vertex_space[v])
@@ -184,7 +185,7 @@ def test_each_distinct_piece_is_built_once(monkeypatch, at):
     assert len(frame.d0) + len(frame.d1) == n_blocks
     # far fewer pieces than opens and blocks on a torus
     if case[0].kind == "torus":
-        n_opens = len(frame.tiles) + len(frame.edge_entries) + len(frame.vertex_space)
+        n_opens = len(frame.tile_at) + len(frame.edge_at) + len(frame.vertex_space)
         assert len(want_opens) < n_opens // 4 and len(want_restrictions) < n_blocks // 3
 
 

@@ -8,7 +8,7 @@ from legtorus.ainfty import (HomElement, Representation, hom_basis_order,
                              hom_cohomology, mu1, mu2, random_rep)
 from legtorus.freedga import pq_matrix
 from legtorus.torusrep import (H0Class, H1Class, cohomology_closed, mu1_closed,
-                               mu2_closed, pq_intertwine_check, sylvester_check)
+                               mu2_closed, sylvester_check)
 
 
 def rand_homog(m, n, p, deg, rng):
@@ -133,6 +133,28 @@ def test_degree_one_cocycles_determined_by_a_part():
 
 
 # -- intertwining ---------------------------------------------------------------
+
+def pq_intertwine_check(A, Aprime, u1, u2, p: int) -> bool:
+    """Intertwining identities for P_m and Q_m under the H^0 hypotheses.
+
+    Raises if the hypotheses u1 A'_j = A_j u2 (j odd), A_j u1 = u2 A'_j
+    (j even) fail; under them the identities are a theorem.
+    """
+    A, Aprime = list(A), list(Aprime)
+    m = len(A)
+    for j in range(1, m + 1):
+        if j % 2 == 1:
+            ok = not ((u1 @ Aprime[j - 1] - A[j - 1] @ u2) % p).any()
+        else:
+            ok = not ((A[j - 1] @ u1 - u2 @ Aprime[j - 1]) % p).any()
+        if not ok:
+            raise ValueError(f"intertwining hypothesis fails at j={j}")
+    uj = u2 if m % 2 == 1 else u1
+    ui = u1 if m % 2 == 1 else u2
+    ok_p = not ((u1 @ pq_matrix("P", Aprime, p) - pq_matrix("P", A, p) @ uj) % p).any()
+    ok_q = not ((pq_matrix("Q", A, p) @ u2 - ui @ pq_matrix("Q", Aprime, p)) % p).any()
+    return ok_p and ok_q
+
 
 def test_intertwine_trivial_cases():
     p, n = 5, 2
