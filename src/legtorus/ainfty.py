@@ -340,7 +340,9 @@ class TwistedCopy:
         letter on the level reached so far, can contribute
         (`lambda_staircase_diff`, cached per (m, p, K, base)), and each gives
         exactly one term: every diagonal letter replaced by its eps value
-        (`_expand_twist`).
+        (`_expand_twist`).  Only the (1, K) entry of the copy differential
+        is read, and the copy builds and checks a row when it is first read,
+        so only rows of source copy 1 are built.
         """
         f = lambda_staircase_diff(self.m, self.p, self.K, base)
         return _expand_twist(self.dga, f, self.eps, self.n, self.p)

@@ -9,17 +9,22 @@ signed Leibniz rule.
 The module also builds the concrete objects of interest: the continuant-style
 polynomial families P_m / Q_m, the DGA of the Legendrian (2,m) torus link
 with two base points, and the k-copy DGA construction.  The k-copy
-differential is built from sparse k x k word matrices, {(i, j): {word:
-coeff}} holding nonzero entries only, multiplied by one product that adds
-into its output in place; Phi of a base word is expanded letter by letter,
-one row vector per source copy, so the cost tracks the number of terms
-built.
+differential is built one row at a time, when the row is first read: a row
+is the entries g^{i1}..g^{ik} of one base chord g for one source copy i, or
+all the t, x and y entries of one invertible.  Each row is checked for
+homogeneity when it is built, so code that reads only the (1, k) entries
+builds only the rows of source copy 1.  Rows come from sparse k x k word
+matrices, {(i, j): {word: coeff}} holding nonzero entries only, multiplied
+by one product that adds into its output in place; Phi of a base word is
+expanded letter by letter from one row vector, so the cost tracks the
+number of terms built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -174,6 +179,40 @@ def poly_str(f: FreePoly) -> str:
     return " + ".join(parts)
 
 
+class _RowDiff(Mapping):
+    """A differential, read-only, whose rows are built when first read.
+
+    row_of maps each generator name, in the order of the differential, to
+    the function that builds its row: the {name: FreePoly} entries that are
+    built together.  Each entry passes check(name, f) when its row is built.
+    """
+
+    def __init__(self, row_of: dict[str, Callable[[], dict[str, FreePoly]]],
+                 check: Callable[[str, FreePoly], None]):
+        self._row_of = row_of
+        self._check = check
+        self._built: dict[str, FreePoly] = {}
+
+    def __getitem__(self, name: str) -> FreePoly:
+        f = self._built.get(name)
+        if f is None:
+            row = self._row_of[name]()
+            for nm, g in row.items():
+                self._check(nm, g)
+            self._built.update(row)
+            f = row[name]
+        return f
+
+    def __contains__(self, name) -> bool:
+        return name in self._row_of
+
+    def __iter__(self):
+        return iter(self._row_of)
+
+    def __len__(self) -> int:
+        return len(self._row_of)
+
+
 class DGA:
     """Semi-free DGA: ordered generators plus a degree -1 differential."""
 
@@ -185,17 +224,21 @@ class DGA:
             if g.name in self.gens:
                 raise ValueError(f"duplicate generator {g.name}")
             self.gens[g.name] = g
-        self.diff = dict(diff)
         self.copy_info = copy_info or {}
         self._degree = deg = {name: g.degree for name, g in self.gens.items()}
         # a word whose letters all have degree 0 has degree 0, so only the
         # words with another letter are summed
-        flat = frozenset((n, e) for n, d in deg.items() if not d for e in (1, -1))
+        self._flat = frozenset((n, e) for n, d in deg.items() if not d for e in (1, -1))
+        self.diff = dict(diff)
         for name, f in self.diff.items():
-            tgt = deg[name] - 1
-            for w in f.terms:
-                if (tgt or not flat.issuperset(w)) and self.word_degree(w) != tgt:
-                    raise ValueError(f"differential of {name} is not homogeneous of degree {tgt}")
+            self.check_homogeneous(name, f)
+
+    def check_homogeneous(self, name: str, f: FreePoly):
+        """Raise ValueError unless every word of f has degree |name| - 1."""
+        tgt, flat = self._degree[name] - 1, self._flat
+        for w in f.terms:
+            if (tgt or not flat.issuperset(w)) and self.word_degree(w) != tgt:
+                raise ValueError(f"differential of {name} is not homogeneous of degree {tgt}")
 
     def word_degree(self, w: Word) -> int:
         return sum(self._degree[n] * e for n, e in w)
@@ -214,8 +257,9 @@ class DGA:
         w_1..w_{i-1} d(w_i) w_{i+1}..w_n, added into one dict in place.
         """
         self.poly_degree(f)
-        p = self.p
+        p, diff = self.p, self.diff
         acc: dict[Word, int] = {}
+        terms_of: dict[str, dict[Word, int]] = {}  # d(name).terms, looked up once
         for w, c in f.terms.items():
             sign = 1
             for i, (name, e) in enumerate(w):
@@ -224,7 +268,10 @@ class DGA:
                     if e != 1:
                         raise ValueError(f"{name} is not invertible: no {name}^{e}")
                     left, right, cs = w[:i], w[i + 1:], c * sign
-                    for u, cu in self.diff[name].terms.items():
+                    dg = terms_of.get(name)
+                    if dg is None:
+                        dg = terms_of[name] = diff[name].terms
+                    for u, cu in dg.items():
                         v = _join(_join(left, u), right)
                         x = (acc.get(v, 0) + cs * cu) % p
                         if x:
@@ -350,12 +397,19 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
     Delta X and t^-1 to X^-1 Delta^-1 (geometric series in the nilpotent
     upper part).
 
+    The differential is built one row at a time, when one of its entries is
+    first read, and the row is checked for homogeneity then.  Row i of a
+    chord c is c^{i1}..c^{ik}: Phi(dc) expanded from copy i alone, plus row i
+    of Y_r C and of C Y_c.  The t^i, x^{ij} and y^{ij} entries of one
+    invertible form one row.  So reading only the (1, k) entries, as the
+    twist of mu_k does, builds only the rows of source copy 1, and reading
+    every entry gives the whole differential.
+
     Every matrix is a sparse word matrix (`_mat_mul`), and the cost tracks
     the number of terms built.  Phi of a polynomial expands each word c w
-    letter by letter from c times the identity, so each source copy i grows
-    one row vector, and the last letter's product adds the rows into the
-    k x k result in place.  Each letter's image (chord matrix, Delta X,
-    X^-1 Delta^-1) is built once.
+    letter by letter from c at (i, i), a row vector, and the last letter's
+    product adds the row into the result in place.  Each letter's image
+    (chord matrix, Delta X, X^-1 Delta^-1) is built once.
     """
     if not 1 <= k <= 10:
         raise ValueError("k must be between 1 and 10: names such as b1^12 give one digit per copy")
@@ -387,10 +441,11 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
                     gens.append(Generator(nm, deg, r=tg.r, c=tg.c))
                     info[nm] = (fam, l, i, j)
 
-    def letter_mat(stem: str, upper: bool = False) -> Matrix:
-        # the letter stem^{ij} at (i, j), above the diagonal only when upper
+    def letter_mat(stem: str, upper: bool = False, rows=range(k)) -> Matrix:
+        # the letter stem^{ij} at (i, j) for i in rows, above the diagonal
+        # only when upper
         return {(i, j): {((f"{stem}^{i + 1}{j + 1}", 1),): 1}
-                for i in range(k) for j in range(k) if i < j or not upper}
+                for i in rows for j in range(k) if i < j or not upper}
 
     def delta(l: int, exp: int) -> Matrix:
         tn = ts[l - 1].name
@@ -425,13 +480,14 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
                 images[letter] = letter_mat(name)
         return images[letter]
 
-    def phi_poly(f: FreePoly, out: Matrix) -> Matrix:
+    def phi_row(f: FreePoly, i: int, out: Matrix) -> Matrix:
+        # row i of Phi(f), added into out
         for w, c in f.terms.items():
-            rows = {(i, i): {(): c} for i in range(k)}
+            row = {(i, i): {(): c}}
             if not w:
-                _mat_mul(rows, identity, p, out)
+                _mat_mul(row, identity, p, out)
             for n, letter in enumerate(w, start=1):
-                rows = _mat_mul(rows, image(letter), p, out if n == len(w) else None)
+                row = _mat_mul(row, image(letter), p, out if n == len(w) else None)
         return out
 
     def entry(mat: Matrix, i: int, j: int) -> FreePoly:
@@ -439,28 +495,42 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
         out.terms = mat.get((i, j)) or {}
         return out
 
-    diff: dict[str, FreePoly] = {}
-    for g in chords:
+    def chord_row(g: Generator, i: int) -> dict[str, FreePoly]:
+        dc = phi_row(dga.diff[g.name], i, {})
         c_mat = letter_mat(g.name)
-        dc = phi_poly(dga.diff[g.name], {})
-        _mat_mul(letter_mat(f"y{g.r}", upper=True), c_mat, p, dc)
-        _mat_mul(c_mat, letter_mat(f"y{g.c}", upper=True), p, dc, coeff=-((-1) ** g.degree))
-        for i in range(k):
-            for j in range(k):
-                diff[f"{g.name}^{i + 1}{j + 1}"] = entry(dc, i, j)
-    for g in ts:
+        _mat_mul(letter_mat(f"y{g.r}", upper=True, rows=(i,)), c_mat, p, dc)
+        _mat_mul(letter_mat(g.name, rows=(i,)), letter_mat(f"y{g.c}", upper=True), p, dc,
+                 coeff=-((-1) ** g.degree))
+        return {f"{g.name}^{i + 1}{j + 1}": entry(dc, i, j) for j in range(k)}
+
+    def t_rows(g: Generator) -> dict[str, FreePoly]:
         l = t_index[g.name]
         y_l, y_r, y_c = (letter_mat(f"y{e}", upper=True) for e in (l, g.r, g.c))
         dx = _mat_mul(_mat_mul(_mat_mul(delta(l, -1), y_r, p), delta(l, 1), p), x_mat(l), p)
         _mat_mul(x_mat(l), y_c, p, dx, coeff=-1)
         ysq = _mat_mul(y_l, y_l, p)
+        out = {}
         for i in range(k):
-            diff[f"{g.name}^{i + 1}"] = FreePoly(p)
+            out[f"{g.name}^{i + 1}"] = FreePoly(p)
             for j in range(i + 1, k):
-                diff[f"x{l}^{i + 1}{j + 1}"] = entry(dx, i, j)
-                diff[f"y{l}^{i + 1}{j + 1}"] = entry(ysq, i, j)
+                out[f"x{l}^{i + 1}{j + 1}"] = entry(dx, i, j)
+                out[f"y{l}^{i + 1}{j + 1}"] = entry(ysq, i, j)
+        return out
 
-    return DGA(p, gens, diff, copy_info=info)
+    row_of: dict[str, Callable[[], dict[str, FreePoly]]] = {}
+    for g in chords:
+        for i in range(k):
+            build = partial(chord_row, g, i)
+            row_of.update((f"{g.name}^{i + 1}{j + 1}", build) for j in range(k))
+    for g in ts:
+        build, l = partial(t_rows, g), t_index[g.name]
+        for i in range(1, k + 1):
+            row_of[f"{g.name}^{i}"] = build
+            for j in range(i + 1, k + 1):
+                row_of[f"x{l}^{i}{j}"] = row_of[f"y{l}^{i}{j}"] = build
+    copy = DGA(p, gens, {}, copy_info=info)
+    copy.diff = _RowDiff(row_of, copy.check_homogeneous)  # checked row by row
+    return copy
 
 
 @lru_cache(maxsize=None)
@@ -495,6 +565,10 @@ def staircase_part(copy: DGA, f: FreePoly, k: int) -> FreePoly:
 
 @lru_cache(maxsize=None)
 def lambda_staircase_diff(m: int, p: int, k: int, base: str) -> FreePoly:
-    """staircase_part of d(base^{1k}) in the k-copy of the (2,m) link DGA."""
+    """staircase_part of d(base^{1k}) in the k-copy of the (2,m) link DGA.
+
+    Reading d(base^{1k}) builds, and checks, only the row of base for
+    source copy 1 (or the t, x, y row of one invertible), not the whole copy.
+    """
     copy = lambda_copy_dga(m, p, k)
     return staircase_part(copy, copy.diff[f"{base}^1{k}"], k)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from legtorus import ainfty
+from legtorus import ainfty, freedga
 from legtorus import exactalg as xa
 from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
                              TwistedCopy, _eval_matrix_poly, base_generators,
@@ -596,3 +596,36 @@ def test_zero_one_vs_one_zero_not_isomorphic():
     by_tuple = {(int(r.A[0][0, 0]), int(r.A[1][0, 0])): r for r in reps}
     assert is_isomorphic(by_tuple[(0, 1)], by_tuple[(1, 0)]) is None
     assert is_isomorphic(by_tuple[(0, 1)], by_tuple[(0, 1)]) is not None
+
+
+def test_mu3_builds_only_the_rows_of_source_copy_1():
+    """The twist reads only the (1, K) entries of the K-copy, so mu_3 builds
+    only chord rows of source copy 1.  Every entry of a copy passes
+    DGA.check_homogeneous when its row is built, which counts the rows."""
+    checked = []
+    real = freedga.DGA.check_homogeneous
+
+    def record(dga, name, f):
+        checked.append((dga, name))
+        real(dga, name, f)
+
+    m, n, p = 6, 2, 3
+    rng = random.Random(27)
+    rhos = tuple(random_rep(m, n, p, rng) for _ in range(4))
+    args = [rand_homog(m, n, p, 1, rng) for _ in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freedga.DGA, "check_homogeneous", record)
+        # a fresh copy, built while the count is on, and dropped afterwards
+        freedga.lambda_copy_dga.cache_clear()
+        freedga.lambda_staircase_diff.cache_clear()
+        try:
+            mu_k(rhos, args)
+            copy = freedga.lambda_copy_dga(m, p, 4)
+        finally:
+            freedga.lambda_copy_dga.cache_clear()
+            freedga.lambda_staircase_diff.cache_clear()
+    kinds = [copy.copy_info[name] for dga, name in checked if dga is copy]
+    assert {kind[0] for kind in kinds} == {"chord"}  # degree 2: b1, b2 only
+    rows = {(base, i) for _, base, i, _ in kinds}
+    assert rows == {("b1", 1), ("b2", 1)}
+    assert len(kinds) == 2 * 4  # each row built once

@@ -468,3 +468,38 @@ def test_init_rejects_one_word_of_the_wrong_degree():
     bad = copy.diff["a1^12"] + poly(p, {"a1^11 a2^12": 1})
     with pytest.raises(ValueError, match=re.escape("differential of a1^12 is not homogeneous")):
         DGA(p, gens, {**copy.diff, "a1^12": bad}, copy_info=copy.copy_info)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kcopy_entries_read_in_random_order_match_reference(p):
+    """Rows of a copy differential are built when first read: entries read
+    in a seeded random order, from a fresh copy each time, equal the
+    reference's, whichever row a read happens to build."""
+    for base in [build_lambda_dga(m, p) for m in (1, 2, 3, 4)] + [twisted_dga(p)]:
+        for k in (2, 3, 4):
+            want = ref.kcopy_dga(base, k)
+            for seed in (1, 2, 3):
+                copy = kcopy_dga(base, k)
+                names = list(want.diff)
+                random.Random(seed).shuffle(names)
+                for name in names:
+                    got = copy.diff[name].terms
+                    assert got == want.diff[name].terms, (seed, k, name)
+                    assert all(0 < c < p for c in got.values()), (seed, k, name)
+                assert list(copy.diff) == list(want.diff)
+
+
+def test_copy_rows_are_checked_when_built():
+    """A base differential spoiled after its DGA was checked still gives a
+    copy, but each row that holds a wrong-degree word is refused when read,
+    every time it is read; the rows of other chords are not."""
+    p = 3
+    base = build_lambda_dga(3, p)
+    base.diff["b1"] = base.diff["b1"] + poly(p, {"a1 b2": 1})  # degree 1 in a degree-0 differential
+    copy = kcopy_dga(base, 3)
+    assert copy.diff["a1^12"] == kcopy_dga(build_lambda_dga(3, p), 3).diff["a1^12"]
+    for name in ("b1^12", "b1^12", "b1^21"):
+        # the message names the first entry of the row with a wrong word
+        with pytest.raises(ValueError, match=rf"differential of b1\^{name[3]}\d is not homogeneous"):
+            copy.diff[name]
+    copy.diff["b2^12"]
