@@ -11,7 +11,12 @@ sign rule
 where d_s is the (dual) degree of the s-th argument and arguments are listed
 Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
 
-`mu_k`, `mu1` and `mu2` twist the symbolic (k+1)-copy DGA (`TwistedCopy`).
+`mu_k`, `mu1` and `mu2` read the (1, k+1) entries of the symbolic
+(k+1)-copy differential.  `freedga.staircase_words` keeps the words there
+that run up the staircase and splits each, once per copy, into its chain
+letters and one run of diagonal letters per copy; `TwistedCopy.top_diff`
+turns each word into its one twisted term by multiplying every run out in
+its copy's representation (`_expand_twist`).
 The mu_1 matrix behind HomCohomology (`mu1_matrix`) builds no copy DGA: it
 evaluates the 2-copy differential on 2x2 block upper-triangular matrices
 blockwise.  Their diagonal blocks are r0's and r1's own values, so only the
@@ -35,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg as xa
-from .freedga import (DGA, FreePoly, lambda_copy_dga, lambda_dga,
-                      lambda_staircase_diff, link_grading, pq_matrix)
+from .freedga import (FreePoly, lambda_copy_dga, lambda_dga, link_grading,
+                      pq_matrix, staircase_words)
 
 
 class BudgetExceeded(RuntimeError):
@@ -217,6 +222,8 @@ class HomElement:
         return not self.coeffs
 
     def __add__(self, other):
+        if (self.n, self.p) != (other.n, other.p):
+            raise ValueError("mismatched Hom elements: different n or p")
         out = dict(self.coeffs)
         for b, mat in other.coeffs.items():
             out[b] = (out.get(b, 0) + mat) % self.p
@@ -230,7 +237,8 @@ class HomElement:
                           {b: (mat * k) % self.p for b, mat in self.coeffs.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, HomElement) and self.degree == other.degree
+        return (isinstance(other, HomElement)
+                and (self.n, self.p, self.degree) == (other.n, other.p, other.degree)
                 and set(self.coeffs) == set(other.coeffs)
                 and all(np.array_equal(self.coeffs[b], other.coeffs[b]) for b in self.coeffs))
 
@@ -264,60 +272,38 @@ def _eval_matrix_poly(f: FreePoly, eps, n: int, p: int) -> np.ndarray:
     return out
 
 
-def _expand_twist(dga: DGA, f: FreePoly, eps, n: int, p: int):
-    """The staircase term of phi_eps(w) for each staircase word w of f.
+def _expand_twist(words, rhos, n: int, p: int):
+    """The staircase term of phi_eps(w) for each split staircase word w.
 
     phi_eps sends a diagonal chord c^{ii} to c^{ii} + eps(c^{ii}), an
     invertible t^i to eps(t^i), and an off-diagonal letter (c^{ij}, i != j,
-    or a Morse x/y) to itself, as its eps is 0.  A term that keeps some
-    c^{ii} as a letter is not a staircase term, so each word has exactly one:
-    its diagonal letters become their eps values and its off-diagonal letters
-    stay.  Returns (coeffs, bases) per word, with the matrix coefficients
-    interleaved left to right around the base names of the kept letters;
-    a term with a zero coefficient is dropped.
+    or a Morse x/y) to itself, as its eps is 0; copy l + 1 carries rhos[l].
+    A term that keeps some c^{ii} as a letter is not a staircase term, so a
+    word has exactly one: its diagonal letters become their eps values and
+    its chain letters stay.  For a word (coeff, runs, bases) from
+    `staircase_words`, coefficient l is the product of rhos[l].value over
+    runs[l] (times coeff for l = 0).  Returns (coeffs, bases) per term, the
+    coefficients interleaved left to right around the chain letters; a term
+    with a zero coefficient is dropped.
     """
-    info = dga.copy_info
     ident = xa.eye(n)
     terms = []
-    for w, c in f.terms.items():
-        coeffs, bases = [c * ident], []
-        for name, exp in w:
-            kind = info[name]
-            if kind[0] == "t" or kind[2] == kind[3]:
-                coeffs[-1] = (coeffs[-1] @ eps(name, exp)) % p
-            else:
-                bases.append(kind[1] if kind[0] == "chord" else f"{kind[0]}{kind[1]}")
-                coeffs.append(ident)
+    for c, runs, bases in words:
+        coeffs = []
+        for rho, run in zip(rhos, runs):
+            acc = ident if coeffs else c * ident
+            for name, exp in run:
+                acc = (acc @ rho.value(name, exp)) % p
+            coeffs.append(acc)
         if all(cf.any() for cf in coeffs):
             terms.append((coeffs, bases))
     return terms
 
 
-class PureAugmentation:
-    """eps for the K-copy of Lambda_m given representations (rho_0..rho_{K-1});
-    copy i carries rho_{i-1}, off-diagonal chords and Morse generators go to 0."""
-
-    def __init__(self, copydga: DGA, rhos):
-        self.info = copydga.copy_info
-        self.rhos = rhos
-        self.n = rhos[0].n
-        self.p = rhos[0].p
-
-    def __call__(self, name, exp=1):
-        kind = self.info[name]
-        if kind[0] == "t":
-            _, base, _, i = kind
-            return self.rhos[i - 1].value(base, exp)
-        if kind[0] == "chord":
-            _, base, i, j = kind
-            if i == j:
-                return self.rhos[i - 1].value(base, exp)
-            return xa.zeros(self.n, self.n)
-        return xa.zeros(self.n, self.n)  # Morse x/y generators
-
-
 class TwistedCopy:
-    """Pure-augmentation twist of the (k+1)-copy, computed lazily per generator."""
+    """Pure-augmentation twist of the K-copy by rhos (copy l + 1 carries
+    rhos[l]), one generator at a time; the copy from `lambda_copy_dga` keys
+    the cached split of its staircase words."""
 
     def __init__(self, rhos):
         r0 = rhos[0]
@@ -325,27 +311,22 @@ class TwistedCopy:
             if (r.m, r.n, r.p) != (r0.m, r0.n, r0.p):
                 raise ValueError("mismatched representations")
         self.m, self.n, self.p = r0.m, r0.n, r0.p
+        self.rhos = rhos
         self.K = len(rhos)
         self.dga = lambda_copy_dga(self.m, self.p, self.K)
-        self.eps = PureAugmentation(self.dga, rhos)
 
     def top_diff(self, base: str):
         """Staircase terms of d_eps(base^{1,K}) as (coeffs, bases).
 
         A staircase term has the letters z^{12}, ..., z^{K-1,K} and nothing
-        else.  Off-diagonal chords c^{ij} (i != j) and the Morse generators
-        x/y have eps = 0, so twisting keeps them as letters; a diagonal chord
-        c^{ii} that stays a letter makes the term non-staircase.  So only the
-        words whose off-diagonal letters are that chain, with every diagonal
-        letter on the level reached so far, can contribute
-        (`lambda_staircase_diff`, cached per (m, p, K, base)), and each gives
-        exactly one term: every diagonal letter replaced by its eps value
-        (`_expand_twist`).  Only the (1, K) entry of the copy differential
-        is read, and the copy builds and checks a row when it is first read,
-        so only rows of source copy 1 are built.
+        else, so only words whose off-diagonal letters are that chain can
+        contribute.  `staircase_words` picks them from this copy's (1, K)
+        entry, split into chain letters and one run of diagonal letters per
+        copy, once per (copy, base); `_expand_twist` multiplies the runs out
+        in the representations.  Only rows of source copy 1 are built.
         """
-        f = lambda_staircase_diff(self.m, self.p, self.K, base)
-        return _expand_twist(self.dga, f, self.eps, self.n, self.p)
+        words = staircase_words(self.dga, self.K, base)
+        return _expand_twist(words, self.rhos, self.n, self.p)
 
 
 def base_generators(m: int) -> list[str]:
@@ -359,13 +340,6 @@ def mu_k(rhos, args) -> HomElement:
     if len(rhos) != k + 1:
         raise ValueError("need k+1 representations for mu_k")
     tw = TwistedCopy(tuple(rhos))
-    return mu_k_twisted(tw, args)
-
-
-def mu_k_twisted(tw: TwistedCopy, args) -> HomElement:
-    k = tw.K - 1
-    if len(args) != k:
-        raise ValueError("argument count does not match the copy")
     n, p = tw.n, tw.p
     for a in args:
         if (a.n, a.p) != (n, p):
@@ -387,14 +361,12 @@ def mu_k_twisted(tw: TwistedCopy, args) -> HomElement:
             # letters are left-to-right z^{1,2} .. z^{k,k+1}; slot s counts
             # from the right, so left-to-right position t pairs with args[k-1-t]
             val = cs[0]
-            dead = False
             for t, base in enumerate(bases):
                 a = args[k - 1 - t].coeffs.get(base)
                 if a is None:
-                    dead = True
                     break
                 val = (val @ a @ cs[t + 1]) % p
-            if not dead:
+            else:
                 acc = (acc + val) % p
         if acc.any():
             coeffs[w] = (sign * acc) % p

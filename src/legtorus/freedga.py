@@ -13,7 +13,9 @@ differential is built one row at a time, when the row is first read: a row
 is the entries g^{i1}..g^{ik} of one base chord g for one source copy i, or
 all the t, x and y entries of one invertible.  Each row is checked for
 homogeneity when it is built, so code that reads only the (1, k) entries
-builds only the rows of source copy 1.  Rows come from sparse k x k word
+builds only the rows of source copy 1.  `staircase_words` reads those
+entries for mu_k's twist, each word split by copy, and is the one reader of
+a copy's letter table (`copy_info`).  Rows come from sparse k x k word
 matrices, {(i, j): {word: coeff}} holding nonzero entries only, multiplied
 by one product that adds into its output in place; Phi of a base word is
 expanded letter by letter from one row vector, so the cost tracks the
@@ -538,37 +540,37 @@ def lambda_copy_dga(m: int, p: int, k: int) -> DGA:
     return kcopy_dga(lambda_dga(m, p), k)
 
 
-def staircase_part(copy: DGA, f: FreePoly, k: int) -> FreePoly:
-    """The words of f, in a k-copy DGA, that run up the staircase 1 -> k.
+@lru_cache(maxsize=None)
+def staircase_words(copy: DGA, k: int, base: str) -> tuple:
+    """The words of d(base^{1k}), in a k-copy DGA, that run up the staircase
+    1 -> k, each split by copy as (coeff, runs, bases).
 
     A word qualifies when its off-diagonal letters (chords c^{ij} with
     i != j and the Morse generators x^{ij}, y^{ij}) are z^{12}, z^{23}, ...,
     z^{k-1,k} in this order, and each diagonal letter (c^{ii}, t^i) sits on
-    copy i, the level the chain has reached.
-    """
-    kept = {}
-    for w, c in f.terms.items():
-        level = 1
-        for name, _ in w:
-            kind = copy.copy_info[name]
-            i, j = (kind[3], kind[3]) if kind[0] == "t" else kind[2:]
-            if i == j == level:
-                continue
-            if (i, j) != (level, level + 1):
-                break
-            level += 1
-        else:
-            if level == k:
-                kept[w] = c
-    return FreePoly(copy.p, kept)
+    copy i, the level the chain has reached.  runs[l] lists, left to right,
+    the diagonal letters on copy l + 1 as (base name, exponent), and bases
+    the base names of the chain letters ("a1", "b2", "x1", "y2", ...).
 
-
-@lru_cache(maxsize=None)
-def lambda_staircase_diff(m: int, p: int, k: int, base: str) -> FreePoly:
-    """staircase_part of d(base^{1k}) in the k-copy of the (2,m) link DGA.
-
-    Reading d(base^{1k}) builds, and checks, only the row of base for
+    Cached per (copy, k, base), so the copy `lambda_copy_dga` keeps is split
+    once.  Reading d(base^{1k}) builds, and checks, only the row of base for
     source copy 1 (or the t, x, y row of one invertible), not the whole copy.
     """
-    copy = lambda_copy_dga(m, p, k)
-    return staircase_part(copy, copy.diff[f"{base}^1{k}"], k)
+    words, info = [], copy.copy_info
+    for w, c in copy.diff[f"{base}^1{k}"].terms.items():
+        level, run, runs, bases = 1, [], [], []
+        for name, exp in w:
+            kind = info[name]
+            i, j = (kind[3], kind[3]) if kind[0] == "t" else kind[2:]
+            if i == j == level:
+                run.append((kind[1], exp))
+            elif i == level and j == level + 1:
+                runs.append(tuple(run))
+                bases.append(kind[1] if kind[0] == "chord" else f"{kind[0]}{kind[1]}")
+                level, run = j, []
+            else:
+                break
+        else:
+            if level == k:
+                words.append((c, (*runs, tuple(run)), tuple(bases)))
+    return tuple(words)

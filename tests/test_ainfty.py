@@ -13,8 +13,7 @@ from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
                              hom_basis_order, hom_cohomology, is_isomorphic,
                              mu1, mu1_matrix, mu2, mu_k, random_rep, unit)
 from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, lambda_copy_dga,
-                              lambda_staircase_diff, link_grading, pq_matrix,
-                              staircase_part)
+                              link_grading, pq_matrix, staircase_words)
 from legtorus.torusrep import cohomology_closed, mu1_closed
 
 
@@ -90,6 +89,29 @@ def test_enumerate_budget_refusal():
 # expanded into both "letter" and "eps", so they serve as references for the
 # twisted differential of a whole DGA and for d_eps^2 = 0.
 
+class PureAugmentation:
+    """eps for the K-copy of Lambda_m given representations (rho_0..rho_{K-1});
+    copy i carries rho_{i-1}, off-diagonal chords and Morse generators go to 0.
+    It reads each letter's copy from copy_info itself, not from the library's
+    split (`staircase_words`), so the branching twist below stays independent."""
+
+    def __init__(self, copydga: DGA, rhos):
+        self.info = copydga.copy_info
+        self.rhos = rhos
+        self.n = rhos[0].n
+
+    def __call__(self, name, exp=1):
+        kind = self.info[name]
+        if kind[0] == "t":
+            _, base, _, i = kind
+            return self.rhos[i - 1].value(base, exp)
+        if kind[0] == "chord":
+            _, base, i, j = kind
+            if i == j:
+                return self.rhos[i - 1].value(base, exp)
+        return xa.zeros(self.n, self.n)  # off-diagonal chords, Morse x/y
+
+
 def twist_diff(dga: DGA, eps) -> dict[str, list]:
     """Twisted differential of a DGA by a matrix augmentation.
 
@@ -156,7 +178,8 @@ def check_twisted_d_squared(rhos) -> bool:
     the key (letters, (a_r, b_r, ..., a_0, b_0)).
     """
     tw = TwistedCopy(tuple(rhos))
-    dga, eps, n, p = tw.dga, tw.eps, tw.n, tw.p
+    dga, n, p = tw.dga, tw.n, tw.p
+    eps = PureAugmentation(dga, tw.rhos)
     diffs = {name: branching_expand_twist(dga, dga.diff[name], eps, n, p)
              for name, g in dga.gens.items() if not g.invertible}
 
@@ -249,7 +272,7 @@ def reference_staircase(self, base):
     out = []
     k = self.K - 1
     full = branching_expand_twist(self.dga, self.dga.diff[f"{base}^1{self.K}"],
-                                  self.eps, self.n, self.p)
+                                  PureAugmentation(self.dga, self.rhos), self.n, self.p)
     for coeffs, letters in full:
         if len(letters) != k:
             continue
@@ -260,7 +283,7 @@ def reference_staircase(self, base):
                 ok = False
                 break
         if ok:
-            bases = [lv[1] if lv[0] == "chord" else f"{lv[0]}{lv[1]}" for lv in levels]
+            bases = tuple(lv[1] if lv[0] == "chord" else f"{lv[0]}{lv[1]}" for lv in levels)
             out.append((coeffs, bases))
     return out
 
@@ -330,13 +353,27 @@ def chain_words(copy, f, k):
     return kept
 
 
+def unsplit(runs, bases):
+    """The word a (runs, bases) split stands for: the letters of runs[l]
+    on copy l + 1, then chain letter l + 1 from copy l + 1 to l + 2."""
+    word = []
+    for l, run in enumerate(runs, start=1):
+        word += [(f"{name}^{l}" if name.startswith("t") else f"{name}^{l}{l}", exp)
+                 for name, exp in run]
+        if l <= len(bases):
+            word.append((f"{bases[l - 1]}^{l}{l + 1}", 1))
+    return tuple(word)
+
+
 def test_staircase_words_are_the_chain_words():
     for k in (2, 3, 4):
         for m in (1, 2, 3, 4):
             copy = lambda_copy_dga(m, 3, k)
             for base in base_generators(m):
                 f = copy.diff[f"{base}^1{k}"]
-                kept = lambda_staircase_diff(m, 3, k, base).terms
+                split = staircase_words(copy, k, base)
+                kept = {unsplit(runs, bases): c for c, runs, bases in split}
+                assert len(kept) == len(split), (k, m, base)
                 assert kept == chain_words(copy, f, k), (k, m, base)
                 assert all(f.terms[w] == c for w, c in kept.items())
 
@@ -345,11 +382,15 @@ def test_staircase_part_reads_levels():
     # words need not come from the 3-copy differential: diagonal letters off
     # their level and skipped or reversed steps must all be rejected
     copy = lambda_copy_dga(2, 3, 3)
-    kept = [
-        ("a1^12", "a2^23"),
-        ("a1^11", "a1^12", "a2^22", "a2^23", "a1^33"),
-        ("t1^1", "y1^12", "t2^2", "x2^23", "t1^3"),
-    ]
+    kept = {  # word: (coeff, runs, bases)
+        ("a1^12", "a2^23"): (1, ((), (), ()), ("a1", "a2")),
+        ("a1^11", "a1^12", "a2^22", "a2^23", "a1^33"):
+            (2, ((("a1", 1),), (("a2", 1),), (("a1", 1),)), ("a1", "a2")),
+        ("t1^1", "y1^12", "t2^2", "x2^23", "t1^3"):
+            (1, ((("t1", 1),), (("t2", 1),), (("t1", 1),)), ("y1", "x2")),
+        ("t2^1", "a1^11", "b2^12", "t1^2", "t1^2", "a2^23"):
+            (2, ((("t2", -1), ("a1", 1)), (("t1", 1), ("t1", 1)), ()), ("b2", "a2")),
+    }
     rejected = [
         ("a1^22", "a1^12", "a2^23"),
         ("a1^12", "a1^33", "a2^23"),
@@ -363,9 +404,21 @@ def test_staircase_part_reads_levels():
         ("a1^21", "a1^12", "a2^23"),
         ("a2^23", "a1^12"),
     ]
-    f = FreePoly(3, {tuple((name, 1) for name in w): 1 for w in kept + rejected})
-    got = staircase_part(copy, f, 3).terms
-    assert set(got) == {tuple((name, 1) for name in w) for w in kept}
+
+    def word(names):
+        # the fourth kept word starts with t2^1 inverted
+        return tuple((name, -1 if (i, name) == (0, "t2^1") else 1)
+                     for i, name in enumerate(names))
+
+    terms = {word(w): c for w, (c, _, _) in kept.items()}
+    terms.update((word(w), 1) for w in rejected)
+    # a DGA whose d(a1^13) is these words, without the homogeneity check
+    # they would fail
+    probe = DGA(3, list(copy.gens.values()), {}, copy_info=copy.copy_info)
+    probe.diff = {"a1^13": FreePoly(3, terms)}
+    got = {unsplit(runs, bases): (c, runs, bases)
+           for c, runs, bases in staircase_words(probe, 3, "a1")}
+    assert got == {word(w): split for w, split in kept.items()}
 
 
 # -- the mu_1 matrix by 2x2 block evaluation ----------------------------------
@@ -478,6 +531,20 @@ def test_mu_k_validates_arguments():
         mu_k((r0, bad), [x])
     with pytest.raises(ValueError):
         HomElement(1, 3, 0, {"a1": np.array([[1]])})
+
+
+def test_hom_elements_of_different_n_or_p_differ():
+    assert HomElement(1, 2, 0, {}) != HomElement(2, 3, 0, {})
+    assert HomElement(1, 2, 0, {}) != HomElement(2, 2, 0, {})
+    assert HomElement(1, 2, 1, {"a1": [[1]]}) != HomElement(1, 3, 1, {"a1": [[1]]})
+    assert HomElement(1, 3, 1, {"a1": [[1]]}) == HomElement(1, 3, 1, {"a1": [[4]]})
+    one, two = HomElement(1, 3, 1, {"a1": [[1]]}), HomElement(2, 3, 1, {"a1": np.eye(2)})
+    for x, y in ((one, two), (two, one), (one, HomElement(1, 5, 1, {"a1": [[1]]}))):
+        with pytest.raises(ValueError, match="mismatched"):
+            x + y
+        with pytest.raises(ValueError, match="mismatched"):
+            x - y
+    assert (one + one).coeffs["a1"].tolist() == [[2]]
 
 
 def test_mu0_vanishes():
@@ -617,13 +684,13 @@ def test_mu3_builds_only_the_rows_of_source_copy_1():
         mp.setattr(freedga.DGA, "check_homogeneous", record)
         # a fresh copy, built while the count is on, and dropped afterwards
         freedga.lambda_copy_dga.cache_clear()
-        freedga.lambda_staircase_diff.cache_clear()
+        freedga.staircase_words.cache_clear()
         try:
             mu_k(rhos, args)
             copy = freedga.lambda_copy_dga(m, p, 4)
         finally:
             freedga.lambda_copy_dga.cache_clear()
-            freedga.lambda_staircase_diff.cache_clear()
+            freedga.staircase_words.cache_clear()
     kinds = [copy.copy_info[name] for dga, name in checked if dga is copy]
     assert {kind[0] for kind in kinds} == {"chord"}  # degree 2: b1, b2 only
     rows = {(base, i) for _, base, i, _ in kinds}

@@ -22,7 +22,7 @@ ALLOWED = {
     "torusrep": {"exactalg": WHOLE, "freedga": {"pq_matrix"},
                  "ainfty": {"HomElement", "Representation"}},
     "sheafcat": {"exactalg": WHOLE, "freedga": {"pq_matrix"},
-                 "ainfty": {"BudgetExceeded", "Representation"},
+                 "ainfty": {"Representation"},
                  "torusrep": {"H0Class", "H1Class"}},
     "cech": {"exactalg": WHOLE, "sheafcat": {"SheafObject"}},
 }
@@ -61,6 +61,29 @@ def test_route_imports_only_the_allowlist(route):
         allowed = ALLOWED[route].get(sibling)
         assert allowed is not None, f"{route} imports from {sibling}"
         assert allowed == WHOLE or name in allowed, f"{route} imports {sibling}.{name}"
+
+
+def copy_info_readers(path: Path) -> list[int]:
+    """Line numbers of every access to an attribute named copy_info."""
+    tree = ast.parse(path.read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "copy_info"]
+
+
+def test_only_freedga_decodes_the_copy_info():
+    # the K-copy's letter table is freedga's: the twist in ainfty reads
+    # staircase words already split by level (freedga.staircase_words)
+    assert copy_info_readers(SRC / "freedga.py")
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "freedga.py":
+            assert not copy_info_readers(path), path.name
+
+
+def test_the_copy_info_scan_sees_every_read(tmp_path):
+    code = ("def f(dga, copy):\n    info = dga.copy_info\n"
+            "    return getattr(copy, 'x').copy_info['a1^12']\n")
+    (tmp_path / "probe.py").write_text(code)
+    assert copy_info_readers(tmp_path / "probe.py") == [2, 3]
 
 
 def test_the_parser_sees_every_import_form(tmp_path):
