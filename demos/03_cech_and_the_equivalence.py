@@ -36,11 +36,13 @@ for i, F in enumerate(objs):
     for j, G in enumerate(objs):
         H = hom_cohomology(reps[i], reps[j])
         dims = CechComplex(T, F, G).cohomology_dims()
+        ext = (ext0_dim(F, G), ext1_dim(F, G), 0)
         label = f"({i},{j})"
         print(label.ljust(16),
               f"({H.dims[0]},{H.dims[1]},{H.dims[2]})".ljust(13),
-              f"({ext0_dim(F, G)},{ext1_dim(F, G)},0)".ljust(16),
+              f"({ext[0]},{ext[1]},0)".ljust(16),
               dims, sep="  ")
+        assert (H.dims[0], H.dims[1], H.dims[2]) == ext == dims
 
 print()
 print("=" * 72)
@@ -52,6 +54,7 @@ rules = Counter(s["rule"] for s in res["steps"])
 print(f"success: {res['success']}; rule usage: {dict(rules)}")
 ok, cert = cx.h2_certificate()
 print(f"rank certificate: rank d^1 = {cert['rank_d1']} = dim C^2 = {cert['dim_c2']}")
+assert res["success"] and ok and cert["rank_d1"] == cert["dim_c2"]
 
 print()
 print("=" * 72)
@@ -59,8 +62,11 @@ print("Refinement invariance and the eye-shaped unknot")
 print("=" * 72)
 rng = random.Random(3)
 F = functor_obj(random_rep(2, 2, 3, rng))
-for rho in (1, 2):
-    print(f"resolution {rho}: dims {CechComplex(build_tiling(2, rho), F, F).cohomology_dims()}")
+by_resolution = [CechComplex(build_tiling(2, rho), F, F).cohomology_dims() for rho in (1, 2)]
+for rho, dims in enumerate(by_resolution, start=1):
+    print(f"resolution {rho}: dims {dims}")
+assert by_resolution[0] == by_resolution[1]
 for r, s in [(1, 1), (2, 1), (2, 2)]:
     dims = CechComplex(eye_tiling(1), EyeSheaf(r, 3), EyeSheaf(s, 3)).cohomology_dims()
     print(f"eye front, ranks ({r},{s}): Hom cohomology {dims}  (= k^{{{r * s}}} in degree 0)")
+    assert dims == (r * s, 0, 0)

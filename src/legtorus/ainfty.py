@@ -222,8 +222,8 @@ class HomElement:
         return not self.coeffs
 
     def __add__(self, other):
-        if (self.n, self.p) != (other.n, other.p):
-            raise ValueError("mismatched Hom elements: different n or p")
+        if (self.n, self.p, self.degree) != (other.n, other.p, other.degree):
+            raise ValueError("mismatched Hom elements: different n, p or degree")
         out = dict(self.coeffs)
         for b, mat in other.coeffs.items():
             out[b] = (out.get(b, 0) + mat) % self.p
@@ -511,50 +511,30 @@ def is_isomorphic(r1: Representation, r2: Representation, budget: int = 200_000,
                   rng=None):
     """Witness (u_1, u_2) with rho_2(z) = u_{r(z)}^-1 rho_1(z) u_{c(z)}, or None.
 
-    Solves the linear intertwining system u_{r(z)} rho_2(z) = rho_1(z) u_{c(z)}
-    and filters kernel elements for invertibility: exhaustively when p^dim fits
-    the budget, by seeded sampling otherwise (in which case absence is not
-    certified and BudgetExceeded is raised instead).
+    An isomorphism is an invertible degree-0 cocycle: its coefficients on
+    y1, y2 lie in ker mu_1 of Hom(r1, r2), whose chord rows are
+    u_r rho_2(a_j) - rho_1(a_j) u_c and whose t-rows are T_l^-1 times
+    u_r rho_2(t_l) - rho_1(t_l) u_c.  Kernel elements are filtered for
+    invertibility: exhaustively when p^dim fits the budget, by seeded
+    sampling otherwise (in which case absence is not certified and
+    BudgetExceeded is raised instead).
     """
     if (r1.m, r1.n, r1.p) != (r2.m, r2.n, r2.p):
         raise ValueError("representations live in different categories")
-    m, n, p = r1.m, r1.n, r1.p
-    n2 = n * n
-    lg = link_grading(m)
-    rows = []
-    gens = [f"a{j}" for j in range(1, m + 1)] + ["t1", "t2"]
-    for z in gens:
-        r, c = lg[z]
-        row = xa.zeros(n2, 2 * n2)
-        # u_r rho2(z) - rho1(z) u_c = 0
-        row[:, (r - 1) * n2:r * n2] = xa.kron(xa.eye(n), r2.value(z).T, p)
-        row[:, (c - 1) * n2:c * n2] = (row[:, (c - 1) * n2:c * n2]
-                                       - xa.kron(r1.value(z), xa.eye(n), p)) % p
-        rows.append(row)
-    sys = np.vstack(rows) % p
-    _, ker = xa.rank_kernel(sys, p)
+    n, p = r1.n, r1.p
+    ker = xa.LinearMap(mu1_matrix(r1, r2, 0), p).kernel
     d = ker.shape[1]
-
-    def decode(vec):
-        u1 = vec[:n2].reshape(n, n)
-        u2 = vec[n2:].reshape(n, n)
-        return u1, u2
-
-    if p ** d <= budget:
-        for combo in itertools.product(range(p), repeat=d):
-            if not any(combo):
-                continue
-            vec = (ker @ np.array(combo, dtype=np.int64)) % p
-            u1, u2 = decode(vec)
-            if xa.det(u1, p) and xa.det(u2, p):
-                return u1, u2
-        return None
-    rng = rng or random.Random(0)
-    for _ in range(budget):
-        combo = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
-        vec = (ker @ combo) % p
-        u1, u2 = decode(vec)
+    exhaustive = p ** d <= budget
+    if exhaustive:  # every combination but the all-zero first one
+        combos = itertools.islice(itertools.product(range(p), repeat=d), 1, None)
+    else:
+        rng = rng or random.Random(0)
+        combos = ([rng.randrange(p) for _ in range(d)] for _ in range(budget))
+    for combo in combos:
+        u1, u2 = (ker @ np.array(combo, dtype=np.int64) % p).reshape(2, n, n)
         if xa.det(u1, p) and xa.det(u2, p):
             return u1, u2
+    if exhaustive:
+        return None
     raise BudgetExceeded(f"intertwiner space has {p}^{d} elements; sampling found no witness",
                          required=p ** d)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import sys
 
@@ -34,14 +33,12 @@ SCHEMA = 1
 
 
 def _emit(payload: dict, fmt: str = "json"):
-    """Write the report to stdout as it is encoded: JSON in batches of 2^16
-    encoder chunks, so no copy of the whole text is ever held, or CSV rows
-    one by one."""
+    """Write the report to stdout as it is encoded: JSON by `json.dump`,
+    which writes the encoder's chunks one at a time, so no copy of the whole
+    text is ever held, or CSV rows one by one."""
     payload = {"schema": SCHEMA, **payload}
     if fmt == "json":
-        chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload)
-        while batch := "".join(itertools.islice(chunks, 1 << 16)):
-            sys.stdout.write(batch)
+        json.dump(payload, sys.stdout, sort_keys=True, indent=1)
         sys.stdout.write("\n")
         return
     rows = payload.get("rows", [])

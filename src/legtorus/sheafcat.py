@@ -215,23 +215,18 @@ def ext1_dim(F, G) -> int:
 
 
 def extension_from_class(w, F: SheafObject, G: SheafObject):
-    """Middle object of the extension 0 -> G -> E -> F -> 0 with class w.
-
-    Returns (middle, Psi, Omegas): the middle is the rank-2n sheaf object with
-    block tuple [[A'_j, w_j], [0, A_j]], Psi is the fixed projection-normal
-    form and Omegas the 4-block chain maps.
+    """Middle object of the extension 0 -> G -> E -> F -> 0 with class w:
+    the rank-2n sheaf object with block tuple [[A'_j, w_j], [0, A_j]].  Its
+    projection-normal form is `psi` and its 4-block chain maps `omega(j)`.
     """
     n, p, m = F.n, F.p, F.m
     if len(w) != m:
         raise ValueError("class needs m components")
-    mid = SheafObject(m, 2 * n, p, [
+    return SheafObject(m, 2 * n, p, [
         np.block([[G.A[j], np.mod(np.array(w[j], dtype=np.int64), p)],
                   [xa.zeros(n, n), F.A[j]]]) % p
         for j in range(m)
     ])
-    omegas = [mid.omega(j) for j in range(1, m + 1)]
-    psi_mid = mid.psi
-    return mid, psi_mid, omegas
 
 
 def extension_inclusion(n: int, p: int):
@@ -259,7 +254,7 @@ def extension_projection(n: int, p: int):
 def check_extension_exact(w, F: SheafObject, G: SheafObject) -> bool:
     """Componentwise short exactness and chain compatibility of the middle."""
     n, p, m = F.n, F.p, F.m
-    mid, psi_mid, _ = extension_from_class(w, F, G)
+    mid = extension_from_class(w, F, G)
     inc_v, inc_v2 = extension_inclusion(n, p)
     proj_v, proj_v2 = extension_projection(n, p)
     # componentwise short exact: proj o inc = 0 with the right ranks
@@ -275,9 +270,9 @@ def check_extension_exact(w, F: SheafObject, G: SheafObject) -> bool:
             return False
         if not np.array_equal((proj_v2 @ mid.omega(j)) % p, (F.omega(j) @ proj_v2) % p):
             return False
-    if not np.array_equal((psi_mid @ inc_v2) % p, (inc_v @ G.psi) % p):
+    if not np.array_equal((mid.psi @ inc_v2) % p, (inc_v @ G.psi) % p):
         return False
-    if not np.array_equal((proj_v @ psi_mid) % p, (F.psi @ proj_v2) % p):
+    if not np.array_equal((proj_v @ mid.psi) % p, (F.psi @ proj_v2) % p):
         return False
     return mid.check_invariants()
 

@@ -547,6 +547,18 @@ def test_hom_elements_of_different_n_or_p_differ():
     assert (one + one).coeffs["a1"].tolist() == [[2]]
 
 
+def test_hom_elements_of_different_degree_do_not_add():
+    """Either order, and subtraction, refuse elements of different degree;
+    none of them returns an element of either degree."""
+    a = HomElement(1, 3, 0, {"y1": [[1]]})
+    z = HomElement(1, 3, 1, {})
+    for x, y in ((a, z), (z, a)):
+        with pytest.raises(ValueError, match="mismatched Hom elements"):
+            x + y
+        with pytest.raises(ValueError, match="mismatched Hom elements"):
+            x - y
+
+
 def test_mu0_vanishes():
     # the 1-copy twist keeps the all-diagonal words of d(b^{11}); their eps
     # values sum to rho(d b) = 0
@@ -696,3 +708,112 @@ def test_mu3_builds_only_the_rows_of_source_copy_1():
     rows = {(base, i) for _, base, i, _ in kinds}
     assert rows == {("b1", 1), ("b2", 1)}
     assert len(kinds) == 2 * 4  # each row built once
+
+
+# -- isomorphism witnesses against the intertwining system ---------------------
+
+def reference_intertwiners(r1, r2, swap_t=False, transpose=True):
+    """Kernel of the intertwining system u_r rho2(z) = rho1(z) u_c, one
+    block row per z in a_1..a_m, t1, t2, over the columns u1 then u2, each
+    row-major.  `swap_t` swaps (r, c) on the t-rows and `transpose=False`
+    drops the transpose of rho2(z): both are mutation controls."""
+    m, n, p = r1.m, r1.n, r1.p
+    n2 = n * n
+    lg = link_grading(m)
+    rows = []
+    for z in [f"a{j}" for j in range(1, m + 1)] + ["t1", "t2"]:
+        r, c = lg[z][::-1] if swap_t and z.startswith("t") else lg[z]
+        b = r2.value(z)
+        row = xa.zeros(n2, 2 * n2)
+        row[:, (r - 1) * n2:r * n2] = xa.kron(xa.eye(n), b.T if transpose else b, p)
+        row[:, (c - 1) * n2:c * n2] = (row[:, (c - 1) * n2:c * n2]
+                                       - xa.kron(r1.value(z), xa.eye(n), p)) % p
+        rows.append(row)
+    return xa.rank_kernel(np.vstack(rows) % p, p)[1]
+
+
+def reference_is_isomorphic(r1, r2, budget, rng):
+    """The search over the intertwining system's kernel: exhaustive, skipping
+    the zero combination, when p^dim fits the budget, else `budget` seeded
+    draws.  Returns the witness, None, or the BudgetExceeded it raises."""
+    n, p = r1.n, r1.p
+    n2 = n * n
+    ker = reference_intertwiners(r1, r2)
+    d = ker.shape[1]
+
+    def decode(vec):
+        return vec[:n2].reshape(n, n), vec[n2:].reshape(n, n)
+
+    if p ** d <= budget:
+        for combo in itertools.product(range(p), repeat=d):
+            if not any(combo):
+                continue
+            u1, u2 = decode((ker @ np.array(combo, dtype=np.int64)) % p)
+            if xa.det(u1, p) and xa.det(u2, p):
+                return u1, u2
+        return None
+    for _ in range(budget):
+        combo = np.array([rng.randrange(p) for _ in range(d)], dtype=np.int64)
+        u1, u2 = decode((ker @ combo) % p)
+        if xa.det(u1, p) and xa.det(u2, p):
+            return u1, u2
+    return BudgetExceeded(f"intertwiner space has {p}^{d} elements; sampling found no witness",
+                          required=p ** d)
+
+
+def iso_pairs(count, seed, primes):
+    """(r1, r2) at m <= 6, n <= 3: conjugate pairs and random pairs, alternately."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m, n, p = rng.randint(1, 6), rng.randint(1, 3), rng.choice(primes)
+        r1 = random_rep(m, n, p, rng)
+        if i % 2:
+            yield r1, random_rep(m, n, p, rng)
+            continue
+        while True:
+            g = xa.rand_matrix(rng, n, n, p)
+            if xa.det(g, p):
+                break
+        yield r1, r1.conjugate(xa.inverse(g, p), g)
+
+
+def test_witness_kernel_is_the_intertwining_kernel():
+    """ker mu_1^0 and the intertwining system's kernel are the same canonical
+    basis, bit for bit, and both mutation controls change it somewhere."""
+    nonzero = swapped = untransposed = 0
+    for r1, r2 in iso_pairs(600, 29, (2, 3, 5, 7, 32749)):
+        ker = xa.LinearMap(mu1_matrix(r1, r2, 0), r1.p).kernel
+        assert np.array_equal(ker, reference_intertwiners(r1, r2))
+        nonzero += ker.shape[1] > 0
+        swapped += not np.array_equal(ker, reference_intertwiners(r1, r2, swap_t=True))
+        untransposed += not np.array_equal(ker, reference_intertwiners(r1, r2, transpose=False))
+    assert nonzero >= 200
+    assert swapped and untransposed, (swapped, untransposed)
+
+
+def test_is_isomorphic_matches_the_intertwining_search():
+    """Same witness, None, or BudgetExceeded (message and `required`) as the
+    search over the intertwining system, and the same draws from the rng, at
+    budgets that take the exhaustive and the sampled paths."""
+    ends = {"witness": 0, "none": 0, "refused": 0, "sampled": 0}
+    for k, (r1, r2) in enumerate(iso_pairs(300, 30, (2, 3, 5, 7))):
+        budget = (5, 50, 200_000)[k % 3]
+        rng, ref_rng = random.Random(k), random.Random(k)
+        want = reference_is_isomorphic(r1, r2, budget, ref_rng)
+        try:
+            got = is_isomorphic(r1, r2, budget=budget, rng=rng)
+        except BudgetExceeded as e:
+            got = e
+        if isinstance(want, BudgetExceeded):
+            assert isinstance(got, BudgetExceeded)
+            assert (str(got), got.required) == (str(want), want.required)
+            ends["refused"] += 1
+        elif want is None:
+            assert got is None
+            ends["none"] += 1
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            ends["witness"] += 1
+        ends["sampled"] += rng.getstate() != random.Random(k).getstate()
+        assert rng.getstate() == ref_rng.getstate()
+    assert all(ends.values()), ends

@@ -316,7 +316,7 @@ def emit_peak(rows, monkeypatch):
 
 
 def test_json_report_is_written_without_a_whole_copy(monkeypatch):
-    """_emit writes the encoder's chunks in batches, so its memory peak does
+    """_emit writes the encoder's chunks one at a time, so its memory peak does
     not grow with the report: 4x the rows (4.2 MB of JSON) leave the peak
     where it was and below the size of the text, where one `json.dumps`
     of the report peaks near ten times that size."""

@@ -189,12 +189,12 @@ def test_extension_middle_object():
         m, n, p = rng.choice([1, 2, 3]), rng.choice([1, 2]), rng.choice([2, 3, 5])
         F, G = rand_object(m, n, p, rng), rand_object(m, n, p, rng)
         w = [xa.rand_matrix(rng, n, n, p) for _ in range(m)]
-        mid, psi_mid, omegas = extension_from_class(w, F, G)
+        mid = extension_from_class(w, F, G)
         assert mid.n == 2 * n
         assert mid.check_invariants()
         assert check_extension_exact(w, F, G)
         # zero class gives the block-diagonal (split) middle
-        mid0, _, _ = extension_from_class([xa.zeros(n, n)] * m, F, G)
+        mid0 = extension_from_class([xa.zeros(n, n)] * m, F, G)
         assert all(not mid0.A[j][:n, n:].any() for j in range(m))
 
 
@@ -237,8 +237,8 @@ def pullback_check(wprime, u, F: SheafObject, G: SheafObject, H: SheafObject) ->
     n, p, m = F.n, F.p, F.m
     u1, u2 = u
     w_pull = compose01(wprime, u, p)
-    mid_orig, _, _ = extension_from_class(wprime, G, H)
-    mid_pull, _, _ = extension_from_class(w_pull, F, H)
+    mid_orig = extension_from_class(wprime, G, H)
+    mid_pull = extension_from_class(w_pull, F, H)
     big_w = np.block([
         [xa.eye(n), xa.zeros(n, n), xa.zeros(n, n), xa.zeros(n, n)],
         [xa.zeros(n, n), u2, xa.zeros(n, n), xa.zeros(n, n)],
