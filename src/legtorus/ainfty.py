@@ -33,6 +33,7 @@ A `Representation` holds its tuple as one read-only int64 array of shape
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -87,22 +88,20 @@ class Representation:
         self.T1_inv = (-pm) % p
         self.T2 = (-pq_matrix("Q", self.A, p)) % p
         self.T2_inv = xa.inverse(self.T2, p)  # invertible by the determinant identity
-        self._source = self._target = None
 
-    @property
+    @functools.cached_property
     def source_stacks(self) -> np.ndarray:
         """Layer (0, j-1) is P(A_1..A_{j-1}), layer (1, j-1) is P(-A_m..-A_{j+1}).
 
         Shape (2, m, n, n), read-only: the left factors of the degree-1
         corners of mu_1 on a Hom space with this object as its source.
         """
-        if self._source is None:
-            self._source = np.stack([_continuants(self.A, self.p, left=False),
-                                     _continuants(-self.A[::-1], self.p, left=False)[::-1]])
-            self._source.flags.writeable = False
-        return self._source
+        stacks = np.stack([_continuants(self.A, self.p, left=False),
+                           _continuants(-self.A[::-1], self.p, left=False)[::-1]])
+        stacks.flags.writeable = False
+        return stacks
 
-    @property
+    @functools.cached_property
     def target_stacks(self) -> np.ndarray:
         """Layer (0, j-1) is P(B_{j+1}..B_m), layer (1, j-1) is P(-B_{j-1}..-B_1),
         with B this object's tuple.
@@ -110,11 +109,10 @@ class Representation:
         Shape (2, m, n, n), read-only: the right factors of the degree-1
         corners of mu_1 on a Hom space with this object as its target.
         """
-        if self._target is None:
-            self._target = np.stack([_continuants(self.A[::-1], self.p, left=True)[::-1],
-                                     _continuants(-self.A, self.p, left=True)])
-            self._target.flags.writeable = False
-        return self._target
+        stacks = np.stack([_continuants(self.A[::-1], self.p, left=True)[::-1],
+                           _continuants(-self.A, self.p, left=True)])
+        stacks.flags.writeable = False
+        return stacks
 
     def key(self):
         return tuple(bytes(a.astype(np.int64)) for a in self.A)
@@ -329,11 +327,6 @@ class TwistedCopy:
         return _expand_twist(words, self.rhos, self.n, self.p)
 
 
-def base_generators(m: int) -> list[str]:
-    return [f"b{j}" for j in (1, 2)] + [f"a{j}" for j in range(1, m + 1)] + \
-        ["x1", "x2", "y1", "y2"]
-
-
 def mu_k(rhos, args) -> HomElement:
     """mu_k: Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1) -> Hom(rho_0,rho_k)."""
     k = len(args)
@@ -353,9 +346,7 @@ def mu_k(rhos, args) -> HomElement:
     sign = (-1) ** sigma
     out_deg = sum(degs) + 2 - k
     coeffs: dict[str, np.ndarray] = {}
-    for w in base_generators(tw.m):
-        if dual_degree(w) != out_deg:
-            continue
+    for w in hom_basis_order(tw.m, out_deg):
         acc = xa.zeros(n, n)
         for cs, bases in tw.top_diff(w):
             # letters are left-to-right z^{1,2} .. z^{k,k+1}; slot s counts
@@ -517,7 +508,8 @@ def is_isomorphic(r1: Representation, r2: Representation, budget: int = 200_000,
     u_r rho_2(t_l) - rho_1(t_l) u_c.  Kernel elements are filtered for
     invertibility: exhaustively when p^dim fits the budget, by seeded
     sampling otherwise (in which case absence is not certified and
-    BudgetExceeded is raised instead).
+    BudgetExceeded is raised instead).  As det(c u) = c^n det(u), the
+    exhaustive search tries each line once, at its first nonzero entry 1.
     """
     if (r1.m, r1.n, r1.p) != (r2.m, r2.n, r2.p):
         raise ValueError("representations live in different categories")
@@ -525,8 +517,9 @@ def is_isomorphic(r1: Representation, r2: Representation, budget: int = 200_000,
     ker = xa.LinearMap(mu1_matrix(r1, r2, 0), p).kernel
     d = ker.shape[1]
     exhaustive = p ** d <= budget
-    if exhaustive:  # every combination but the all-zero first one
-        combos = itertools.islice(itertools.product(range(p), repeat=d), 1, None)
+    if exhaustive:
+        combos = ((0,) * i + (1,) + rest for i in reversed(range(d))
+                  for rest in itertools.product(range(p), repeat=d - 1 - i))
     else:
         rng = rng or random.Random(0)
         combos = ([rng.randrange(p) for _ in range(d)] for _ in range(budget))

@@ -314,23 +314,17 @@ class DGA:
 # P_m / Q_m polynomial families
 
 def pq_polynomial(m: int, kind: str, p: int) -> FreePoly:
-    """P_m or Q_m in the noncommuting letters a1..am."""
+    """P_m or Q_m in the noncommuting letters a1..am, in one pass by the
+    recurrences of `pq_matrix`: P from the left, Q from the right."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _pq(tuple(f"a{j}" for j in range(1, m + 1)), kind, p)
-
-
-def _pq(letters, kind, p) -> FreePoly:
     if kind not in ("P", "Q"):
         raise ValueError("kind is 'P' or 'Q'")
-    if len(letters) == 0:
-        return FreePoly.one(p)
-    if len(letters) == 1:
-        coeff = 1 if kind == "P" else -1
-        return FreePoly.gen(p, letters[0], coeff=coeff)
-    if kind == "P":
-        return _pq(letters[:-1], "P", p) * FreePoly.gen(p, letters[-1]) + _pq(letters[:-2], "P", p)
-    return (-_pq(letters[1:], "Q", p)) * FreePoly.gen(p, letters[0]) + _pq(letters[2:], "Q", p)
+    sign = 1 if kind == "P" else -1
+    prev, cur = FreePoly.zero(p), FreePoly.one(p)
+    for j in (range(1, m + 1) if kind == "P" else range(m, 0, -1)):
+        prev, cur = cur, cur * FreePoly.gen(p, f"a{j}", coeff=sign) + prev
+    return cur
 
 
 def pq_matrix(kind: str, mats, p: int, n: int | None = None) -> np.ndarray:

@@ -2,11 +2,12 @@
 from the representation side.
 
 A sheaf object is coordinatized by a tuple (A_1..A_m) with P_m(A) invertible;
-the leg maps phi_1..phi_{m+1} : V -> V^2 and psi : V^2 -> V are recovered by
-composing the 2x2 block chain [[0,1],[1,A_j]], so that the final k arrows
-give phi_k (+) phi_{k+1}.  Ext^0 (chain morphisms) and Ext^1 (extensions in
-the normalized Omega-block form) are the kernel and cokernel of one map,
-`_ext_map`, and the compositions follow the pullback/pushforward formulas.
+the final k arrows of the 2x2 block chain [[0,1],[1,A_j]] give
+phi_k (+) phi_{k+1}, so the legs phi_0..phi_{m+1} : V -> V^2 come in one pass
+from phi_{k+1} = phi_{k-1} + phi_k A_k, and psi : V^2 -> V is (0 1).  Ext^0
+(chain morphisms) and Ext^1 (extensions in the normalized Omega-block form)
+are the kernel and cokernel of one map, `_ext_map`, and the compositions
+follow the pullback/pushforward formulas.
 The equivalence functor transposes tuples, sends an H^0 class (u1,u2) to
 -(u2^T, u1^T) and an H^1 class to the entrywise transpose.
 """
@@ -41,8 +42,6 @@ class SheafObject:
         self.A.flags.writeable = False
         if xa.det(pq_matrix("P", self.A, p, n), p) == 0:
             raise ValueError("P_m(A) singular: crossing condition fails")
-        self._phi = None
-        self._psi = None
 
     def key(self):
         return tuple(bytes(a.astype(np.int64)) for a in self.A)
@@ -55,30 +54,25 @@ class SheafObject:
         n, p = self.n, self.p
         return np.block([[xa.zeros(n, n), xa.eye(n)], [xa.eye(n), self.A[j - 1]]]) % p
 
-    def _derive(self):
+    @functools.cached_property
+    def legs(self) -> np.ndarray:
+        """phi_0..phi_{m+1}, read-only, shape (m + 2, 2n, n): the block columns
+        of omega(1) ... omega(k) are phi_k, phi_{k+1}, so phi_0 = (1; 0),
+        phi_1 = (0; 1) and omega(k) gives phi_{k+1} = phi_{k-1} + phi_k A_k."""
         n, p = self.n, self.p
-        phis = [None] * (self.m + 2)
-        acc = xa.eye(2 * n)
-        # composing the final k arrows: acc_k = omega(1) ... omega(k)
-        phis[1] = np.vstack([xa.zeros(n, n), xa.eye(n)])
+        legs = np.zeros((self.m + 2, 2 * n, n), dtype=np.int64)
+        legs[0, :n] = legs[1, n:] = xa.eye(n)
         for k in range(1, self.m + 1):
-            acc = (acc @ self.omega(k)) % p
-            phis[k + 1] = acc[:, n:]
-            if k == 1:
-                phis[1] = acc[:, :n]
-        self._phi = phis
-        self._psi = np.hstack([xa.zeros(n, n), xa.eye(n)])
+            legs[k + 1] = (legs[k - 1] + legs[k] @ self.A[k - 1]) % p
+        legs.flags.writeable = False
+        return legs
 
     @property
     def psi(self) -> np.ndarray:
-        if self._psi is None:
-            self._derive()
-        return self._psi
+        return np.hstack([xa.zeros(self.n, self.n), xa.eye(self.n)])
 
     def phi(self, k: int) -> np.ndarray:
-        if self._phi is None:
-            self._derive()
-        return self._phi[k]
+        return self.legs[k]
 
     def check_invariants(self) -> bool:
         n, p = self.n, self.p

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from legtorus.ainfty import HomElement, base_generators, dual_degree
+from legtorus.ainfty import HomElement, hom_basis_order
 from legtorus.freedga import link_grading
 
 
@@ -121,6 +121,5 @@ def mu_k(rhos, args, b_terms: bool = True, signed: bool = True) -> HomElement:
     sign = (-1) ** sigma(degs) if signed else 1
     out_deg = sum(degs) + 2 - k
     values = corners(rhos, args, b_terms)
-    coeffs = {w: sign * values[w] % p for w in base_generators(rhos[0].m)
-              if dual_degree(w) == out_deg}
+    coeffs = {w: sign * values[w] % p for w in hom_basis_order(rhos[0].m, out_deg)}
     return HomElement(n, p, out_deg, coeffs)

@@ -8,13 +8,18 @@ import pytest
 from legtorus import ainfty, freedga
 from legtorus import exactalg as xa
 from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
-                             TwistedCopy, _eval_matrix_poly, base_generators,
+                             TwistedCopy, _eval_matrix_poly,
                              check_representation, enumerate_reps,
                              hom_basis_order, hom_cohomology, is_isomorphic,
                              mu1, mu1_matrix, mu2, mu_k, random_rep, unit)
 from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, lambda_copy_dga,
                               link_grading, pq_matrix, staircase_words)
 from legtorus.torusrep import cohomology_closed, mu1_closed
+
+
+def all_bases(m):
+    """Every base generator, b1 b2, a1..am x1 x2, then y1 y2."""
+    return [b for d in (2, 1, 0) for b in hom_basis_order(m, d)]
 
 
 def rand_homog(m, n, p, deg, rng):
@@ -297,7 +302,7 @@ def same_terms(got, want):
 def check_against_full_twist(rhos, rng):
     K, (m, n, p) = len(rhos), (rhos[0].m, rhos[0].n, rhos[0].p)
     tw = TwistedCopy(rhos)
-    for base in base_generators(m):
+    for base in all_bases(m):
         assert same_terms(tw.top_diff(base), reference_staircase(tw, base)), base
     # degree-1 arguments put mu_2 and mu_3 in degree 2 (b1, b2), where the
     # P_m/Q_m words are twisted; mu_1 gets a degree-0 or degree-1 argument
@@ -369,7 +374,7 @@ def test_staircase_words_are_the_chain_words():
     for k in (2, 3, 4):
         for m in (1, 2, 3, 4):
             copy = lambda_copy_dga(m, 3, k)
-            for base in base_generators(m):
+            for base in all_bases(m):
                 f = copy.diff[f"{base}^1{k}"]
                 split = staircase_words(copy, k, base)
                 kept = {unsplit(runs, bases): c for c, runs, bases in split}
@@ -791,28 +796,65 @@ def test_witness_kernel_is_the_intertwining_kernel():
     assert swapped and untransposed, (swapped, untransposed)
 
 
-def test_is_isomorphic_matches_the_intertwining_search():
+def summand_pairs(count, seed, primes):
+    """(s + c1, s + c2) at m <= 6, n = 2 or 3, block diagonal: a shared
+    summand s and two random complements.  ker mu_1^0 holds the maps that
+    factor through s, and none of them is invertible unless c1 and c2 are
+    isomorphic."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n, p = rng.randint(1, 6), rng.randint(2, 3), rng.choice(primes)
+        k = rng.randint(1, n - 1)
+        s, c1, c2 = (random_rep(m, size, p, rng) for size in (k, n - k, n - k))
+        pair = []
+        for c in (c1, c2):
+            mats = np.zeros((m, n, n), dtype=np.int64)
+            mats[:, :k, :k], mats[:, k:, k:] = s.A, c.A
+            pair.append(Representation(m, n, p, mats))
+        yield tuple(pair)
+
+
+def test_is_isomorphic_matches_the_intertwining_search(monkeypatch):
     """Same witness, None, or BudgetExceeded (message and `required`) as the
     search over the intertwining system, and the same draws from the rng, at
-    budgets that take the exhaustive and the sampled paths."""
-    ends = {"witness": 0, "none": 0, "refused": 0, "sampled": 0}
-    for k, (r1, r2) in enumerate(iso_pairs(300, 30, (2, 3, 5, 7))):
-        budget = (5, 50, 200_000)[k % 3]
-        rng, ref_rng = random.Random(k), random.Random(k)
-        want = reference_is_isomorphic(r1, r2, budget, ref_rng)
+    budgets that take the exhaustive and the sampled paths.  The reference
+    tries every nonzero combination and `is_isomorphic` one per line, so an
+    exhaustive None makes p - 1 times fewer det calls."""
+    calls, det = [0], xa.det
+
+    def counting_det(a, p):
+        calls[0] += 1
+        return det(a, p)
+
+    def counted(search):
+        before = calls[0]
         try:
-            got = is_isomorphic(r1, r2, budget=budget, rng=rng)
+            out = search()
         except BudgetExceeded as e:
-            got = e
+            out = e
+        return out, calls[0] - before
+
+    monkeypatch.setattr(xa, "det", counting_det)
+    ends = {"witness": 0, "none": 0, "refused": 0, "sampled": 0, "fewer": 0, "fewer_32749": 0}
+    cases = [*iso_pairs(300, 30, (2, 3, 5, 7)), *iso_pairs(60, 31, (32749,)),
+             *summand_pairs(24, 32, (3, 5, 32749))]
+    for k, (r1, r2) in enumerate(cases):
+        budget, p = (5, 50, 200_000)[k % 3], r1.p
+        rng, ref_rng = random.Random(k), random.Random(k)
+        want, want_dets = counted(lambda: reference_is_isomorphic(r1, r2, budget, ref_rng))
+        got, got_dets = counted(lambda: is_isomorphic(r1, r2, budget=budget, rng=rng))
         if isinstance(want, BudgetExceeded):
             assert isinstance(got, BudgetExceeded)
             assert (str(got), got.required) == (str(want), want.required)
             ends["refused"] += 1
         elif want is None:
             assert got is None
+            assert want_dets == (p - 1) * got_dets, (k, p, want_dets, got_dets)
             ends["none"] += 1
+            ends["fewer"] += p > 2 and got_dets > 0
+            ends["fewer_32749"] += p == 32749 and got_dets > 0
         else:
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), k
             ends["witness"] += 1
         ends["sampled"] += rng.getstate() != random.Random(k).getstate()
         assert rng.getstate() == ref_rng.getstate()

@@ -97,6 +97,48 @@ def test_q_alternative_recurrence():
         assert lhs == rhs
 
 
+def recursive_pq(letters, kind, p) -> FreePoly:
+    """P or Q of the letters by the two-sided recursion `pq_polynomial`
+    used before it became one pass (about Fibonacci(m) calls)."""
+    if len(letters) == 0:
+        return FreePoly.one(p)
+    if len(letters) == 1:
+        return FreePoly.gen(p, letters[0], coeff=1 if kind == "P" else -1)
+    if kind == "P":
+        return recursive_pq(letters[:-1], "P", p) * FreePoly.gen(p, letters[-1]) \
+            + recursive_pq(letters[:-2], "P", p)
+    return (-recursive_pq(letters[1:], "Q", p)) * FreePoly.gen(p, letters[0]) \
+        + recursive_pq(letters[2:], "Q", p)
+
+
+def mutated_pq(m, kind, p, letter_left=False, flip=True) -> FreePoly:
+    """The one pass of `pq_polynomial` with a fault: `letter_left` multiplies
+    each new letter on the left, `flip=False` drops Q's sign flip."""
+    sign = -1 if kind == "Q" and flip else 1
+    prev, cur = FreePoly.zero(p), FreePoly.one(p)
+    for j in (range(1, m + 1) if kind == "P" else range(m, 0, -1)):
+        a = FreePoly.gen(p, f"a{j}", coeff=sign)
+        prev, cur = cur, (a * cur if letter_left else cur * a) + prev
+    return cur
+
+
+def test_one_pass_pq_matches_the_recursion():
+    """P_m and Q_m equal the recursive oracle's for m <= 16; both faults,
+    P's letter on the left and Q without its sign flip, differ somewhere."""
+    faults = {"letter_left": 0, "no_flip": 0}
+    for p in (2, 3, 5, 32749):
+        for m in range(17):
+            letters = tuple(f"a{j}" for j in range(1, m + 1))
+            for kind in ("P", "Q"):
+                want = recursive_pq(letters, kind, p)
+                assert pq_polynomial(m, kind, p) == want, (p, m, kind)
+                if kind == "P":
+                    faults["letter_left"] += mutated_pq(m, kind, p, letter_left=True) != want
+                else:
+                    faults["no_flip"] += mutated_pq(m, kind, p, flip=False) != want
+    assert all(faults.values()), faults
+
+
 def test_pq_matrix_matches_polynomial_eval():
     rng = random.Random(2)
     for p in (2, 3, 5):

@@ -57,18 +57,39 @@ def test_phi_psi_normal_form_example():
     assert F.check_invariants()
 
 
+def mutated_legs(F, left=False, drop_prev=False):
+    """The leg recurrence with a fault: `left` puts A_k on the left of each
+    n x n block of phi_k, `drop_prev` drops the phi_{k-1} term."""
+    n, p = F.n, F.p
+    legs = [np.vstack([xa.eye(n), xa.zeros(n, n)]), np.vstack([xa.zeros(n, n), xa.eye(n)])]
+    for k in range(1, F.m + 1):
+        a, cur = F.A[k - 1], legs[k]
+        step = (a @ cur.reshape(2, n, n)).reshape(2 * n, n) if left else cur @ a
+        legs.append(((0 if drop_prev else legs[k - 1]) + step) % p)
+    return legs
+
+
 def test_phi_from_chain_composition():
+    """phi_0..phi_{m+1} are the block columns of omega(1) ... omega(k) for
+    m <= 8, n <= 3; both faulty recurrences differ from them somewhere."""
     rng = random.Random(1)
-    for _ in range(20):
-        m, n, p = rng.choice([1, 2, 3]), rng.choice([1, 2]), rng.choice([2, 3, 5])
+    faults = {"left": 0, "drop_prev": 0}
+    for m, n, p in itertools.product(range(1, 9), (1, 2, 3), (2, 3, 5)):
         F = rand_object(m, n, p, rng)
-        acc = xa.eye(2 * n)
-        for k in range(1, m + 1):
-            acc = (acc @ F.omega(k)) % p
-            assert np.array_equal(acc[:, :n], F.phi(k))
-            assert np.array_equal(acc[:, n:], F.phi(k + 1))
+        acc, chain = xa.eye(2 * n), []
+        for k in range(m + 1):
+            if k:
+                acc = (acc @ F.omega(k)) % p
+            chain.append(acc[:, :n])  # phi_k, and acc[:, n:] is phi_{k+1}
+        chain.append(acc[:, n:])
+        assert all(np.array_equal(F.phi(k), leg) for k, leg in enumerate(chain))
+        assert F.legs.shape == (m + 2, 2 * n, n)
+        for fault in faults:
+            faults[fault] += not all(np.array_equal(a, b) for a, b
+                                     in zip(mutated_legs(F, **{fault: True}), chain))
         # psi . phi_{m+1} = P_m(A)
         assert np.array_equal((F.psi @ F.phi(m + 1)) % p, pq_matrix("P", F.A, p, n))
+    assert all(faults.values()), faults
 
 
 def test_invariants_on_enumerated_objects():
