@@ -11,9 +11,11 @@ sign rule
 where d_s is the (dual) degree of the s-th argument and arguments are listed
 Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
 
-`mu_k`, `mu1` and `mu2` read the (1, k+1) entries of the symbolic
-(k+1)-copy differential.  `freedga.staircase_words` keeps the words there
-that run up the staircase and splits each, once per copy, into its chain
+`mu_k`, `mu1` and `mu2` read the staircase words of the (1, k+1) entries of
+the symbolic (k+1)-copy differential.  The copy builds only those words, not
+the chord rows they sit in (`freedga.kcopy_dga`); full rows are built only
+where something reads them, such as `dga --copies`.
+`freedga.staircase_words` splits each word, once per copy, into its chain
 letters and one run of diagonal letters per copy; `TwistedCopy.top_diff`
 turns each word into its one twisted term by multiplying every run out in
 its copy's representation (`_expand_twist`).
@@ -41,8 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg as xa
-from .freedga import (FreePoly, lambda_copy_dga, lambda_dga, link_grading,
-                      pq_matrix, staircase_words)
+from .freedga import lambda_copy_dga, link_grading, pq_matrix, staircase_words
 
 
 class BudgetExceeded(RuntimeError):
@@ -139,10 +140,6 @@ class Representation:
             return xa.zeros(self.n, self.n)
         raise KeyError(name)
 
-    def eval_poly(self, f: FreePoly) -> np.ndarray:
-        """Evaluate a word polynomial, an algebra map on Lambda_m's generators."""
-        return _eval_matrix_poly(f, self.value, self.n, self.p)
-
     def conjugate(self, minv, mmat) -> "Representation":
         return Representation(self.m, self.n, self.p, (minv @ self.A @ mmat) % self.p)
 
@@ -162,11 +159,6 @@ def _continuants(letters: np.ndarray, p: int, left: bool) -> np.ndarray:
         out[k] = ((a @ out[k - 1] if left else out[k - 1] @ a) + prev) % p
         prev = out[k - 1]
     return out
-
-
-def check_representation(rho: Representation) -> bool:
-    dga = lambda_dga(rho.m, rho.p)
-    return all(not rho.eval_poly(df).any() for df in dga.diff.values())
 
 
 def enumerate_reps(m: int, n: int, p: int, budget: int = 2_000_000):
@@ -260,16 +252,6 @@ def unit(rho: Representation) -> HomElement:
 # ---------------------------------------------------------------------------
 # Twisting by (noncommutative) augmentations
 
-def _eval_matrix_poly(f: FreePoly, eps, n: int, p: int) -> np.ndarray:
-    out = xa.zeros(n, n)
-    for w, c in f.terms.items():
-        acc = xa.eye(n)
-        for name, exp in w:
-            acc = (acc @ eps(name, exp)) % p
-        out = (out + c * acc) % p
-    return out
-
-
 def _expand_twist(words, rhos, n: int, p: int):
     """The staircase term of phi_eps(w) for each split staircase word w.
 
@@ -318,10 +300,11 @@ class TwistedCopy:
 
         A staircase term has the letters z^{12}, ..., z^{K-1,K} and nothing
         else, so only words whose off-diagonal letters are that chain can
-        contribute.  `staircase_words` picks them from this copy's (1, K)
-        entry, split into chain letters and one run of diagonal letters per
-        copy, once per (copy, base); `_expand_twist` multiplies the runs out
-        in the representations.  Only rows of source copy 1 are built.
+        contribute.  `staircase_words` gives them, built alone from this
+        copy's staircase (1, K) entry and split into chain letters and one run
+        of diagonal letters per copy, once per (copy, base); `_expand_twist`
+        multiplies the runs out in the representations.  No chord row of the
+        copy is built.
         """
         words = staircase_words(self.dga, self.K, base)
         return _expand_twist(words, self.rhos, self.n, self.p)
@@ -506,17 +489,19 @@ def is_isomorphic(r1: Representation, r2: Representation, budget: int = 200_000,
     y1, y2 lie in ker mu_1 of Hom(r1, r2), whose chord rows are
     u_r rho_2(a_j) - rho_1(a_j) u_c and whose t-rows are T_l^-1 times
     u_r rho_2(t_l) - rho_1(t_l) u_c.  Kernel elements are filtered for
-    invertibility: exhaustively when p^dim fits the budget, by seeded
-    sampling otherwise (in which case absence is not certified and
-    BudgetExceeded is raised instead).  As det(c u) = c^n det(u), the
-    exhaustive search tries each line once, at its first nonzero entry 1.
+    invertibility.  As det(c u) = c^n det(u), invertibility is a property of
+    lines, and the exhaustive search tries each of the (p^dim - 1)/(p - 1)
+    lines once, at its first nonzero entry 1, when that count fits the
+    budget.  Otherwise `budget` seeded draws are sampled: absence is then not
+    certified, and BudgetExceeded is raised with the line count as `required`.
     """
     if (r1.m, r1.n, r1.p) != (r2.m, r2.n, r2.p):
         raise ValueError("representations live in different categories")
     n, p = r1.n, r1.p
     ker = xa.LinearMap(mu1_matrix(r1, r2, 0), p).kernel
     d = ker.shape[1]
-    exhaustive = p ** d <= budget
+    lines = (p ** d - 1) // (p - 1)
+    exhaustive = lines <= budget
     if exhaustive:
         combos = ((0,) * i + (1,) + rest for i in reversed(range(d))
                   for rest in itertools.product(range(p), repeat=d - 1 - i))
@@ -529,5 +514,5 @@ def is_isomorphic(r1: Representation, r2: Representation, budget: int = 200_000,
             return u1, u2
     if exhaustive:
         return None
-    raise BudgetExceeded(f"intertwiner space has {p}^{d} elements; sampling found no witness",
-                         required=p ** d)
+    raise BudgetExceeded(f"intertwiner space has {lines} lines ({p}^{d} elements, "
+                         f"budget {budget}); sampling found no witness", required=lines)

@@ -12,14 +12,16 @@ with two base points, and the k-copy DGA construction.  The k-copy
 differential is built one row at a time, when the row is first read: a row
 is the entries g^{i1}..g^{ik} of one base chord g for one source copy i, or
 all the t, x and y entries of one invertible.  Each row is checked for
-homogeneity when it is built, so code that reads only the (1, k) entries
-builds only the rows of source copy 1.  `staircase_words` reads those
-entries for mu_k's twist, each word split by copy, and is the one reader of
-a copy's letter table (`copy_info`).  Rows come from sparse k x k word
-matrices, {(i, j): {word: coeff}} holding nonzero entries only, multiplied
-by one product that adds into its output in place; Phi of a base word is
-expanded letter by letter from one row vector, so the cost tracks the
-number of terms built.
+homogeneity when it is built.  mu_k reads no chord row: a copy also holds
+the staircase part of each chord's (1, k) entry (`DGA.staircase`), the
+words that run up the staircase 1 -> k, built from the staircase words of
+each letter image alone and checked in turn.  `staircase_words` splits that
+entry by copy for mu_k's twist, and the level walk it shares with the letter
+image filter (`_climb`) is the one reader of a copy's letter table
+(`copy_info`).  Rows come from sparse k x k word matrices, {(i, j): {word:
+coeff}} holding nonzero entries only, multiplied by one product that adds
+into its output in place; Phi of a base word is expanded letter by letter
+from one row vector, so the cost tracks the number of terms built.
 """
 
 from __future__ import annotations
@@ -227,6 +229,8 @@ class DGA:
                 raise ValueError(f"duplicate generator {g.name}")
             self.gens[g.name] = g
         self.copy_info = copy_info or {}
+        # a k-copy's staircase parts of its chords' (1, k) entries (`kcopy_dga`)
+        self.staircase: Mapping[str, FreePoly] = {}
         self._degree = deg = {name: g.degree for name, g in self.gens.items()}
         # a word whose letters all have degree 0 has degree 0, so only the
         # words with another letter are summed
@@ -397,15 +401,24 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
     first read, and the row is checked for homogeneity then.  Row i of a
     chord c is c^{i1}..c^{ik}: Phi(dc) expanded from copy i alone, plus row i
     of Y_r C and of C Y_c.  The t^i, x^{ij} and y^{ij} entries of one
-    invertible form one row.  So reading only the (1, k) entries, as the
-    twist of mu_k does, builds only the rows of source copy 1, and reading
-    every entry gives the whole differential.
+    invertible form one row.  Reading every entry gives the whole
+    differential.
+
+    `copy.staircase[c^{1k}]` is the part of the (1, k) entry whose words run
+    up the staircase 1 -> k (`_climb`), built, and checked, when first read.
+    Every letter image is block upper triangular with consistent levels, and
+    the only cancellation in a product, t^i t^{i,-1}, sits on one level, so a
+    product word runs up the staircase from i to j exactly when each letter's
+    piece does, from the level it starts on to the level it ends on.  So the
+    staircase part of row 1 of Phi(dc) is row 1 of Phi(dc) with each letter
+    image cut, once, to its staircase words, and no chord row is built.
 
     Every matrix is a sparse word matrix (`_mat_mul`), and the cost tracks
     the number of terms built.  Phi of a polynomial expands each word c w
     letter by letter from c at (i, i), a row vector, and the last letter's
     product adds the row into the result in place.  Each letter's image
-    (chord matrix, Delta X, X^-1 Delta^-1) is built once.
+    (chord matrix, Delta X, X^-1 Delta^-1) is built once, and its staircase
+    part once.
     """
     if not 1 <= k <= 10:
         raise ValueError("k must be between 1 and 10: names such as b1^12 give one digit per copy")
@@ -476,14 +489,21 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
                 images[letter] = letter_mat(name)
         return images[letter]
 
-    def phi_row(f: FreePoly, i: int, out: Matrix) -> Matrix:
-        # row i of Phi(f), added into out
+    stair_images: dict[tuple[str, int], Matrix] = {}
+
+    def stair_image(letter) -> Matrix:
+        if letter not in stair_images:
+            stair_images[letter] = _stair(image(letter), info)
+        return stair_images[letter]
+
+    def phi_row(f: FreePoly, i: int, out: Matrix, lift: Callable) -> Matrix:
+        # row i of Phi(f), each letter's image read through lift, added into out
         for w, c in f.terms.items():
             row = {(i, i): {(): c}}
             if not w:
                 _mat_mul(row, identity, p, out)
             for n, letter in enumerate(w, start=1):
-                row = _mat_mul(row, image(letter), p, out if n == len(w) else None)
+                row = _mat_mul(row, lift(letter), p, out if n == len(w) else None)
         return out
 
     def entry(mat: Matrix, i: int, j: int) -> FreePoly:
@@ -491,13 +511,20 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
         out.terms = mat.get((i, j)) or {}
         return out
 
-    def chord_row(g: Generator, i: int) -> dict[str, FreePoly]:
-        dc = phi_row(dga.diff[g.name], i, {})
-        c_mat = letter_mat(g.name)
-        _mat_mul(letter_mat(f"y{g.r}", upper=True, rows=(i,)), c_mat, p, dc)
-        _mat_mul(letter_mat(g.name, rows=(i,)), letter_mat(f"y{g.c}", upper=True), p, dc,
+    def y_terms(g: Generator, i: int) -> Matrix:
+        # row i of Y_r C - (-1)^{|c|} C Y_c
+        out = _mat_mul(letter_mat(f"y{g.r}", upper=True, rows=(i,)), letter_mat(g.name), p)
+        _mat_mul(letter_mat(g.name, rows=(i,)), letter_mat(f"y{g.c}", upper=True), p, out,
                  coeff=-((-1) ** g.degree))
+        return out
+
+    def chord_row(g: Generator, i: int) -> dict[str, FreePoly]:
+        dc = phi_row(dga.diff[g.name], i, y_terms(g, i), image)
         return {f"{g.name}^{i + 1}{j + 1}": entry(dc, i, j) for j in range(k)}
+
+    def stair_entry(g: Generator) -> dict[str, FreePoly]:
+        dc = phi_row(dga.diff[g.name], 0, _stair(y_terms(g, 0), info), stair_image)
+        return {f"{g.name}^1{k}": entry(dc, 0, k - 1)}
 
     def t_rows(g: Generator) -> dict[str, FreePoly]:
         l = t_index[g.name]
@@ -526,6 +553,8 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
                 row_of[f"x{l}^{i}{j}"] = row_of[f"y{l}^{i}{j}"] = build
     copy = DGA(p, gens, {}, copy_info=info)
     copy.diff = _RowDiff(row_of, copy.check_homogeneous)  # checked row by row
+    copy.staircase = _RowDiff({f"{g.name}^1{k}": partial(stair_entry, g) for g in chords},
+                              copy.check_homogeneous)
     return copy
 
 
@@ -534,37 +563,68 @@ def lambda_copy_dga(m: int, p: int, k: int) -> DGA:
     return kcopy_dga(lambda_dga(m, p), k)
 
 
+def _climb(w: Word, info: dict, level: int):
+    """Walk the word w up the staircase from copy `level`.
+
+    Returns (level reached, runs, bases), or None when a letter leaves the
+    staircase.  The walk stays on a level through its diagonal letters
+    (chords c^{ii} and t^i on the level reached) and steps up one level at
+    an off-diagonal letter z^{i,i+1} (a chord, x or y) that starts there.
+    runs[l] lists, left to right, the diagonal letters after step l as
+    (base name, exponent), and bases the base names of the step letters
+    ("a1", "b2", "x1", "y2", ...).
+    """
+    run, runs, bases = [], [], []
+    for name, exp in w:
+        kind = info[name]
+        i, j = (kind[3], kind[3]) if kind[0] == "t" else kind[2:]
+        if i == j == level:
+            run.append((kind[1], exp))
+        elif i == level and j == level + 1:
+            runs.append(tuple(run))
+            bases.append(kind[1] if kind[0] == "chord" else f"{kind[0]}{kind[1]}")
+            level, run = j, []
+        else:
+            return None
+    return level, (*runs, tuple(run)), tuple(bases)
+
+
+def _stair(mat: Matrix, info: dict) -> Matrix:
+    """The words of each entry (i, j) of a copy's word matrix that run up the
+    staircase from copy i + 1 to copy j + 1; empty entries are dropped."""
+    out = {}
+    for (i, j), f in mat.items():
+        kept = {}
+        for w, c in f.items():
+            walk = _climb(w, info, i + 1)
+            if walk and walk[0] == j + 1:
+                kept[w] = c
+        if kept:
+            out[i, j] = kept
+    return out
+
+
 @lru_cache(maxsize=None)
 def staircase_words(copy: DGA, k: int, base: str) -> tuple:
     """The words of d(base^{1k}), in a k-copy DGA, that run up the staircase
-    1 -> k, each split by copy as (coeff, runs, bases).
+    1 -> k (`_climb`), each split by copy as (coeff, runs, bases).
 
     A word qualifies when its off-diagonal letters (chords c^{ij} with
     i != j and the Morse generators x^{ij}, y^{ij}) are z^{12}, z^{23}, ...,
     z^{k-1,k} in this order, and each diagonal letter (c^{ii}, t^i) sits on
-    copy i, the level the chain has reached.  runs[l] lists, left to right,
-    the diagonal letters on copy l + 1 as (base name, exponent), and bases
-    the base names of the chain letters ("a1", "b2", "x1", "y2", ...).
+    copy i, the level the chain has reached.  runs[l] lists the diagonal
+    letters on copy l + 1 and bases the base names of the chain letters.
 
     Cached per (copy, k, base), so the copy `lambda_copy_dga` keeps is split
-    once.  Reading d(base^{1k}) builds, and checks, only the row of base for
-    source copy 1 (or the t, x, y row of one invertible), not the whole copy.
+    once.  A chord's words come from `copy.staircase`, which builds only the
+    staircase part of the entry; an invertible's x, y words from its t, x, y
+    row of `copy.diff`.
     """
-    words, info = [], copy.copy_info
-    for w, c in copy.diff[f"{base}^1{k}"].terms.items():
-        level, run, runs, bases = 1, [], [], []
-        for name, exp in w:
-            kind = info[name]
-            i, j = (kind[3], kind[3]) if kind[0] == "t" else kind[2:]
-            if i == j == level:
-                run.append((kind[1], exp))
-            elif i == level and j == level + 1:
-                runs.append(tuple(run))
-                bases.append(kind[1] if kind[0] == "chord" else f"{kind[0]}{kind[1]}")
-                level, run = j, []
-            else:
-                break
-        else:
-            if level == k:
-                words.append((c, (*runs, tuple(run)), tuple(bases)))
+    name = f"{base}^1{k}"
+    f = (copy.staircase if name in copy.staircase else copy.diff)[name]
+    words = []
+    for w, c in f.terms.items():
+        walk = _climb(w, copy.copy_info, 1)
+        if walk and walk[0] == k:
+            words.append((c, *walk[1:]))
     return tuple(words)

@@ -146,11 +146,6 @@ class TorusHomClosed:
     def h1_reduce(self, w) -> np.ndarray:
         return self.map.reduce(np.concatenate([np.ravel(wj) for wj in w]))
 
-    def h1_class(self, w) -> H1Class:
-        v = self.h1_reduce(w)
-        n, n2 = self.n, self.n * self.n
-        return H1Class(tuple(v[j * n2:(j + 1) * n2].reshape(n, n) for j in range(self.m)))
-
     def cocycle_from_w(self, w) -> HomElement:
         """The unique mu_1-cocycle with the given a-part: its x-parts cancel
         the b-parts that mu_1 gives the a-part."""

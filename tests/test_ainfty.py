@@ -8,13 +8,14 @@ import pytest
 from legtorus import ainfty, freedga
 from legtorus import exactalg as xa
 from legtorus.ainfty import (BudgetExceeded, HomElement, Representation,
-                             TwistedCopy, _eval_matrix_poly,
-                             check_representation, enumerate_reps,
-                             hom_basis_order, hom_cohomology, is_isomorphic,
-                             mu1, mu1_matrix, mu2, mu_k, random_rep, unit)
-from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, lambda_copy_dga,
-                              link_grading, pq_matrix, staircase_words)
+                             TwistedCopy, enumerate_reps, hom_basis_order,
+                             hom_cohomology, is_isomorphic, mu1, mu1_matrix,
+                             mu2, mu_k, random_rep, unit)
+from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, kcopy_dga,
+                              lambda_copy_dga, lambda_dga, link_grading,
+                              pq_matrix, staircase_words)
 from legtorus.torusrep import cohomology_closed, mu1_closed
+from poly_eval import check_representation, eval_matrix_poly, eval_poly
 
 
 def all_bases(m):
@@ -32,12 +33,12 @@ def rand_homog(m, n, p, deg, rng):
 def test_eval_poly_unit_and_db1():
     r = Representation(2, 1, 2, [np.array([[0]]), np.array([[0]])])
     from legtorus.freedga import FreePoly
-    assert r.eval_poly(FreePoly.one(2)).tolist() == [[1]]
+    assert eval_poly(r, FreePoly.one(2)).tolist() == [[1]]
     dga = build_lambda_dga(2, 2)
     # T1 = -P_2(0,0)^{-1} = 1 over F_2, so eval(d b1) = 1 + 1 + 0 = 0
     assert r.T1.tolist() == [[1]]
-    assert not r.eval_poly(dga.diff["b1"]).any()
-    assert not r.eval_poly(dga.diff["b2"]).any()
+    assert not eval_poly(r, dga.diff["b1"]).any()
+    assert not eval_poly(r, dga.diff["b2"]).any()
 
 
 def test_eval_matches_matrix_recurrence():
@@ -47,7 +48,7 @@ def test_eval_matches_matrix_recurrence():
         m, n, p = rng.choice([1, 2, 3]), rng.choice([1, 2]), 3
         r = random_rep(m, n, p, rng)
         poly = pq_polynomial(m, "P", p)
-        assert np.array_equal(r.eval_poly(poly), pq_matrix("P", r.A, p, n))
+        assert np.array_equal(eval_poly(r, poly), pq_matrix("P", r.A, p, n))
 
 
 def test_representation_annihilates_differential():
@@ -129,7 +130,7 @@ def twist_diff(dga: DGA, eps) -> dict[str, list]:
     n = eps(next(iter(dga.gens)), 1).shape[0]
     p = dga.p
     for name, f in dga.diff.items():
-        val = _eval_matrix_poly(f, eps, n, p)
+        val = eval_matrix_poly(f, eps, n, p)
         if val.any():
             raise ValueError(f"not an augmentation: eps(d({name})) != 0")
     return {name: branching_expand_twist(dga, dga.diff[name], eps, n, p)
@@ -370,17 +371,42 @@ def unsplit(runs, bases):
     return tuple(word)
 
 
+def position_stair(mat, info):
+    """Mutation control for `freedga._stair`: keeps the entries (i, i) and
+    (i, i + 1) whole and drops every other entry, by position alone.  That
+    loses the two-step words of X^-1 Delta^-1, such as x^12 x^23 t^3,-1 at
+    (1, 3), and the Y C and C Y words that reach copy 3."""
+    return {(i, j): dict(f) for (i, j), f in mat.items() if j - i in (0, 1)}
+
+
 def test_staircase_words_are_the_chain_words():
-    for k in (2, 3, 4):
-        for m in (1, 2, 3, 4):
-            copy = lambda_copy_dga(m, 3, k)
+    """`staircase_words` builds only the staircase part of d(base^{1k}); the
+    reference reads the whole `copy.diff` row and keeps its chain words.
+    Every base, p in {2, 3, 5}, k <= 4, m <= 7 (m <= 6 at k = 4): 591 cases.
+    Fresh copies, read through the uncached function, so that no full row
+    stays in a cache.  The position-only filter must disagree somewhere."""
+    split_words = staircase_words.__wrapped__
+    cases = caught = 0
+    for p, k in itertools.product((2, 3, 5), (2, 3, 4)):
+        for m in range(1, 7 if k == 4 else 8):
+            copy = kcopy_dga(lambda_dga(m, p), k)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(freedga, "_stair", position_stair)
+                mutant = kcopy_dga(lambda_dga(m, p), k)
+                mutant_words = {base: split_words(mutant, k, base) for base in all_bases(m)}
             for base in all_bases(m):
                 f = copy.diff[f"{base}^1{k}"]
-                split = staircase_words(copy, k, base)
+                want = chain_words(copy, f, k)
+                split = split_words(copy, k, base)
                 kept = {unsplit(runs, bases): c for c, runs, bases in split}
-                assert len(kept) == len(split), (k, m, base)
-                assert kept == chain_words(copy, f, k), (k, m, base)
+                assert len(kept) == len(split), (p, k, m, base)
+                assert kept == want, (p, k, m, base)
                 assert all(f.terms[w] == c for w, c in kept.items())
+                cases += 1
+                caught += {unsplit(runs, bases): c
+                           for c, runs, bases in mutant_words[base]} != want
+    assert cases == 591
+    assert caught, "the position-only filter agreed everywhere"
 
 
 def test_staircase_part_reads_levels():
@@ -682,10 +708,12 @@ def test_zero_one_vs_one_zero_not_isomorphic():
     assert is_isomorphic(by_tuple[(0, 1)], by_tuple[(0, 1)]) is not None
 
 
-def test_mu3_builds_only_the_rows_of_source_copy_1():
-    """The twist reads only the (1, K) entries of the K-copy, so mu_3 builds
-    only chord rows of source copy 1.  Every entry of a copy passes
-    DGA.check_homogeneous when its row is built, which counts the rows."""
+def test_mu3_builds_no_copy_row():
+    """The twist reads only the staircase parts of the (1, K) entries, so
+    mu_3 into degree 2 builds the staircase entries b1^14 and b2^14 of its
+    4-copy, once each, and no row of `copy.diff`.  Every entry a copy builds
+    passes DGA.check_homogeneous, which counts them; a chord row would be
+    four entries, b1^11 .. b1^14."""
     checked = []
     real = freedga.DGA.check_homogeneous
 
@@ -703,16 +731,14 @@ def test_mu3_builds_only_the_rows_of_source_copy_1():
         freedga.lambda_copy_dga.cache_clear()
         freedga.staircase_words.cache_clear()
         try:
-            mu_k(rhos, args)
+            out = mu_k(rhos, args)
+            assert mu_k(rhos, args) == out  # the second call builds nothing
             copy = freedga.lambda_copy_dga(m, p, 4)
         finally:
             freedga.lambda_copy_dga.cache_clear()
             freedga.staircase_words.cache_clear()
-    kinds = [copy.copy_info[name] for dga, name in checked if dga is copy]
-    assert {kind[0] for kind in kinds} == {"chord"}  # degree 2: b1, b2 only
-    rows = {(base, i) for _, base, i, _ in kinds}
-    assert rows == {("b1", 1), ("b2", 1)}
-    assert len(kinds) == 2 * 4  # each row built once
+    assert out.degree == 2
+    assert sorted(name for dga, name in checked if dga is copy) == ["b1^14", "b2^14"]
 
 
 # -- isomorphism witnesses against the intertwining system ---------------------
@@ -739,17 +765,19 @@ def reference_intertwiners(r1, r2, swap_t=False, transpose=True):
 
 def reference_is_isomorphic(r1, r2, budget, rng):
     """The search over the intertwining system's kernel: exhaustive, skipping
-    the zero combination, when p^dim fits the budget, else `budget` seeded
-    draws.  Returns the witness, None, or the BudgetExceeded it raises."""
+    the zero combination, when its 1 + p + ... + p^(dim-1) lines fit the
+    budget, else `budget` seeded draws.  Returns the witness, None, or the
+    BudgetExceeded it raises."""
     n, p = r1.n, r1.p
     n2 = n * n
     ker = reference_intertwiners(r1, r2)
     d = ker.shape[1]
+    lines = sum(p ** i for i in range(d))
 
     def decode(vec):
         return vec[:n2].reshape(n, n), vec[n2:].reshape(n, n)
 
-    if p ** d <= budget:
+    if lines <= budget:
         for combo in itertools.product(range(p), repeat=d):
             if not any(combo):
                 continue
@@ -762,8 +790,8 @@ def reference_is_isomorphic(r1, r2, budget, rng):
         u1, u2 = decode((ker @ combo) % p)
         if xa.det(u1, p) and xa.det(u2, p):
             return u1, u2
-    return BudgetExceeded(f"intertwiner space has {p}^{d} elements; sampling found no witness",
-                          required=p ** d)
+    return BudgetExceeded(f"intertwiner space has {lines} lines ({p}^{d} elements, "
+                          f"budget {budget}); sampling found no witness", required=lines)
 
 
 def iso_pairs(count, seed, primes):
@@ -859,3 +887,43 @@ def test_is_isomorphic_matches_the_intertwining_search(monkeypatch):
         ends["sampled"] += rng.getstate() != random.Random(k).getstate()
         assert rng.getstate() == ref_rng.getstate()
     assert all(ends.values()), ends
+
+
+def singular_kernel_pair():
+    """(s + s, s + c) at m = 2, n = 2, p = 32749 with s = (1, 1) and
+    c = (1, 2): ker mu_1^0 is 2-dimensional, the maps that factor through s,
+    and holds no invertible element."""
+    s, c = np.array([[[1]], [[1]]]), np.array([[[1]], [[2]]])
+
+    def block(a, b):
+        mats = np.zeros((2, 2, 2), dtype=np.int64)
+        mats[:, :1, :1], mats[:, 1:, 1:] = a, b
+        return Representation(2, 2, 32749, mats)
+
+    return block(s, s), block(s, c)
+
+
+def test_is_isomorphic_certifies_a_large_singular_kernel():
+    """Its 32750 lines fit the default budget of 200,000, so the search tries
+    each once and certifies None, drawing nothing from the rng.  (Gated on
+    the 32749^2 vectors, it sampled 200,000 draws and raised.)"""
+    r1, r2 = singular_kernel_pair()
+    assert xa.LinearMap(mu1_matrix(r1, r2, 0), 32749).kernel.shape[1] == 2
+    rng = random.Random(3)
+    assert is_isomorphic(r1, r2, rng=rng) is None
+    assert rng.getstate() == random.Random(3).getstate()
+
+
+def test_is_isomorphic_over_budget_samples_the_same_stream():
+    """Below its 32750 lines the budget is exceeded: `budget` draws of one
+    randrange(p) per kernel dimension, then BudgetExceeded with the line
+    count as `required`."""
+    r1, r2 = singular_kernel_pair()
+    rng, want = random.Random(4), random.Random(4)
+    with pytest.raises(BudgetExceeded) as exc:
+        is_isomorphic(r1, r2, budget=1000, rng=rng)
+    assert exc.value.required == 32750
+    assert "32750 lines" in str(exc.value)
+    for _ in range(1000):
+        [want.randrange(32749) for _ in range(2)]
+    assert rng.getstate() == want.getstate()

@@ -46,7 +46,7 @@ def test_kblock_matches_mu_k_up_to_arity_3():
 
 
 def test_kblock_matches_mu_4():
-    """mu_4 on the copy route is usable at m <= 2.  Degrees (1, 1, 1, 1) reach
+    """mu_4 at m <= 2 (3 <= m <= 6 in the next test).  Degrees (1, 1, 1, 1) reach
     b1 through the x-letters of X_1^-1; the permutations of (0, 1, 1, 1) land
     in degree 1."""
     rng = random.Random(42)
@@ -60,6 +60,32 @@ def test_kblock_matches_mu_4():
         assert kb.mu_k(rhos, args) == want, (m, n, p, degs)
         nonzero += not want.is_zero()
     assert nonzero, "every mu_4 case was zero"
+
+
+def test_kblock_matches_mu_k_at_larger_m():
+    """mu_k builds only the staircase entries of its copy, so larger sizes
+    are affordable: m in {6, 8, 10} and p in {2, 3, 5, 7} at k = 1 and 2
+    (random degrees) and k = 3 (degrees (1, 1, 1), which twist the P_m/Q_m
+    words of b1 and b2; mu_3 with a degree-0 argument is zero), and mu_4 at
+    3 <= m <= 6 on the degrees of `test_kblock_matches_mu_4`.  Both mutation
+    controls must disagree with mu_k somewhere."""
+    rng = random.Random(43)
+    cases = [(m, p, degs) for m in (6, 8, 10) for p in (2, 3, 5, 7)
+             for degs in (draw_degrees(1, rng), draw_degrees(2, rng), (1, 1, 1))]
+    degrees = [(1, 1, 1, 1), *sorted(set(itertools.permutations((0, 1, 1, 1))))]
+    cases += [(m, rng.choice((2, 3, 5, 7)), degs) for m in (3, 4, 5, 6) for degs in degrees]
+    nonzero = caught_b = caught_sign = 0
+    for m, p, degs in cases:
+        n = rng.randint(1, 2)
+        rhos = [random_rep(m, n, p, rng) for _ in range(len(degs) + 1)]
+        args = [rand_homog(m, n, p, d, rng) for d in degs]
+        want = mu_k(rhos, args)
+        assert kb.mu_k(rhos, args) == want, (m, n, p, degs)
+        nonzero += not want.is_zero()
+        caught_b += kb.mu_k(rhos, args, b_terms=False) != want
+        caught_sign += kb.mu_k(rhos, args, signed=False) != want
+    assert nonzero >= len(cases) // 2, nonzero
+    assert caught_b and caught_sign, (caught_b, caught_sign)
 
 
 def test_src_does_not_import_the_oracle():

@@ -244,7 +244,6 @@ def test_mu2_closed_well_defined_on_classes():
         C12 = cohomology_closed(r1, r2)
         C02 = cohomology_closed(r0, r2)
         u1, u2 = xa.rand_matrix(rng, n, n, p), xa.rand_matrix(rng, n, n, p)
-        boundary = C01.h1_class([xa.zeros(n, n)] * m)
         vec = (C01.matrix @ np.concatenate([u1.reshape(-1), u2.reshape(-1)])) % p
         bdry_w = [vec[j * n * n:(j + 1) * n * n].reshape(n, n) for j in range(m)]
         assert not C01.h1_reduce(bdry_w).any()
