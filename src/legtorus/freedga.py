@@ -8,20 +8,11 @@ signed Leibniz rule.
 
 The module also builds the concrete objects of interest: the continuant-style
 polynomial families P_m / Q_m, the DGA of the Legendrian (2,m) torus link
-with two base points, and the k-copy DGA construction.  The k-copy
-differential is built one row at a time, when the row is first read: a row
-is the entries g^{i1}..g^{ik} of one base chord g for one source copy i, or
-all the t, x and y entries of one invertible.  Each row is checked for
-homogeneity when it is built.  mu_k reads no chord row: a copy also holds
-the staircase part of each chord's (1, k) entry (`DGA.staircase`), the
-words that run up the staircase 1 -> k, built from the staircase words of
-each letter image alone and checked in turn.  `staircase_words` splits that
-entry by copy for mu_k's twist, and the level walk it shares with the letter
-image filter (`_climb`) is the one reader of a copy's letter table
-(`copy_info`).  Rows come from sparse k x k word matrices, {(i, j): {word:
-coeff}} holding nonzero entries only, multiplied by one product that adds
-into its output in place; Phi of a base word is expanded letter by letter
-from one row vector, so the cost tracks the number of terms built.
+with two base points, and the k-copy DGA, whose differential is built one
+row at a time, when first read (`kcopy_dga`).  mu_k reads no row, only the
+staircase words of each chord's (1, k) entry (`DGA.staircase`), split by
+copy in `staircase_words`.  Word matrices are sparse, {(i, j): {word:
+coeff}}, under one product that adds into its output in place.
 """
 
 from __future__ import annotations
@@ -229,7 +220,7 @@ class DGA:
                 raise ValueError(f"duplicate generator {g.name}")
             self.gens[g.name] = g
         self.copy_info = copy_info or {}
-        # a k-copy's staircase parts of its chords' (1, k) entries (`kcopy_dga`)
+        # a k-copy's staircase words of its chords' (1, k) entries
         self.staircase: Mapping[str, FreePoly] = {}
         self._degree = deg = {name: g.degree for name, g in self.gens.items()}
         # a word whose letters all have degree 0 has degree 0, so only the
@@ -401,24 +392,18 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
     first read, and the row is checked for homogeneity then.  Row i of a
     chord c is c^{i1}..c^{ik}: Phi(dc) expanded from copy i alone, plus row i
     of Y_r C and of C Y_c.  The t^i, x^{ij} and y^{ij} entries of one
-    invertible form one row.  Reading every entry gives the whole
-    differential.
+    invertible form one row.
 
-    `copy.staircase[c^{1k}]` is the part of the (1, k) entry whose words run
-    up the staircase 1 -> k (`_climb`), built, and checked, when first read.
-    Every letter image is block upper triangular with consistent levels, and
-    the only cancellation in a product, t^i t^{i,-1}, sits on one level, so a
-    product word runs up the staircase from i to j exactly when each letter's
-    piece does, from the level it starts on to the level it ends on.  So the
-    staircase part of row 1 of Phi(dc) is row 1 of Phi(dc) with each letter
-    image cut, once, to its staircase words, and no chord row is built.
+    `copy.staircase[c^{1k}]`, built and checked when first read, holds the
+    words of the (1, k) entry that run up the staircase 1 -> k (`_climb`).
+    Letter images are block upper triangular, and the only cancellation,
+    t^i t^{i,-1}, sits on one level, so a product word runs up the staircase
+    exactly when each letter's piece does.  So it is row 1 of Phi(dc) with
+    each letter image cut, once, to its staircase words (`_stair`).
 
-    Every matrix is a sparse word matrix (`_mat_mul`), and the cost tracks
-    the number of terms built.  Phi of a polynomial expands each word c w
-    letter by letter from c at (i, i), a row vector, and the last letter's
-    product adds the row into the result in place.  Each letter's image
-    (chord matrix, Delta X, X^-1 Delta^-1) is built once, and its staircase
-    part once.
+    Phi of a word c w is expanded letter by letter from c at (i, i), a row
+    vector, so the cost tracks the terms built; each letter's image (chord
+    matrix, Delta X, X^-1 Delta^-1) is built once.
     """
     if not 1 <= k <= 10:
         raise ValueError("k must be between 1 and 10: names such as b1^12 give one digit per copy")
@@ -564,16 +549,11 @@ def lambda_copy_dga(m: int, p: int, k: int) -> DGA:
 
 
 def _climb(w: Word, info: dict, level: int):
-    """Walk the word w up the staircase from copy `level`.
-
-    Returns (level reached, runs, bases), or None when a letter leaves the
-    staircase.  The walk stays on a level through its diagonal letters
-    (chords c^{ii} and t^i on the level reached) and steps up one level at
-    an off-diagonal letter z^{i,i+1} (a chord, x or y) that starts there.
-    runs[l] lists, left to right, the diagonal letters after step l as
-    (base name, exponent), and bases the base names of the step letters
-    ("a1", "b2", "x1", "y2", ...).
-    """
+    """Walk w up the staircase from copy `level`: through diagonal letters
+    (c^{ii}, t^i) on the level reached, one level up at each z^{i,i+1}.
+    Returns (level reached, runs, bases), None if a letter leaves the walk:
+    runs[l] holds the diagonal letters after step l as (base, exponent), and
+    bases the base names of the steps ("a1", "x1", "y2", ...)."""
     run, runs, bases = [], [], []
     for name, exp in w:
         kind = info[name]
@@ -590,8 +570,7 @@ def _climb(w: Word, info: dict, level: int):
 
 
 def _stair(mat: Matrix, info: dict) -> Matrix:
-    """The words of each entry (i, j) of a copy's word matrix that run up the
-    staircase from copy i + 1 to copy j + 1; empty entries are dropped."""
+    # the words of each entry (i, j) that climb from copy i + 1 to j + 1
     out = {}
     for (i, j), f in mat.items():
         kept = {}
@@ -606,20 +585,9 @@ def _stair(mat: Matrix, info: dict) -> Matrix:
 
 @lru_cache(maxsize=None)
 def staircase_words(copy: DGA, k: int, base: str) -> tuple:
-    """The words of d(base^{1k}), in a k-copy DGA, that run up the staircase
-    1 -> k (`_climb`), each split by copy as (coeff, runs, bases).
-
-    A word qualifies when its off-diagonal letters (chords c^{ij} with
-    i != j and the Morse generators x^{ij}, y^{ij}) are z^{12}, z^{23}, ...,
-    z^{k-1,k} in this order, and each diagonal letter (c^{ii}, t^i) sits on
-    copy i, the level the chain has reached.  runs[l] lists the diagonal
-    letters on copy l + 1 and bases the base names of the chain letters.
-
-    Cached per (copy, k, base), so the copy `lambda_copy_dga` keeps is split
-    once.  A chord's words come from `copy.staircase`, which builds only the
-    staircase part of the entry; an invertible's x, y words from its t, x, y
-    row of `copy.diff`.
-    """
+    """The words of d(base^{1k}) that climb 1 -> k (`_climb`), as (coeff,
+    runs, bases), cached per copy.  A chord's come from `copy.staircase`, an
+    invertible's x and y words from its row of `copy.diff`."""
     name = f"{base}^1{k}"
     f = (copy.staircase if name in copy.staircase else copy.diff)[name]
     words = []
