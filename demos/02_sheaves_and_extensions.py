@@ -12,16 +12,35 @@ import numpy as np
 
 from legtorus import exactalg as xa
 from legtorus.ainfty import enumerate_reps, random_rep
-from legtorus.sheafcat import (build_sheaf_object, check_extension_exact,
-                               check_morphism, compose00, compose01, ext0,
-                               ext1, extension_from_class, functor_h0,
-                               functor_h1, functor_obj)
+from legtorus.sheafcat import (SheafObject, check_extension_exact, compose00,
+                               compose01, ext0, ext1, extension_from_class,
+                               functor_h0, functor_h1, functor_obj)
 from legtorus.torusrep import H1Class, cohomology_closed, mu2_closed
+
+
+def is_chain_morphism(F, G, u):
+    """(u1, u2): F -> G commutes with both block chains and with psi.
+
+    The node maps are u_0 = u_1 = u1, then u1 on odd and u2 on even nodes,
+    and diag(u2, u1) on V^2, the top of the chain."""
+    p = F.p
+    u1, u2 = u
+    us = [u1] + [u1 if k % 2 else u2 for k in range(1, F.m + 2)]
+    zero = xa.zeros(F.n, F.n)
+
+    def diag(a, b):
+        return np.block([[a, zero], [zero, b]])
+
+    left = [diag(u2, u1)] + [diag(us[k - 1], us[k]) for k in range(2, F.m + 1)]
+    squares = all(np.array_equal(lk @ F.omega(k) % p, G.omega(k) @ diag(us[k], us[k + 1]) % p)
+                  for k, lk in enumerate(left, start=1))
+    return squares and np.array_equal(us[0] @ F.psi % p, G.psi @ left[0] % p)
+
 
 print("=" * 72)
 print("A sheaf object and its leg maps")
 print("=" * 72)
-F = build_sheaf_object([np.array([[1]]), np.array([[0]])], 2)
+F = SheafObject(2, 1, 2, [[[1]], [[0]]])
 print("m=2, n=1 over F_2 with A = (1, 0):")
 for k in (1, 2, 3):
     print(f"  phi_{k} = {F.phi(k).ravel().tolist()}")
@@ -30,7 +49,7 @@ invariants = F.check_invariants()
 print(f"  psi . phi_1 = id and complementarity: {invariants}")
 assert invariants
 try:
-    build_sheaf_object([np.array([[1]]), np.array([[1]])], 2)
+    SheafObject(2, 1, 2, [[[1]], [[1]]])
 except ValueError as e:
     print(f"  A = (1, 1) is rejected: {e}")
 
@@ -45,7 +64,7 @@ e0 = ext0(Fo, Go)
 E1 = ext1(Fo, Go)
 print(f"dim Ext^0 = {len(e0)}, dim Ext^1 = {E1.dim}")
 for u in e0:
-    assert check_morphism(Fo, Go, u)
+    assert is_chain_morphism(Fo, Go, u)
 print("every Ext^0 basis element is a genuine commuting chain morphism")
 
 w = [xa.rand_matrix(rng, 2, 2, 3) for _ in range(2)]

@@ -15,10 +15,11 @@ Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1).
 the symbolic (k+1)-copy differential.  The copy builds only those words, not
 the chord rows they sit in (`freedga.kcopy_dga`); full rows are built only
 where something reads them, such as `dga --copies`.
-`freedga.staircase_words` splits each word, once per copy, into its chain
-letters and one run of diagonal letters per copy; `TwistedCopy.top_diff`
-turns each word into its one twisted term by multiplying every run out in
-its copy's representation (`_expand_twist`).
+`freedga.staircase_arrays` holds each entry's words, once per copy, as index
+arrays: one padded run of diagonal letter ids per copy, the coefficients and
+the chain bases.  `TwistedCopy.top_diff` multiplies all runs out at once,
+one batched product per letter position in each copy's letter stack
+(`_expand_twist`), and `mu_k` evaluates all terms of an output base at once.
 The mu_1 matrix behind HomCohomology (`mu1_matrix`) builds no copy DGA: it
 evaluates the 2-copy differential on 2x2 block upper-triangular matrices
 blockwise.  Their diagonal blocks are r0's and r1's own values, so only the
@@ -29,8 +30,9 @@ expansion over the reversed, negated letters.  Each factor depends on one
 object only.  The copy route is that matrix's test oracle.
 
 A `Representation` holds its tuple as one read-only int64 array of shape
-(m, n, n), and the continuant stacks of its two roles in a Hom space
-(`source_stacks`, `target_stacks`), built on first use and read-only.
+(m, n, n); its letter stack (`letters`) and the continuant stacks of its two
+roles in a Hom space (`source_stacks`, `target_stacks`) are built on first
+use and read-only.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exactalg as xa
-from .freedga import lambda_copy_dga, link_grading, pq_matrix, staircase_words
+from .freedga import lambda_copy_dga, link_grading, pq_matrix, staircase_arrays
 
 
 class BudgetExceeded(RuntimeError):
@@ -89,6 +91,16 @@ class Representation:
         self.T1_inv = (-pm) % p
         self.T2 = (-pq_matrix("Q", self.A, p)) % p
         self.T2_inv = xa.inverse(self.T2, p)  # invertible by the determinant identity
+
+    @functools.cached_property
+    def letters(self) -> np.ndarray:
+        """The values of the diagonal letters, indexed by `freedga.letter_ids`:
+        identity, A_1..A_m, T1, T1^-1, T2, T2^-1.  Shape (m + 5, n, n),
+        read-only: the twist gathers every copy's runs from it."""
+        letters = np.concatenate([xa.eye(self.n)[None], self.A,
+                                  [self.T1, self.T1_inv, self.T2, self.T2_inv]])
+        letters.flags.writeable = False
+        return letters
 
     @functools.cached_property
     def source_stacks(self) -> np.ndarray:
@@ -252,32 +264,53 @@ def unit(rho: Representation) -> HomElement:
 # ---------------------------------------------------------------------------
 # Twisting by (noncommutative) augmentations
 
-def _expand_twist(words, rhos, n: int, p: int):
-    """The staircase term of phi_eps(w) for each split staircase word w.
+@dataclass(eq=False)
+class TwistTerms:
+    """The kept staircase terms of one twisted generator, stacked.
+
+    coeffs[i] holds term i's K coefficients, left to right around its chain
+    letters, and names[bases[i, t]] is the base of its chain letter t + 1.
+    Iterates as (coeffs, bases) pairs with the bases as names; len() is the
+    number of terms.
+    """
+
+    coeffs: np.ndarray
+    bases: np.ndarray
+    names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __iter__(self):
+        for cs, ids in zip(self.coeffs, self.bases.tolist()):
+            yield cs, tuple(self.names[i] for i in ids)
+
+
+def _expand_twist(split, rhos, n: int, p: int) -> TwistTerms:
+    """The staircase term of phi_eps(w) for every word w of a split.
 
     phi_eps sends a diagonal chord c^{ii} to c^{ii} + eps(c^{ii}), an
     invertible t^i to eps(t^i), and an off-diagonal letter (c^{ij}, i != j,
     or a Morse x/y) to itself, as its eps is 0; copy l + 1 carries rhos[l].
     A term that keeps some c^{ii} as a letter is not a staircase term, so a
     word has exactly one: its diagonal letters become their eps values and
-    its chain letters stay.  For a word (coeff, runs, bases) from
-    `staircase_words`, coefficient l is the product of rhos[l].value over
-    runs[l] (times coeff for l = 0).  Returns (coeffs, bases) per term, the
-    coefficients interleaved left to right around the chain letters; a term
-    with a zero coefficient is dropped.
+    its chain letters stay.  For the index arrays of `staircase_arrays`,
+    coefficient l of every word is the product of its run on copy l + 1,
+    gathered from rhos[l].letters, one batched product per letter position
+    and reduced mod p after each (times the word's coefficient for l = 0).
+    A term is kept only when all K of its coefficients are nonzero.
     """
-    ident = xa.eye(n)
-    terms = []
-    for c, runs, bases in words:
-        coeffs = []
-        for rho, run in zip(rhos, runs):
-            acc = ident if coeffs else c * ident
-            for name, exp in run:
-                acc = (acc @ rho.value(name, exp)) % p
-            coeffs.append(acc)
-        if all(cf.any() for cf in coeffs):
-            terms.append((coeffs, bases))
-    return terms
+    coeffs = np.empty((len(split.coeffs), len(rhos), n, n), dtype=np.int64)
+    coeffs[:] = xa.eye(n)
+    for l, (rho, run) in enumerate(zip(rhos, split.runs)):
+        if run.shape[1]:
+            acc = rho.letters[run[:, 0]]
+            for pos in range(1, run.shape[1]):
+                acc = acc @ rho.letters[run[:, pos]] % p
+            coeffs[:, l] = acc
+    coeffs[:, 0] = split.coeffs[:, None, None] * coeffs[:, 0] % p
+    keep = coeffs.any(axis=(2, 3)).all(axis=1)
+    return TwistTerms(coeffs[keep], split.bases[keep], split.names)
 
 
 class TwistedCopy:
@@ -295,23 +328,30 @@ class TwistedCopy:
         self.K = len(rhos)
         self.dga = lambda_copy_dga(self.m, self.p, self.K)
 
-    def top_diff(self, base: str):
-        """Staircase terms of d_eps(base^{1,K}) as (coeffs, bases).
+    def top_diff(self, base: str) -> TwistTerms:
+        """Staircase terms of d_eps(base^{1,K}), iterating as (coeffs, bases).
 
         A staircase term has the letters z^{12}, ..., z^{K-1,K} and nothing
         else, so only words whose off-diagonal letters are that chain can
-        contribute.  `staircase_words` gives them, built alone from this
-        copy's staircase (1, K) entry and split into chain letters and one run
-        of diagonal letters per copy, once per (copy, base); `_expand_twist`
-        multiplies the runs out in the representations.  No chord row of the
-        copy is built.
+        contribute.  `staircase_arrays` gives them, built alone from this
+        copy's staircase (1, K) entry, split into chain letters and one run
+        of diagonal letters per copy, and held as index arrays, once per
+        (copy, base); `_expand_twist` multiplies all runs out at once in the
+        representations.  No chord row of the copy is built.
         """
-        words = staircase_words(self.dga, self.K, base)
-        return _expand_twist(words, self.rhos, self.n, self.p)
+        split = staircase_arrays(self.dga, self.K, base)
+        return _expand_twist(split, self.rhos, self.n, self.p)
 
 
 def mu_k(rhos, args) -> HomElement:
-    """mu_k: Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1) -> Hom(rho_0,rho_k)."""
+    """mu_k: Hom(rho_{k-1},rho_k) x ... x Hom(rho_0,rho_1) -> Hom(rho_0,rho_k).
+
+    Each output base takes all its twisted terms at once: the chain letters
+    are left-to-right z^{1,2} .. z^{k,k+1}, and slot s counts from the
+    right, so letter t + 1 reads args[k-1-t]'s coefficient on its base.  A
+    term is live when every argument has its base; the live terms' products
+    are taken batched, reduced mod p after each, and summed mod p.
+    """
     k = len(args)
     if len(rhos) != k + 1:
         raise ValueError("need k+1 representations for mu_k")
@@ -330,20 +370,20 @@ def mu_k(rhos, args) -> HomElement:
     out_deg = sum(degs) + 2 - k
     coeffs: dict[str, np.ndarray] = {}
     for w in hom_basis_order(tw.m, out_deg):
-        acc = xa.zeros(n, n)
-        for cs, bases in tw.top_diff(w):
-            # letters are left-to-right z^{1,2} .. z^{k,k+1}; slot s counts
-            # from the right, so left-to-right position t pairs with args[k-1-t]
-            val = cs[0]
-            for t, base in enumerate(bases):
-                a = args[k - 1 - t].coeffs.get(base)
-                if a is None:
-                    break
-                val = (val @ a @ cs[t + 1]) % p
-            else:
-                acc = (acc + val) % p
-        if acc.any():
-            coeffs[w] = (sign * acc) % p
+        terms = tw.top_diff(w)
+        live = np.ones(len(terms), dtype=bool)
+        for t in range(k):
+            have = np.array([b in args[k - 1 - t].coeffs for b in terms.names], dtype=bool)
+            live &= have[terms.bases[:, t]]
+        if not live.any():
+            continue
+        cs, bases = terms.coeffs[live], terms.bases[live]
+        val = cs[:, 0]
+        for t in range(k):
+            arg = args[k - 1 - t]
+            stack = np.stack([arg.coeff(b) for b in terms.names])
+            val = (val @ stack[bases[:, t]] % p) @ cs[:, t + 1] % p
+        coeffs[w] = sign * val.sum(axis=0) % p  # HomElement drops a zero sum
     return HomElement(n, p, out_deg, coeffs)
 
 

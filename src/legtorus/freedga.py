@@ -11,8 +11,9 @@ polynomial families P_m / Q_m, the DGA of the Legendrian (2,m) torus link
 with two base points, and the k-copy DGA, whose differential is built one
 row at a time, when first read (`kcopy_dga`).  mu_k reads no row, only the
 staircase words of each chord's (1, k) entry (`DGA.staircase`), split by
-copy in `staircase_words`.  Word matrices are sparse, {(i, j): {word:
-coeff}}, under one product that adds into its output in place.
+copy in `staircase_words` and held as index arrays (`staircase_arrays`).
+Word matrices are sparse, {(i, j): {word: coeff}}, under one product that
+adds into its output in place.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -583,11 +585,10 @@ def _stair(mat: Matrix, info: dict) -> Matrix:
     return out
 
 
-@lru_cache(maxsize=None)
 def staircase_words(copy: DGA, k: int, base: str) -> tuple:
     """The words of d(base^{1k}) that climb 1 -> k (`_climb`), as (coeff,
-    runs, bases), cached per copy.  A chord's come from `copy.staircase`, an
-    invertible's x and y words from its row of `copy.diff`."""
+    runs, bases).  A chord's come from `copy.staircase`, an invertible's x
+    and y words from its row of `copy.diff`."""
     name = f"{base}^1{k}"
     f = (copy.staircase if name in copy.staircase else copy.diff)[name]
     words = []
@@ -596,3 +597,51 @@ def staircase_words(copy: DGA, k: int, base: str) -> tuple:
         if walk and walk[0] == k:
             words.append((c, *walk[1:]))
     return tuple(words)
+
+
+class StaircaseArrays(NamedTuple):
+    """`staircase_words` as index arrays, one row per word: coeffs[w], the
+    letter ids (`letter_ids`) of its run on copy l + 1 in runs[l][w], padded
+    with 0 (the identity), and its chain bases names[bases[w, t]]."""
+
+    coeffs: np.ndarray
+    runs: tuple[np.ndarray, ...]
+    bases: np.ndarray
+    names: tuple[str, ...]
+
+
+@lru_cache(maxsize=None)
+def letter_ids(copy: DGA) -> dict[tuple[str, int], int]:
+    """Ids of the diagonal letters by (base, exponent), 0 being the identity:
+    the degree-0 chords in order, then each invertible with exponent 1 and
+    -1 (a1..am, t1, t1^-1, t2, t2^-1 for the torus link).  A degree-1 chord
+    has none, as every augmentation sends it to 0."""
+    ids: dict[tuple[str, int], int] = {}
+    for name, g in copy.gens.items():
+        kind = copy.copy_info[name]
+        if kind[0] == "chord" and kind[2] == kind[3] == 1 and not g.degree:
+            ids[kind[1], 1] = len(ids) + 1
+        elif kind[0] == "t" and kind[3] == 1:
+            ids[kind[1], 1], ids[kind[1], -1] = len(ids) + 1, len(ids) + 2
+    return ids
+
+
+@lru_cache(maxsize=None)
+def staircase_arrays(copy: DGA, k: int, base: str) -> StaircaseArrays:
+    """`staircase_words(copy, k, base)` as index arrays, cached per copy; a
+    word with a letter that has no id is left out, as its term is 0."""
+    ids = letter_ids(copy)
+    words = [(c, [[ids[x] for x in run] for run in runs], bases)
+             for c, runs, bases in staircase_words(copy, k, base)
+             if all(x in ids for run in runs for x in run)]
+    names = tuple(dict.fromkeys(b for *_, bases in words for b in bases))
+    runs = []
+    for l in range(k):
+        run = np.zeros((len(words), max((len(w[1][l]) for w in words), default=0)),
+                       dtype=np.int64)
+        for row, (_, letters, _) in zip(run, words):
+            row[:len(letters[l])] = letters[l]
+        runs.append(run)
+    bases = [[names.index(b) for b in bases] for *_, bases in words]
+    return StaircaseArrays(np.array([w[0] for w in words], dtype=np.int64), tuple(runs),
+                           np.array(bases, dtype=np.int64).reshape(len(words), k - 1), names)

@@ -87,12 +87,6 @@ class SheafObject:
         return True
 
 
-def build_sheaf_object(mats, p: int) -> SheafObject:
-    mats = [np.array(a, dtype=np.int64) for a in mats]
-    n = mats[0].shape[0]
-    return SheafObject(len(mats), n, p, mats)
-
-
 # ---------------------------------------------------------------------------
 # The Ext map, and Ext^0
 
@@ -136,39 +130,6 @@ def ext0(F: SheafObject, G: SheafObject) -> list[tuple[np.ndarray, np.ndarray]]:
 def ext0_dim(F, G) -> int:
     """dim Ext^0(F, G) = 2n^2 - rank of the Ext map."""
     return _ext(F, G).nullity
-
-
-def morphism_data(F: SheafObject, G: SheafObject, u):
-    """Full chain data (u_0..u_{m+1}, v) of a morphism from (u1, u2)."""
-    u1, u2 = u
-    us = [u1]  # u_0 = u_1
-    for k in range(1, F.m + 2):
-        us.append(u1 if k % 2 == 1 else u2)
-    v = np.block([[u2, xa.zeros(F.n, F.n)], [xa.zeros(F.n, F.n), u1]]) % F.p
-    return us, v
-
-
-def check_morphism(F: SheafObject, G: SheafObject, u) -> bool:
-    """Verify the commuting chain diagram for a morphism (u1,u2): F -> G."""
-    n, p, m = F.n, F.p, F.m
-    us, v = morphism_data(F, G, u)
-    # rightmost square: v . omega_F(1) = omega_G(1) . diag(u_1, u_2)
-    lhs = (v @ F.omega(1)) % p
-    rhs = (G.omega(1) @ _diag2(us[1], us[2], p)) % p
-    if not np.array_equal(lhs, rhs):
-        return False
-    for k in range(2, m + 1):
-        lhs = (_diag2(us[k - 1], us[k], p) @ F.omega(k)) % p
-        rhs = (G.omega(k) @ _diag2(us[k], us[k + 1], p)) % p
-        if not np.array_equal(lhs, rhs):
-            return False
-    # top square: u_0 psi = psi' v
-    return np.array_equal((us[0] @ F.psi) % p, (G.psi @ v) % p)
-
-
-def _diag2(a, b, p):
-    n = a.shape[0]
-    return np.block([[a, xa.zeros(n, n)], [xa.zeros(n, n), b]]) % p
 
 
 def compose00(u2_, u1_, p: int):

@@ -16,6 +16,7 @@ from legtorus.freedga import (DGA, FreePoly, build_lambda_dga, kcopy_dga,
                               pq_matrix, staircase_words)
 from legtorus.torusrep import cohomology_closed, mu1_closed
 from poly_eval import check_representation, eval_matrix_poly, eval_poly
+from twist_reference import as_terms
 
 
 def all_bases(m):
@@ -312,7 +313,9 @@ def check_against_full_twist(rhos, rng):
     fast = mu_k(rhos, args)
     fast_mats = [mu1_matrix(*rhos, d) for d in (0, 1)] if K == 2 else []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(TwistedCopy, "top_diff", reference_staircase)
+        # mu_k reads stacked terms, so the reference's list is stacked too
+        mp.setattr(TwistedCopy, "top_diff",
+                   lambda tw, base: as_terms(reference_staircase(tw, base), tw.K, tw.n))
         assert mu_k(rhos, args) == fast
         # mu1_matrix reads no top_diff; the copy route is its reference
         for d, mat in enumerate(fast_mats):
@@ -383,9 +386,9 @@ def test_staircase_words_are_the_chain_words():
     """`staircase_words` builds only the staircase part of d(base^{1k}); the
     reference reads the whole `copy.diff` row and keeps its chain words.
     Every base, p in {2, 3, 5}, k <= 4, m <= 7 (m <= 6 at k = 4): 591 cases.
-    Fresh copies, read through the uncached function, so that no full row
-    stays in a cache.  The position-only filter must disagree somewhere."""
-    split_words = staircase_words.__wrapped__
+    Fresh copies, split by the uncached `staircase_words`, so that no full
+    row stays in a cache.  The position-only filter must disagree
+    somewhere."""
     cases = caught = 0
     for p, k in itertools.product((2, 3, 5), (2, 3, 4)):
         for m in range(1, 7 if k == 4 else 8):
@@ -393,11 +396,11 @@ def test_staircase_words_are_the_chain_words():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(freedga, "_stair", position_stair)
                 mutant = kcopy_dga(lambda_dga(m, p), k)
-                mutant_words = {base: split_words(mutant, k, base) for base in all_bases(m)}
+                mutant_words = {base: staircase_words(mutant, k, base) for base in all_bases(m)}
             for base in all_bases(m):
                 f = copy.diff[f"{base}^1{k}"]
                 want = chain_words(copy, f, k)
-                split = split_words(copy, k, base)
+                split = staircase_words(copy, k, base)
                 kept = {unsplit(runs, bases): c for c, runs, bases in split}
                 assert len(kept) == len(split), (p, k, m, base)
                 assert kept == want, (p, k, m, base)
@@ -729,14 +732,14 @@ def test_mu3_builds_no_copy_row():
         mp.setattr(freedga.DGA, "check_homogeneous", record)
         # a fresh copy, built while the count is on, and dropped afterwards
         freedga.lambda_copy_dga.cache_clear()
-        freedga.staircase_words.cache_clear()
+        freedga.staircase_arrays.cache_clear()
         try:
             out = mu_k(rhos, args)
             assert mu_k(rhos, args) == out  # the second call builds nothing
             copy = freedga.lambda_copy_dga(m, p, 4)
         finally:
             freedga.lambda_copy_dga.cache_clear()
-            freedga.staircase_words.cache_clear()
+            freedga.staircase_arrays.cache_clear()
     assert out.degree == 2
     assert sorted(name for dga, name in checked if dga is copy) == ["b1^14", "b2^14"]
 

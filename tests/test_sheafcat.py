@@ -7,14 +7,55 @@ import pytest
 from legtorus import exactalg as xa
 from legtorus.ainfty import BudgetExceeded, enumerate_reps, random_rep
 from legtorus.freedga import pq_matrix
-from legtorus.sheafcat import (Ext1Space, SheafObject, _ext_map, build_sheaf_object,
-                               check_extension_exact, check_morphism,
+from legtorus.sheafcat import (Ext1Space, SheafObject, _ext_map,
+                               check_extension_exact,
                                compose00, compose01, compose10,
                                ext0, ext0_dim, ext1,
                                ext1_dim, extension_from_class, functor_h0,
-                               functor_h1, functor_obj, morphism_data)
+                               functor_h1, functor_obj)
 from legtorus.torusrep import (H0Class, H1Class, cohomology_closed,
                                mu2_closed)
+
+
+# Sheaf objects from a bare tuple, and the chain-map check of a morphism:
+# helpers that only the tests use.
+
+def build_sheaf_object(mats, p: int) -> SheafObject:
+    mats = [np.array(a, dtype=np.int64) for a in mats]
+    return SheafObject(len(mats), mats[0].shape[0], p, mats)
+
+
+def morphism_data(F: SheafObject, G: SheafObject, u):
+    """Full chain data (u_0..u_{m+1}, v) of a morphism from (u1, u2)."""
+    u1, u2 = u
+    us = [u1]  # u_0 = u_1
+    for k in range(1, F.m + 2):
+        us.append(u1 if k % 2 == 1 else u2)
+    v = np.block([[u2, xa.zeros(F.n, F.n)], [xa.zeros(F.n, F.n), u1]]) % F.p
+    return us, v
+
+
+def _diag2(a, b, p):
+    n = a.shape[0]
+    return np.block([[a, xa.zeros(n, n)], [xa.zeros(n, n), b]]) % p
+
+
+def check_morphism(F: SheafObject, G: SheafObject, u) -> bool:
+    """Verify the commuting chain diagram for a morphism (u1,u2): F -> G."""
+    p, m = F.p, F.m
+    us, v = morphism_data(F, G, u)
+    # rightmost square: v . omega_F(1) = omega_G(1) . diag(u_1, u_2)
+    lhs = (v @ F.omega(1)) % p
+    rhs = (G.omega(1) @ _diag2(us[1], us[2], p)) % p
+    if not np.array_equal(lhs, rhs):
+        return False
+    for k in range(2, m + 1):
+        lhs = (_diag2(us[k - 1], us[k], p) @ F.omega(k)) % p
+        rhs = (G.omega(k) @ _diag2(us[k], us[k + 1], p)) % p
+        if not np.array_equal(lhs, rhs):
+            return False
+    # top square: u_0 psi = psi' v
+    return np.array_equal((us[0] @ F.psi) % p, (G.psi @ v) % p)
 
 
 def enumerate_sheaf_objects(m: int, n: int, p: int, budget: int = 2_000_000):
