@@ -94,7 +94,7 @@ class Representation:
 
     @functools.cached_property
     def letters(self) -> np.ndarray:
-        """The values of the diagonal letters, indexed by `freedga.letter_ids`:
+        """The values of the diagonal letters, indexed by a copy's `letter_ids`:
         identity, A_1..A_m, T1, T1^-1, T2, T2^-1.  Shape (m + 5, n, n),
         read-only: the twist gathers every copy's runs from it."""
         letters = np.concatenate([xa.eye(self.n)[None], self.A,

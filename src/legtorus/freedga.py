@@ -222,8 +222,10 @@ class DGA:
                 raise ValueError(f"duplicate generator {g.name}")
             self.gens[g.name] = g
         self.copy_info = copy_info or {}
-        # a k-copy's staircase words of its chords' (1, k) entries
+        # a k-copy's staircase words of its chords' (1, k) entries, and the
+        # ids of their diagonal letters by (base, exponent), 0 the identity
         self.staircase: Mapping[str, FreePoly] = {}
+        self.letter_ids: dict[tuple[str, int], int] = {}
         self._degree = deg = {name: g.degree for name, g in self.gens.items()}
         # a word whose letters all have degree 0 has degree 0, so only the
         # words with another letter are summed
@@ -542,6 +544,11 @@ def kcopy_dga(dga: DGA, k: int) -> DGA:
     copy.diff = _RowDiff(row_of, copy.check_homogeneous)  # checked row by row
     copy.staircase = _RowDiff({f"{g.name}^1{k}": partial(stair_entry, g) for g in chords},
                               copy.check_homogeneous)
+    # ids from 1: the degree-0 chords, then t and t^-1 per invertible (a1..am,
+    # t1, t1^-1, t2, t2^-1); every augmentation sends a degree-1 chord to 0
+    letters = [(g.name, 1) for g in chords if not g.degree]
+    letters += [(g.name, e) for g in ts for e in (1, -1)]
+    copy.letter_ids = {x: i for i, x in enumerate(letters, start=1)}
     return copy
 
 
@@ -601,8 +608,8 @@ def staircase_words(copy: DGA, k: int, base: str) -> tuple:
 
 class StaircaseArrays(NamedTuple):
     """`staircase_words` as index arrays, one row per word: coeffs[w], the
-    letter ids (`letter_ids`) of its run on copy l + 1 in runs[l][w], padded
-    with 0 (the identity), and its chain bases names[bases[w, t]]."""
+    letter ids (`DGA.letter_ids`) of its run on copy l + 1 in runs[l][w],
+    padded with 0 (the identity), and its chain bases names[bases[w, t]]."""
 
     coeffs: np.ndarray
     runs: tuple[np.ndarray, ...]
@@ -611,26 +618,10 @@ class StaircaseArrays(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def letter_ids(copy: DGA) -> dict[tuple[str, int], int]:
-    """Ids of the diagonal letters by (base, exponent), 0 being the identity:
-    the degree-0 chords in order, then each invertible with exponent 1 and
-    -1 (a1..am, t1, t1^-1, t2, t2^-1 for the torus link).  A degree-1 chord
-    has none, as every augmentation sends it to 0."""
-    ids: dict[tuple[str, int], int] = {}
-    for name, g in copy.gens.items():
-        kind = copy.copy_info[name]
-        if kind[0] == "chord" and kind[2] == kind[3] == 1 and not g.degree:
-            ids[kind[1], 1] = len(ids) + 1
-        elif kind[0] == "t" and kind[3] == 1:
-            ids[kind[1], 1], ids[kind[1], -1] = len(ids) + 1, len(ids) + 2
-    return ids
-
-
-@lru_cache(maxsize=None)
 def staircase_arrays(copy: DGA, k: int, base: str) -> StaircaseArrays:
     """`staircase_words(copy, k, base)` as index arrays, cached per copy; a
     word with a letter that has no id is left out, as its term is 0."""
-    ids = letter_ids(copy)
+    ids = copy.letter_ids
     words = [(c, [[ids[x] for x in run] for run in runs], bases)
              for c, runs, bases in staircase_words(copy, k, base)
              if all(x in ids for run in runs for x in run)]
