@@ -619,8 +619,8 @@ class StaircaseArrays(NamedTuple):
 
 @lru_cache(maxsize=None)
 def staircase_arrays(copy: DGA, k: int, base: str) -> StaircaseArrays:
-    """`staircase_words(copy, k, base)` as index arrays, cached per copy; a
-    word with a letter that has no id is left out, as its term is 0."""
+    """`staircase_words(copy, k, base)` as read-only index arrays, cached per
+    copy; a word with a letter that has no id is left out, as its term is 0."""
     ids = copy.letter_ids
     words = [(c, [[ids[x] for x in run] for run in runs], bases)
              for c, runs, bases in staircase_words(copy, k, base)
@@ -634,5 +634,8 @@ def staircase_arrays(copy: DGA, k: int, base: str) -> StaircaseArrays:
             row[:len(letters[l])] = letters[l]
         runs.append(run)
     bases = [[names.index(b) for b in bases] for *_, bases in words]
-    return StaircaseArrays(np.array([w[0] for w in words], dtype=np.int64), tuple(runs),
-                           np.array(bases, dtype=np.int64).reshape(len(words), k - 1), names)
+    out = StaircaseArrays(np.array([w[0] for w in words], dtype=np.int64), tuple(runs),
+                          np.array(bases, dtype=np.int64).reshape(len(words), k - 1), names)
+    for a in (out.coeffs, *out.runs, out.bases):
+        a.flags.writeable = False
+    return out
