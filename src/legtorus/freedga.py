@@ -622,18 +622,18 @@ def staircase_arrays(copy: DGA, k: int, base: str) -> StaircaseArrays:
     """`staircase_words(copy, k, base)` as read-only index arrays, cached per
     copy; a word with a letter that has no id is left out, as its term is 0."""
     ids = copy.letter_ids
-    words = [(c, [[ids[x] for x in run] for run in runs], bases)
-             for c, runs, bases in staircase_words(copy, k, base)
-             if all(x in ids for run in runs for x in run)]
+    words = [w for w in staircase_words(copy, k, base)
+             if all(x in ids for run in w[1] for x in run)]
     names = tuple(dict.fromkeys(b for *_, bases in words for b in bases))
+    index = {b: i for i, b in enumerate(names)}
     runs = []
     for l in range(k):
-        run = np.zeros((len(words), max((len(w[1][l]) for w in words), default=0)),
-                       dtype=np.int64)
-        for row, (_, letters, _) in zip(run, words):
-            row[:len(letters[l])] = letters[l]
+        lengths = np.array([len(w[1][l]) for w in words], dtype=np.int64)
+        run = np.zeros((len(words), lengths.max(initial=0)), dtype=np.int64)
+        # row-major: row w's first lengths[w] cells take its run, in order
+        run[np.arange(run.shape[1]) < lengths[:, None]] = [ids[x] for w in words for x in w[1][l]]
         runs.append(run)
-    bases = [[names.index(b) for b in bases] for *_, bases in words]
+    bases = [[index[b] for b in bases] for *_, bases in words]
     out = StaircaseArrays(np.array([w[0] for w in words], dtype=np.int64), tuple(runs),
                           np.array(bases, dtype=np.int64).reshape(len(words), k - 1), names)
     for a in (out.coeffs, *out.runs, out.bases):
